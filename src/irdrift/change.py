@@ -20,8 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .effectiveness import ArpResult
 from .model import PerTopicScores, Ranking, RunFile, TopicId
 
@@ -165,6 +163,9 @@ def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:
     common = sorted(scores.topics() & scores_prime.topics())
     if not common:
         raise ValueError("rmse requires a non-empty common topic set")
+    # imported here so that only callers of rmse pay numpy's import time
+    import numpy as np
+
     a = np.array([scores.scores[t] for t in common])
     b = np.array([scores_prime.scores[t] for t in common])
     return float(np.sqrt(np.mean((a - b) ** 2)))

@@ -17,6 +17,13 @@ run tags, duplicate identical qrels, negative grades) emit
 :class:`IngestWarning` instead. Run rankings are canonicalized on ingest:
 entries are re-sorted by (score descending, doc id ascending) and ranks
 renumbered 1..n, trusting scores over the file's rank column.
+
+Identifiers are checked once, where they enter. Run and qrels lines are
+split on whitespace, so every token is already a non-empty,
+whitespace-free id; those tokens are kept as plain ``str`` and need no
+further check. Ids read from JSON (manifests, topic files) go through
+the validating :class:`~irdrift.model.DocId` and
+:class:`~irdrift.model.TopicId` constructors.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from math import isfinite
 from pathlib import Path
 from typing import Iterable
 
@@ -69,22 +77,18 @@ class EEConfig:
             raise ValueError("EEConfig qrels_path must be non-empty")
 
 
-def _tokens(line: str) -> list[str]:
-    return line.split()
-
-
 def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
     """Parse a TREC-format run, canonicalizing each topic's ranking.
 
     The system tag is taken from column 6 of the first line; later lines
     with a different tag warn and keep the first. Duplicate (topic, doc)
-    pairs are errors.
+    pairs and non-finite scores are errors.
     """
     system_tag: str | None = None
-    by_topic: dict[TopicId, list[tuple[DocId, float]]] = {}
-    seen_pairs: set[tuple[TopicId, DocId]] = set()
+    # topic -> doc -> score; the inner dict also detects duplicate pairs
+    by_topic: dict[str, dict[str, float]] = {}
     for lineno, raw in enumerate(lines, start=1):
-        cols = _tokens(raw)
+        cols = raw.split()
         if not cols:
             continue
         if len(cols) != 6:
@@ -92,14 +96,9 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
                 f"line {lineno}: expected 6 columns (topic Q0 doc rank score tag), "
                 f"got {len(cols)}"
             )
-        topic_s, q0, doc_s, rank_s, score_s, tag = cols
+        topic, q0, doc, rank_s, score_s, tag = cols
         if q0.lower() != "q0":
             raise ParseError(f"line {lineno}: column 2 must be the literal Q0, got {q0!r}")
-        try:
-            topic = TopicId(topic_s)
-            doc = DocId(doc_s)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
         try:
             int(rank_s)  # the rank column is validated but not trusted
         except ValueError:
@@ -108,9 +107,15 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
             score = float(score_s)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric score {score_s!r}") from None
-        if (topic, doc) in seen_pairs:
+        if not isfinite(score):
+            # NaN is unordered, so the canonical sort would follow line order
+            raise ParseError(f"line {lineno}: non-finite score {score_s!r}")
+        docs = by_topic.get(topic)
+        if docs is None:
+            docs = by_topic[topic] = {}
+        elif doc in docs:
             raise ParseError(f"line {lineno}: duplicate entry for topic {topic}, doc {doc}")
-        seen_pairs.add((topic, doc))
+        docs[doc] = score
         if system_tag is None:
             system_tag = tag
         elif tag != system_tag:
@@ -120,24 +125,20 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
                 IngestWarning,
                 stacklevel=2,
             )
-        by_topic.setdefault(topic, []).append((doc, score))
     if system_tag is None:
         raise ParseError("empty run: no lines to take a system tag from")
     rankings = {
-        topic: _canonical_ranking(topic, entries)
-        for topic, entries in by_topic.items()
+        topic: _canonical_ranking(topic, docs) for topic, docs in by_topic.items()
     }
     return RunFile(system_tag=system_tag, ee_label=expected_ee_label, rankings=rankings)
 
 
-def _canonical_ranking(topic: TopicId, entries: list[tuple[DocId, float]]) -> Ranking:
-    ordered = sorted(entries, key=lambda e: (-e[1], e[0]))
+def _canonical_ranking(topic: str, docs: dict[str, float]) -> Ranking:
+    ordered = sorted(docs.items(), key=lambda e: (-e[1], e[0]))
+    doc_ids, scores = zip(*ordered)
     return Ranking(
         topic=topic,
-        entries=tuple(
-            RankedDoc(doc=doc, rank=i + 1, score=score)
-            for i, (doc, score) in enumerate(ordered)
-        ),
+        entries=tuple(map(RankedDoc, doc_ids, range(1, len(doc_ids) + 1), scores)),
     )
 
 
@@ -148,9 +149,9 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
     is how standard TREC tooling treats them. Duplicate pairs error when
     their grades conflict and dedup with a warning when they agree.
     """
-    judgments: dict[tuple[TopicId, DocId], int] = {}
+    judgments: dict[tuple[str, str], int] = {}
     for lineno, raw in enumerate(lines, start=1):
-        cols = _tokens(raw)
+        cols = raw.split()
         if not cols:
             continue
         if len(cols) != 4:
@@ -158,12 +159,7 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
                 f"line {lineno}: expected 4 columns (topic iteration doc grade), "
                 f"got {len(cols)}"
             )
-        topic_s, _iteration, doc_s, grade_s = cols
-        try:
-            topic = TopicId(topic_s)
-            doc = DocId(doc_s)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        topic, _iteration, doc, grade_s = cols
         try:
             grade = int(grade_s)
         except ValueError:
@@ -269,6 +265,8 @@ def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
         if not isinstance(obj, dict) or "topic_id" not in obj:
             raise ParseError(f"line {lineno}: topic line must carry topic_id")
+        if not isinstance(obj["topic_id"], str):
+            raise ParseError(f"line {lineno}: topic_id must be a string")
         try:
             topic_id = TopicId(obj["topic_id"])
         except ValueError as exc:

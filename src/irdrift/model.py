@@ -3,9 +3,15 @@
 An evaluation environment bundles one timestamped state of the three
 test-collection components: the document corpus, the topic set, and the
 relevance judgments (qrels). Runs hold a system's ranked results against
-one such environment. All types are immutable after construction and
-validate their invariants eagerly, so downstream code can rely on them
-without re-checking.
+one such environment. All types are immutable after construction.
+
+Identifiers are checked once, where they enter the program.
+:class:`DocId` and :class:`TopicId` are the checking constructors for
+ids read from JSON or command-line flags (manifests, topic files,
+``--topics``). Tokens that ``str.split()`` cut from a run or qrels line
+already satisfy their invariant and stay plain ``str``. The container
+types check their structural invariants at construction, so downstream
+code can rely on them without re-checking.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ class DocId(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "DocId":
-        if not value:
-            raise ValueError("DocId must be non-empty")
-        if any(ch.isspace() for ch in value):
+        # split() drops exactly the characters isspace() flags, so this
+        # one C-level test rejects empty values and embedded whitespace
+        if value.split() != [value]:
+            if not value:
+                raise ValueError("DocId must be non-empty")
             raise ValueError(f"DocId must not contain whitespace: {value!r}")
         return super().__new__(cls, value)
 
@@ -35,9 +43,11 @@ class TopicId(str):
     __slots__ = ()
 
     def __new__(cls, value: str) -> "TopicId":
-        if not value:
-            raise ValueError("TopicId must be non-empty")
-        if any(ch.isspace() for ch in value):
+        # split() drops exactly the characters isspace() flags, so this
+        # one C-level test rejects empty values and embedded whitespace
+        if value.split() != [value]:
+            if not value:
+                raise ValueError("TopicId must be non-empty")
             raise ValueError(f"TopicId must not contain whitespace: {value!r}")
         return super().__new__(cls, value)
 

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import stats
-
 from .model import PerTopicScores
 
 
@@ -59,6 +56,11 @@ def paired_t_test(
     n = len(common)
     if n < 2:
         raise ValueError(f"paired test requires >= 2 common topics, got {n}")
+    # imported here so that only callers of the test pay numpy's and
+    # scipy's import time, the largest fixed cost of a CLI call
+    import numpy as np
+    from scipy import stats
+
     diffs = np.array(
         [scores_a.scores[t] - scores_b.scores[t] for t in common]
     )

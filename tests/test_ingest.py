@@ -66,6 +66,16 @@ def test_parse_run_duplicate_pair_is_error():
         parse_run(["1 Q0 d7 1 2.0 s", "1 Q0 d7 2 1.0 s"], "t0")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_run_rejects_non_finite_scores(bad):
+    # NaN once ranked [a, d, b, c] in file order and [d, b, c, a] reversed
+    lines = [f"1 Q0 a 1 {bad} t", "1 Q0 b 2 2.0 t", "1 Q0 c 3 1.0 t", "1 Q0 d 4 3.0 t"]
+    with pytest.raises(ParseError, match=f"line 1: non-finite score '{bad}'"):
+        parse_run(lines, "t0")
+    with pytest.raises(ParseError, match=f"line 4: non-finite score '{bad}'"):
+        parse_run(lines[::-1], "t0")
+
+
 def test_parse_run_mixed_tags_warn_first_wins():
     with pytest.warns(IngestWarning, match="mixed"):
         run = parse_run(["1 Q0 d7 1 2.0 first", "1 Q0 d8 2 1.0 second"], "t0")
@@ -148,6 +158,12 @@ def test_parse_topics():
     topics = parse_topics(['{"topic_id":"1","text":"rain"}', '{"topic_id":"2"}'])
     assert topics[TopicId("1")].text == "rain"
     assert topics[TopicId("2")].text is None
+
+
+@pytest.mark.parametrize("value", ["0", "7", '["a"]', "null"])
+def test_parse_topics_rejects_non_string_topic_id(value):
+    with pytest.raises(ParseError, match="line 1: topic_id must be a string"):
+        parse_topics([f'{{"topic_id": {value}}}'])
 
 
 def _write_env(tmp_path, with_topics=False, topic_ids=("1",)):
