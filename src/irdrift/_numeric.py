@@ -1,0 +1,103 @@
+"""Float64 summation and the Student t tail, in the standard library only.
+
+``pairwise_sum`` adds in NumPy's order for a contiguous float64
+``add.reduce``, so means and variances built from it carry the same bits
+as ``np.mean``/``np.std``. ``t_two_sided_p`` evaluates the regularised
+incomplete beta function by its continued fraction (Numerical Recipes,
+``betai``/``betacf``, with the modified Lentz method).
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+
+_BLOCK = 128  # NumPy's PW_BLOCKSIZE
+_EPS = 1e-15  # the fraction stops once a step changes it by less than this
+_TINY = 1e-300  # stands in for a zero denominator in Lentz's method
+_MAX_ITERATIONS = 10_000  # df up to 10^6 needs at most ~60
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """Sum in the order of NumPy's float64 pairwise-summation kernel."""
+    return _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        total = -0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= _BLOCK:
+        r = list(values[lo : lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
+
+
+def t_two_sided_p(t: float, df: float) -> float:
+    """Two-sided tail P(|T| >= |t|) of Student's t with df degrees of freedom.
+
+    This is I_x(df/2, 1/2) at x = df / (df + t^2). Where t^2 overflows
+    (|t| > 1.3e154, far beyond any paired t statistic) the limit 0 is
+    returned.
+    """
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    x = df / (df + t2)
+    y = t2 / (df + t2)  # 1 - x, without the cancellation of computing it so
+    a, b = 0.5 * df, 0.5
+    front = math.exp(
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log(y)
+    )
+    # the fraction converges fast on the side of the mean a / (a + b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, modified Lentz."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITERATIONS + 1):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
+        if abs(step - 1.0) < _EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}"
+    )

@@ -17,9 +17,11 @@ Four complementary views:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
+from ._numeric import pairwise_sum
 from .effectiveness import ArpResult
 from .model import PerTopicScores, Ranking, RunFile, TopicId
 
@@ -153,7 +155,9 @@ def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:
     """Root mean square error between two per-topic score sets.
 
     Meaningful only when both sets were computed with the same measure
-    against the same qrels; the common topics are compared.
+    against the same qrels; the common topics are compared. The squared
+    differences are summed in NumPy's pairwise order, so the value has
+    the bits of ``np.sqrt(np.mean((a - b) ** 2))``.
     """
     if scores.measure != scores_prime.measure:
         raise ValueError(
@@ -163,12 +167,8 @@ def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:
     common = sorted(scores.topics() & scores_prime.topics())
     if not common:
         raise ValueError("rmse requires a non-empty common topic set")
-    # imported here so that only callers of rmse pay numpy's import time
-    import numpy as np
-
-    a = np.array([scores.scores[t] for t in common])
-    b = np.array([scores_prime.scores[t] for t in common])
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    diffs = [scores.scores[t] - scores_prime.scores[t] for t in common]
+    return math.sqrt(pairwise_sum([d * d for d in diffs]) / len(diffs))
 
 
 def result_delta(arp_initial: ArpResult, arp_evolved: ArpResult) -> float:

@@ -176,6 +176,11 @@ def _parse_label_paths(flags: list[str], labels: list[str], option: str) -> dict
 
 
 def cmd_change(args: argparse.Namespace) -> int:
+    # the default family size is at least 1, so 1 stands in for it here
+    try:
+        sig.bonferroni(args.alpha, 1 if args.family_size is None else args.family_size)
+    except ValueError as exc:
+        raise CliError(f"--alpha/--family-size: {exc}") from None
     labels, envs = _load_environments(args.config)
     scenario = rep.Scenario(args.scenario)
     initial = labels[0]

@@ -284,6 +284,8 @@ def load_config(path: Path | str) -> list[EEConfig]:
     """Load an environment config: a JSON array ordered t0..tn.
 
     Relative file paths are resolved against the config file's directory.
+    ``label``, ``manifest`` and ``qrels`` must be strings, and ``topics``
+    a string or absent (or null).
     """
     path = Path(path)
     try:
@@ -301,6 +303,13 @@ def load_config(path: Path | str) -> list[EEConfig]:
         for field_name in ("label", "manifest", "qrels"):
             if field_name not in entry:
                 raise ParseError(f"{path}: entry {i} missing {field_name!r}")
+        for field_name in ("label", "manifest", "qrels", "topics"):
+            value = entry.get(field_name)
+            if not (isinstance(value, str) or (field_name == "topics" and value is None)):
+                raise ParseError(
+                    f"{path}: entry {i}: {field_name!r} must be a string, "
+                    f"got {type(value).__name__}"
+                )
         label = entry["label"]
         if label in labels:
             raise ParseError(f"{path}: duplicate environment label {label!r}")

@@ -4,6 +4,12 @@ Per-topic score differences are tested with a two-sided paired t-test;
 the Bonferroni correction divides the significance level by the size of
 the comparison family. Pairing is only statistically sound when both
 score sets were computed against the same qrels.
+
+The arithmetic needs only the standard library: the mean and the
+standard deviation are summed in NumPy's pairwise order, so the t
+statistic has the bits of ``np.mean``/``np.std(ddof=1)``, and the p value
+is the regularised incomplete beta function's continued fraction, within
+~1e-12 relative of a 50-digit reference for 1-999 degrees of freedom.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._numeric import pairwise_sum, t_two_sided_p
 from .model import PerTopicScores
 
 
@@ -42,10 +49,10 @@ def paired_t_test(
 ) -> tuple[float, float, int]:
     """Two-sided paired t-test over the common topics' score differences.
 
-    Returns (t statistic, p value, n). The p value comes from the t
-    distribution with n-1 degrees of freedom. Degenerate zero-variance
-    samples use the convention p = 0 for a nonzero mean difference and
-    p = 1 otherwise.
+    Returns (t statistic, p value, n). The p value is the two-sided tail
+    of the t distribution with n-1 degrees of freedom. Degenerate
+    zero-variance samples use the convention p = 0 for a nonzero mean
+    difference and p = 1 otherwise.
     """
     if scores_a.measure != scores_b.measure:
         raise ValueError(
@@ -56,25 +63,19 @@ def paired_t_test(
     n = len(common)
     if n < 2:
         raise ValueError(f"paired test requires >= 2 common topics, got {n}")
-    # imported here so that only callers of the test pay numpy's and
-    # scipy's import time, the largest fixed cost of a CLI call
-    import numpy as np
-    from scipy import stats
-
-    diffs = np.array(
-        [scores_a.scores[t] - scores_b.scores[t] for t in common]
-    )
+    diffs = [scores_a.scores[t] - scores_b.scores[t] for t in common]
     # identical differences mean zero variance; detect exactly rather than
     # through the computed standard deviation, which carries summation noise
-    if np.all(diffs == diffs[0]):
-        value = float(diffs[0])
-        if value == 0.0:
+    first = diffs[0]
+    if all(d == first for d in diffs):
+        if first == 0.0:
             return 0.0, 1.0, n
-        return math.copysign(math.inf, value), 0.0, n
-    mean = float(np.mean(diffs))
-    sd = float(np.std(diffs, ddof=1))
+        return math.copysign(math.inf, first), 0.0, n
+    # NumPy's order: the mean, then the squared deviations from it
+    mean = pairwise_sum(diffs) / n
+    sd = math.sqrt(pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))
+    p = t_two_sided_p(t, n - 1)
     return t, min(p, 1.0), n
 
 

@@ -8,8 +8,13 @@ salted per process and must not be used here).
 from __future__ import annotations
 
 import hashlib
+import json
 from datetime import date, datetime, timedelta, timezone
 
+from hypothesis import Phase, settings
+from hypothesis import strategies as st
+
+from irdrift.ingest import format_manifest, format_qrels, format_run
 from irdrift.model import (
     CorpusSnapshot,
     DocId,
@@ -116,3 +121,71 @@ def make_environment(
     else:
         topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topic_ids}
     return EvaluationEnvironment(label=label, corpus=corpus, topics=topics, qrels=qrels)
+
+
+CLI_TOPICS = [f"q{i}" for i in range(1, 9)]
+
+
+def write_cli_fixture(tmp_path, n_docs=60, systems=("alpha", "beta"), labels=("t0", "t1")):
+    """Two cumulative environments (half / full corpus) with runs per system."""
+    corpus = synth_corpus(n_docs)
+    all_ids = sorted(str(d) for d in corpus.docs)
+    slices = {labels[0]: all_ids[: n_docs // 2], labels[1]: all_ids}
+    qrels = synth_qrels(all_ids, CLI_TOPICS)
+    config = []
+    run_paths = {}
+    for label, ids in slices.items():
+        snapshot = CorpusSnapshot({d: corpus.docs[d] for d in corpus.docs if str(d) in set(ids)})
+        (tmp_path / f"{label}.manifest.jsonl").write_text(format_manifest(snapshot))
+        restricted = qrels.restricted_to_docs({d for d in corpus.docs if str(d) in set(ids)})
+        (tmp_path / f"{label}.qrels.txt").write_text(format_qrels(restricted))
+        config.append(
+            {
+                "label": label,
+                "manifest": f"{label}.manifest.jsonl",
+                "qrels": f"{label}.qrels.txt",
+            }
+        )
+        for tag in systems:
+            run = synth_run(tag, label, ids, CLI_TOPICS, depth=20)
+            path = tmp_path / f"{tag}.{label}.run.txt"
+            path.write_text(format_run(run))
+            run_paths[(tag, label)] = str(path)
+    config_path = tmp_path / "ees.json"
+    config_path.write_text(json.dumps(config, indent=2))
+    return config_path, run_paths
+
+
+def change_argv(config, runs, scenario, labels=("t0", "t1"), systems=("alpha", "beta")):
+    args = ["change", "--config", str(config), "--scenario", scenario]
+    for tag in systems:
+        for label in labels:
+            args += ["--run", f"{tag}:{label}:{runs[(tag, label)]}"]
+    return args
+
+
+def pivot_argv(config, runs):
+    """dtq-prime over alpha and beta with zpivot as the pivot."""
+    args = change_argv(config, runs, "dtq-prime")
+    for label in ("t0", "t1"):
+        args += ["--pivot-run", f"{label}={runs[('zpivot', label)]}"]
+    return args
+
+
+# lengths at and around the blocking of NumPy's pairwise summation: fewer
+# than 8 values, 8 accumulators up to 128, and the split above 128
+PAIRWISE_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 400]
+
+# no shrink phase: a failing list of a few hundred floats reads no better
+# shrunk, and shrinking one takes minutes
+NO_SHRINK = settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def score_list_pairs(min_size: int):
+    """Two equally long lists of scores in [0, 1], of a PAIRWISE_LENGTHS length."""
+    score = st.floats(0.0, 1.0)
+    return st.sampled_from([n for n in PAIRWISE_LENGTHS if n >= min_size]).flatmap(
+        lambda n: st.tuples(
+            st.lists(score, min_size=n, max_size=n), st.lists(score, min_size=n, max_size=n)
+        )
+    )

@@ -4,7 +4,9 @@ agreement, and structural properties."""
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
 
 from irdrift.change import (
     ChangeScores,
@@ -20,7 +22,7 @@ from irdrift.change import (
 from irdrift.effectiveness import ArpResult
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
 
-from conftest import make_ranking, make_run
+from conftest import NO_SHRINK, make_ranking, make_run, score_list_pairs
 
 
 def rbo_brute(docs_a, docs_b, phi, depth, normalize):
@@ -234,6 +236,17 @@ def test_rmse_symmetry_and_triangle_inequality():
         c = _scores({t: rng.random() for t in topics})
         assert rmse(a, b) == rmse(b, a)
         assert rmse(a, c) <= rmse(a, b) + rmse(b, c) + 1e-12
+
+
+@NO_SHRINK
+@given(score_list_pairs(min_size=1))
+def test_rmse_is_bit_identical_to_numpy(pair):
+    a, b = pair
+    # zero-padded topic ids sort in list order, the order rmse sums in
+    topics = [f"{i:04d}" for i in range(len(a))]
+    got = rmse(_scores(dict(zip(topics, a))), _scores(dict(zip(topics, b))))
+    expected = float(np.sqrt(np.mean((np.array(a) - np.array(b)) ** 2)))
+    assert got.hex() == expected.hex()
 
 
 # --- ARP-level deltas ---

@@ -4,47 +4,15 @@ import json
 
 import pytest
 
+from irdrift import _numeric
 from irdrift.cli import main
-from irdrift.ingest import format_manifest, format_qrels, format_run
-from irdrift.model import CorpusSnapshot
+from irdrift.ingest import format_manifest, format_qrels
 
-from conftest import synth_corpus, synth_qrels, synth_run
-
-TOPICS = [f"q{i}" for i in range(1, 9)]
-
-
-def _write_fixture(tmp_path, n_docs=60, systems=("alpha", "beta"), labels=("t0", "t1")):
-    """Two cumulative environments (half / full corpus) with runs per system."""
-    corpus = synth_corpus(n_docs)
-    all_ids = sorted(str(d) for d in corpus.docs)
-    slices = {labels[0]: all_ids[: n_docs // 2], labels[1]: all_ids}
-    qrels = synth_qrels(all_ids, TOPICS)
-    config = []
-    run_paths = {}
-    for label, ids in slices.items():
-        snapshot = CorpusSnapshot({d: corpus.docs[d] for d in corpus.docs if str(d) in set(ids)})
-        (tmp_path / f"{label}.manifest.jsonl").write_text(format_manifest(snapshot))
-        restricted = qrels.restricted_to_docs({d for d in corpus.docs if str(d) in set(ids)})
-        (tmp_path / f"{label}.qrels.txt").write_text(format_qrels(restricted))
-        config.append(
-            {
-                "label": label,
-                "manifest": f"{label}.manifest.jsonl",
-                "qrels": f"{label}.qrels.txt",
-            }
-        )
-        for tag in systems:
-            run = synth_run(tag, label, ids, TOPICS, depth=20)
-            path = tmp_path / f"{tag}.{label}.run.txt"
-            path.write_text(format_run(run))
-            run_paths[(tag, label)] = str(path)
-    config_path = tmp_path / "ees.json"
-    config_path.write_text(json.dumps(config, indent=2))
-    return config_path, run_paths
+from conftest import change_argv, pivot_argv, synth_corpus, synth_qrels, write_cli_fixture
 
 
 def test_diff_reports_create_only_growth(tmp_path, capsys):
-    config, _ = _write_fixture(tmp_path)
+    config, _ = write_cli_fixture(tmp_path)
     assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t1"]) == 0
     out = capsys.readouterr().out
     doc_row = [l for l in out.splitlines() if l.startswith("documents,")][0]
@@ -55,21 +23,21 @@ def test_diff_reports_create_only_growth(tmp_path, capsys):
 
 
 def test_diff_self_is_identity(tmp_path, capsys):
-    config, _ = _write_fixture(tmp_path)
+    config, _ = write_cli_fixture(tmp_path)
     assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t0"]) == 0
     out = capsys.readouterr().out
     assert "documents,30,30,0.0000,0,0,0" in out
 
 
 def test_diff_unknown_label_exits_2(tmp_path, capsys):
-    config, _ = _write_fixture(tmp_path)
+    config, _ = write_cli_fixture(tmp_path)
     assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t9"]) == 2
     err = capsys.readouterr().err
     assert "t9" in err and "t0" in err and "t1" in err
 
 
 def test_evaluate_three_measures(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
+    config, runs = write_cli_fixture(tmp_path)
     code = main(
         [
             "evaluate",
@@ -91,7 +59,7 @@ def test_evaluate_three_measures(tmp_path, capsys):
 
 
 def test_evaluate_per_topic_rows(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
+    config, runs = write_cli_fixture(tmp_path)
     code = main(
         [
             "evaluate",
@@ -149,7 +117,7 @@ def test_evaluate_perfect_run_scores_one(tmp_path, capsys):
 
 
 def test_evaluate_run_without_judged_topics_exits_2(tmp_path, capsys):
-    config, _ = _write_fixture(tmp_path)
+    config, _ = write_cli_fixture(tmp_path)
     (tmp_path / "stray.run.txt").write_text("zz Q0 d00001 1 1.0 stray\n")
     code = main(
         [
@@ -166,17 +134,9 @@ def test_evaluate_run_without_judged_topics_exits_2(tmp_path, capsys):
     assert "no evaluated topics" in capsys.readouterr().err
 
 
-def _change_args(config, runs, scenario, labels=("t0", "t1"), systems=("alpha", "beta")):
-    args = ["change", "--config", str(config), "--scenario", scenario]
-    for tag in systems:
-        for label in labels:
-            args += ["--run", f"{tag}:{label}:{runs[(tag, label)]}"]
-    return args
-
-
 def test_change_dtq_matrix_shape_and_ideal_t0(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
-    assert main(_change_args(config, runs, "dtq")) == 0
+    config, runs = write_cli_fixture(tmp_path)
+    assert main(change_argv(config, runs, "dtq")) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5  # header + 2 systems x 2 environments
     header = lines[0].split(",")
@@ -191,15 +151,8 @@ def test_change_dtq_matrix_shape_and_ideal_t0(tmp_path, capsys):
 
 
 def test_change_dtq_prime_with_pivot(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
-    args = _change_args(config, runs, "dtq-prime")
-    args += [
-        "--pivot-run",
-        f"t0={runs[('zpivot', 't0')]}",
-        "--pivot-run",
-        f"t1={runs[('zpivot', 't1')]}",
-    ]
-    assert main(args) == 0
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    assert main(pivot_argv(config, runs)) == 0
     lines = capsys.readouterr().out.splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
@@ -217,16 +170,47 @@ def test_change_dtq_prime_with_pivot(tmp_path, capsys):
         assert cells["rmse_p@10"] == ""
 
 
+@pytest.mark.parametrize(
+    "flag", ["--alpha=0", "--alpha=1.5", "--family-size=0", "--family-size=-3"]
+)
+def test_change_rejects_invalid_alpha_or_family_size(tmp_path, capsys, flag):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    assert main(pivot_argv(config, runs) + [flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha/--family-size:")
+    assert "significance skipped" not in err
+    # checked before any file is read
+    absent = ["change", "--config", str(tmp_path / "absent.json"), "--scenario", "dtq"]
+    assert main(absent + [flag]) == 2
+    assert capsys.readouterr().err.startswith("error: --alpha/--family-size:")
+
+
+def test_change_t_tail_non_convergence_is_internal_error(tmp_path, capsys, monkeypatch):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    monkeypatch.setattr(_numeric, "_MAX_ITERATIONS", 1)
+    assert main(pivot_argv(config, runs)) == 1
+    assert "internal error: ArithmeticError" in capsys.readouterr().err
+
+
+def test_config_with_non_string_label_exits_2(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path)
+    entries = json.loads(config.read_text())
+    entries[1]["label"] = ["t1"]
+    config.write_text(json.dumps(entries))
+    assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t0"]) == 2
+    assert "entry 1: 'label' must be a string, got list" in capsys.readouterr().err
+
+
 def test_change_dtq_rejects_qrels_override(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
-    args = _change_args(config, runs, "dtq")
+    config, runs = write_cli_fixture(tmp_path)
+    args = change_argv(config, runs, "dtq")
     args += ["--qrels", f"t1={tmp_path / 't1.qrels.txt'}"]
     assert main(args) == 2
     assert "conflict" in capsys.readouterr().err
 
 
 def test_change_missing_system_run_exits_2(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
+    config, runs = write_cli_fixture(tmp_path)
     args = [
         "change",
         "--config",
@@ -241,7 +225,7 @@ def test_change_missing_system_run_exits_2(tmp_path, capsys):
 
 
 def test_change_missing_pivot_ee_warns_and_continues(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path, systems=("alpha", "zpivot"))
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "zpivot"))
     args = [
         "change",
         "--config",
@@ -269,8 +253,8 @@ def test_change_missing_pivot_ee_warns_and_continues(tmp_path, capsys):
 
 
 def test_change_output_is_byte_identical_across_runs(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
-    args = _change_args(config, runs, "dtq") + ["--format", "csv"]
+    config, runs = write_cli_fixture(tmp_path)
+    args = change_argv(config, runs, "dtq") + ["--format", "csv"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
@@ -329,8 +313,8 @@ def test_simulate_too_many_slices_exits_2(tmp_path, capsys):
 
 
 def test_report_rerenders_matrix_json(tmp_path, capsys):
-    config, runs = _write_fixture(tmp_path)
-    args = _change_args(config, runs, "dtq")
+    config, runs = write_cli_fixture(tmp_path)
+    args = change_argv(config, runs, "dtq")
     assert main(args + ["--format", "json", "--out", str(tmp_path / "matrix.json")]) == 0
     assert main(args + ["--format", "csv"]) == 0
     direct_csv = capsys.readouterr().out

@@ -1,10 +1,12 @@
-"""Import cost guard: numpy and scipy load only when a measure needs them.
+"""Import guard: no CLI call imports numpy or scipy.
 
-Every CLI call imports ``irdrift.cli``, and importing scipy costs more
-than the rest of a small call. Only ``significance.paired_t_test`` and
-``change.rmse`` use numpy or scipy, so a top-level import of either
-would make every call pay for it again. The checks run in a fresh interpreter, because
-this test process has loaded scipy already.
+Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
+costs more than the rest of a small call. ``change.rmse`` and
+``significance.paired_t_test`` compute their means, standard deviations
+and t tails with the standard library (``irdrift._numeric``), so the
+package needs nothing else at run time. The checks run in a fresh
+interpreter, because this test process has loaded numpy and scipy
+already; one of them blocks both imports outright.
 """
 
 import json
@@ -16,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import irdrift
+
+from conftest import pivot_argv, write_cli_fixture
 
 SCRIPT = """
 import json, sys
@@ -48,15 +52,55 @@ print(json.dumps({
 }))
 """
 
+# runs cli.main on the argv in sys.argv[1]; with "block" in sys.argv[2],
+# importing numpy or scipy fails as if neither were installed
+CLI_SCRIPT = """
+import json, sys
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("numpy", "scipy"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+if sys.argv[2] == "block":
+    sys.meta_path.insert(0, Block())
+
+from irdrift.cli import main
+
+code = main(json.loads(sys.argv[1]))
+heavy = sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+try:
+    import numpy
+    numpy_importable = True
+except ImportError:
+    numpy_importable = False
+print(json.dumps({"code": code, "heavy": heavy, "numpy_importable": numpy_importable}),
+      file=sys.stderr)
+"""
+
+
+def _env() -> dict:
+    src = str(Path(irdrift.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=src)
+
 
 @pytest.fixture(scope="module")
 def fresh() -> dict:
-    src = str(Path(irdrift.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", SCRIPT], env=_env(), capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout)
+
+
+def _run_cli(argv: list[str], mode: str) -> tuple[bytes, dict]:
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, json.dumps(argv), mode],
+        env=_env(),
+        capture_output=True,
+        check=True,
+    )
+    return done.stdout, json.loads(done.stderr.decode().splitlines()[-1])
 
 
 def test_importing_the_package_and_cli_loads_neither_numpy_nor_scipy(fresh):
@@ -64,14 +108,30 @@ def test_importing_the_package_and_cli_loads_neither_numpy_nor_scipy(fresh):
     assert fresh["after_cli"] == []
 
 
-def test_measures_load_numpy_and_scipy_on_demand_with_unchanged_values(fresh):
-    assert fresh["after_calls"] == ["numpy", "scipy"]
-    # the values these calls gave while numpy and scipy were imported at
-    # module level, bit for bit
+def test_measures_load_neither_numpy_nor_scipy_and_keep_their_values(fresh):
+    assert fresh["after_calls"] == []
+    # t and rmse are the bits these calls gave with numpy and scipy; p is
+    # the correctly rounded 0.80370874977798139... (50-digit mpmath),
+    # where scipy gave 0.8037087497779815
     assert (fresh["t"], fresh["p"], fresh["significant"], fresh["n"]) == (
         "-0.2546269008751662",
-        "0.8037087497779815",
+        "0.8037087497779813",
         False,
         12,
     )
     assert fresh["rmse"] == "0.4187102476320798"
+
+
+def test_change_with_pivot_runs_without_numpy_or_scipy(tmp_path):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    argv = pivot_argv(config, runs) + ["--format", "json"]
+
+    out, state = _run_cli(argv, "free")
+    assert state == {"code": 0, "heavy": [], "numpy_importable": True}
+    # the paired t-tests ran: some significance cells are filled
+    rows = json.loads(out)["rows"]
+    assert any(v is not None for row in rows for v in row["significant"].values())
+
+    blocked_out, blocked_state = _run_cli(argv, "block")
+    assert blocked_state == {"code": 0, "heavy": [], "numpy_importable": False}
+    assert blocked_out == out

@@ -220,6 +220,26 @@ def test_load_config_rejects_duplicate_labels(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "field_name, value",
+    [("label", ["t0"]), ("manifest", 7), ("qrels", None), ("topics", {"a": 1})],
+)
+def test_load_config_rejects_non_string_entries(tmp_path, field_name, value):
+    path = tmp_path / "ees.json"
+    good = {"label": "t0", "manifest": "m", "qrels": "q"}
+    bad = dict(good, label="t1")
+    bad[field_name] = value
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(ParseError, match=f"entry 1: '{field_name}' must be a string"):
+        load_config(path)
+
+
+def test_load_config_reads_null_topics_as_absent(tmp_path):
+    path = tmp_path / "ees.json"
+    path.write_text(json.dumps([{"label": "t0", "manifest": "m", "qrels": "q", "topics": None}]))
+    assert load_config(path)[0].topics_path is None
+
+
 def test_round_trip_run_is_byte_identical():
     lines = ["1 Q0 d7 1 13.0 bm25", "1 Q0 d8 2 12.5 bm25", "2 Q0 d1 1 1.0 bm25"]
     run = parse_run(lines, "t0")

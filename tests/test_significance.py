@@ -1,24 +1,40 @@
 """Paired t-test and Bonferroni correction, checked against an
 independently computed t-distribution tail (numerical quadrature of the
-density written from scratch)."""
+density written out directly), and the standard-library numerics behind
+them against NumPy's float64 reductions and a 50-digit mpmath reference."""
 
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from irdrift import _numeric
+from irdrift._numeric import pairwise_sum, t_two_sided_p
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
 from irdrift.significance import TestResult, bonferroni, compare, paired_t_test
 
+from conftest import NO_SHRINK, PAIRWISE_LENGTHS, score_list_pairs
 
-def _scores(values: list[float], measure="p@10", tag="s", ee="t0") -> PerTopicScores:
+
+def _scores(
+    values: list[float], measure="p@10", tag="s", ee="t0", topic_format="t{}"
+) -> PerTopicScores:
     return PerTopicScores(
         MeasureSpec.parse(measure),
         tag,
         ee,
-        {TopicId(f"t{i}"): v for i, v in enumerate(values)},
+        {TopicId(topic_format.format(i)): v for i, v in enumerate(values)},
     )
+
+
+def _ordered_scores(values: list[float]) -> PerTopicScores:
+    """Scores whose topic ids sort in list order, the order the test sums in."""
+    return _scores(values, topic_format="t{:04d}")
 
 
 def t_two_sided_p_oracle(t: float, df: int) -> float:
@@ -142,3 +158,65 @@ def test_test_result_invariant_enforced():
         TestResult(t_statistic=1.0, p_value=0.5, adjusted_alpha=0.05, significant=True, n=5)
     with pytest.raises(ValueError, match="n must be"):
         TestResult(t_statistic=1.0, p_value=0.5, adjusted_alpha=0.05, significant=False, n=1)
+
+
+# --- the standard-library numerics ---
+
+@NO_SHRINK
+@given(st.sampled_from(PAIRWISE_LENGTHS).flatmap(
+    lambda n: st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
+))
+def test_pairwise_sum_is_bit_identical_to_numpy(values):
+    got, expected = pairwise_sum(values), float(np.add.reduce(np.array(values)))
+    # NumPy adds the kernel's sum to an initial +0.0, so only the sign of
+    # an all-zero sum may differ
+    assert got == expected and (expected == 0.0 or got.hex() == expected.hex())
+
+
+@NO_SHRINK
+@given(score_list_pairs(min_size=2))
+def test_t_statistic_is_bit_identical_to_numpy(pair):
+    a, b = pair
+    diffs = np.array(a) - np.array(b)
+    # the zero-variance convention is tested above; a variance that
+    # underflows to 0 leaves t undefined on both sides
+    assume(not np.all(diffs == diffs[0]) and float(np.std(diffs, ddof=1)) > 0.0)
+    t, _, n = paired_t_test(_ordered_scores(a), _ordered_scores(b))
+    expected = float(np.mean(diffs)) / (float(np.std(diffs, ddof=1)) / math.sqrt(n))
+    assert t.hex() == expected.hex()
+
+
+def _mp_two_sided_p(t: float, df: int):
+    x = mpmath.mpf(df) / (df + mpmath.mpf(t) ** 2)
+    return mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+
+
+def test_t_two_sided_p_matches_mpmath_to_1e_11():
+    dfs = list(range(1, 11)) + [13, 20, 30, 50, 75, 99, 150, 200, 350, 500, 750, 999]
+    # |t| from 1e-7 (p within 1e-7 of 1) to 60 (tails far below 1e-250)
+    ts = [10.0 ** (k / 4) for k in range(-28, 8)] + [15.0, 25.0, 40.0, 60.0]
+    smallest = 1.0
+    with mpmath.workdps(50):
+        for df in dfs:
+            for t in ts:
+                expected = _mp_two_sided_p(t, df)
+                if expected < 1e-250:
+                    continue
+                smallest = min(smallest, float(expected))
+                got = t_two_sided_p(t, df)
+                assert abs(got - expected) <= 1e-11 * expected, (t, df, got, expected)
+                assert t_two_sided_p(-t, df) == got
+    assert smallest < 1e-200
+
+
+def test_t_two_sided_p_limits():
+    assert t_two_sided_p(0.0, 5) == 1.0
+    assert t_two_sided_p(math.inf, 5) == 0.0
+    assert t_two_sided_p(-math.inf, 5) == 0.0
+
+
+def test_t_two_sided_p_non_convergence_is_not_a_user_error(monkeypatch):
+    monkeypatch.setattr(_numeric, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge") as exc:
+        t_two_sided_p(2.0, 50)
+    assert not isinstance(exc.value, ValueError)
