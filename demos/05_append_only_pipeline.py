@@ -2,13 +2,15 @@
 
 A dated corpus is cut into three cumulative slices (every slice keeps all
 earlier documents and gains the next batch; qrels follow the documents).
-Two synthetic systems are ranked over each slice, then the longitudinal
-change matrix is computed for both analysis scenarios:
+Two synthetic systems are ranked over each slice, one of them the pivot,
+then ``build_matrix`` computes the longitudinal change matrix for both
+analysis scenarios:
 
 * document-only change: rank overlap and per-topic score RMSE against t0,
   all scoring pinned to t0's qrels;
-* document-and-qrels change: ARP per slice, the relative ARP delta, and
-  the pivot-relative margin shift, each slice scored with its own qrels.
+* document-and-qrels change: ARP per slice, the relative ARP delta, the
+  pivot-relative margin shift and a paired t-test against the pivot, each
+  slice scored with its own qrels.
 """
 
 import hashlib
@@ -16,12 +18,10 @@ import sys
 from datetime import datetime, timedelta, timezone
 
 from irdrift import (
-    ChangeReport,
     CorpusSnapshot,
     DocId,
     DocMeta,
     EvaluationEnvironment,
-    LongitudinalMatrix,
     MeasureSpec,
     Qrels,
     RankedDoc,
@@ -32,15 +32,8 @@ from irdrift import (
     SimulationPlan,
     TopicDef,
     TopicId,
-    arp,
-    common_topics,
-    delta_ri,
-    evaluate_run,
-    mean_rbo,
-    relative_improvement,
+    build_matrix,
     render,
-    result_delta,
-    rmse,
     split_append_only,
 )
 
@@ -100,66 +93,18 @@ def run_over(tag: str, ee: EvaluationEnvironment, depth: int = 50) -> RunFile:
     return RunFile(system_tag=tag, ee_label=ee.label, rankings=rankings)
 
 
-systems = ["adv", "base-sys"]  # base-sys plays the pivot
-runs = {(tag, ee.label): run_over(tag, ee) for tag in systems for ee in slices}
-common = common_topics(slices)
+runs = {"adv": {ee.label: run_over("adv", ee) for ee in slices}}
+pivot = {ee.label: run_over("base-sys", ee) for ee in slices}
 measures = [MeasureSpec.parse(n) for n in ("p@10", "ndcg")]
 cfg = RboConfig(phi=0.9, depth=50)
-labels = [ee.label for ee in slices]
-t0 = labels[0]
-qrels_t0 = slices[0].qrels
-qrels_at = {ee.label: ee.qrels for ee in slices}
 
-
-def scores(tag, label, qrels, measure):
-    return evaluate_run(runs[(tag, label)], qrels, measure, common)
-
-
-# --- scenario 1: only documents changed ------------------------------------
-rows = []
-for tag in sorted(systems):
-    for label in labels:
-        rows.append(
-            ChangeReport(
-                system_tag=tag,
-                ee_label=label,
-                scenario=Scenario.DTQ,
-                rbo_mean=mean_rbo(runs[(tag, t0)], runs[(tag, label)], cfg, common).mean,
-                rmse={
-                    m: rmse(scores(tag, t0, qrels_t0, m), scores(tag, label, qrels_t0, m))
-                    for m in measures
-                },
-            )
-        )
-print("\ndocument-only scenario (recall base pinned to t0):\n")
-sys.stdout.write(render(LongitudinalMatrix("demo", tuple(rows)), "markdown").decode())
-
-# --- scenario 2: documents and qrels changed --------------------------------
-rows = []
-for tag in sorted(systems):
-    for label in labels:
-        arps = {m: arp(scores(tag, label, qrels_at[label], m)) for m in measures}
-        arps_t0 = {m: arp(scores(tag, t0, qrels_t0, m)) for m in measures}
-        dri = {}
-        for m in measures:
-            if tag == "base-sys":
-                dri[m] = None  # the pivot has no pivot to compare against
-                continue
-            ri0 = relative_improvement(arps_t0[m], arp(scores("base-sys", t0, qrels_t0, m)))
-            ri1 = relative_improvement(arps[m], arp(scores("base-sys", label, qrels_at[label], m)))
-            dri[m] = delta_ri(ri0, ri1)
-        rows.append(
-            ChangeReport(
-                system_tag=tag,
-                ee_label=label,
-                scenario=Scenario.DTQ_PRIME,
-                arp={m: arps[m].mean for m in measures},
-                re_delta={m: result_delta(arps_t0[m], arps[m]) for m in measures},
-                delta_ri=dri,
-            )
-        )
-print("\ndocument-and-qrels scenario (per-slice recall base):\n")
-sys.stdout.write(render(LongitudinalMatrix("demo", tuple(rows)), "markdown").decode())
+for scenario, title in [
+    (Scenario.DTQ, "document-only scenario (recall base pinned to t0)"),
+    (Scenario.DTQ_PRIME, "document-and-qrels scenario (per-slice recall base)"),
+]:
+    matrix = build_matrix("demo", slices, runs, pivot, scenario, measures, cfg)
+    print(f"\n{title}:\n")
+    sys.stdout.write(render(matrix, "markdown").decode())
 
 print(
     "\nthe same pipeline is scriptable end to end via the CLI: "

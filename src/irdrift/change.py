@@ -13,17 +13,27 @@ Four complementary views:
 * :func:`relative_improvement` / :func:`delta_ri` — a system's ARP margin
   over a pivot system within one environment, and how that margin shifts
   between environments.
+
+:func:`build_matrix` applies them to every system over an ordered
+environment sequence and returns the longitudinal change matrix of one
+scenario.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from . import effectiveness as eff
+from . import significance as sig
+from . import simulate as sim
 from ._numeric import pairwise_sum
 from .effectiveness import ArpResult
-from .model import PerTopicScores, Ranking, RunFile, TopicId
+from .ingest import IngestWarning
+from .model import EvaluationEnvironment, MeasureSpec, PerTopicScores, Ranking, RunFile, TopicId
+from .report import ChangeReport, LongitudinalMatrix, Scenario
 
 
 class ChangeWarning(UserWarning):
@@ -213,3 +223,184 @@ def delta_ri(ri_initial: float, ri_evolved: float) -> float:
     initial minus evolved. Zero means the margin reproduced perfectly;
     positive values mean the improvement over the pivot shrank."""
     return ri_initial - ri_evolved
+
+
+def build_matrix(
+    collection: str,
+    envs: Sequence[EvaluationEnvironment],
+    runs: Mapping[str, Mapping[str, RunFile]],
+    pivot: Mapping[str, RunFile],
+    scenario: Scenario,
+    measures: Iterable[MeasureSpec],
+    rbo: RboConfig,
+    alpha: float = 0.05,
+    family_size: int | None = None,
+) -> LongitudinalMatrix:
+    """The longitudinal change matrix of one scenario over the environment
+    sequence ``envs`` (t0..tn, in that order).
+
+    ``runs`` maps each system tag to its runs by environment label and must
+    cover every environment. ``pivot`` maps labels to the pivot system's
+    runs and may be partial or empty; a complete pivot also gets rows of
+    its own. Only topics common to every environment are scored.
+
+    In the document-only scenario (:attr:`Scenario.DTQ`) every run is scored
+    against t0's qrels and rows carry rank overlap and per-measure RMSE
+    against t0. In the document-and-qrels scenario each environment is
+    scored with its own qrels and rows carry ARP, the ARP delta against t0
+    and, where the pivot covers both t0 and the environment, the margin
+    shift over the pivot and a paired t-test against it at
+    ``alpha / family_size`` (default family: systems x (environments - 1)).
+    Cells that are undefined stay empty with a :class:`ChangeWarning`.
+    """
+    labels = [env.label for env in envs]
+    initial = labels[0]
+    measures = sorted(measures, key=lambda m: m.name)
+    if scenario is Scenario.DTQ:
+        qrels_by_label = {label: envs[0].qrels for label in labels}
+    else:
+        qrels_by_label = {env.label: env.qrels for env in envs}
+
+    for tag in sorted(runs):
+        missing = [label for label in labels if label not in runs[tag]]
+        if missing:
+            raise ValueError(f"system {tag!r} is missing runs for: " + ", ".join(missing))
+    for tag, by_label in runs.items():
+        for run in by_label.values():
+            if run.system_tag != tag:
+                warnings.warn(
+                    f"run tagged {run.system_tag!r} in its file is registered "
+                    f"as system {tag!r}",
+                    IngestWarning,
+                    stacklevel=2,
+                )
+
+    pivot_tag: str | None = None
+    if pivot:
+        tags = {run.system_tag for run in pivot.values()}
+        if len(tags) > 1:
+            raise ValueError(
+                "pivot runs carry mixed system tags: " + ", ".join(sorted(tags))
+            )
+        pivot_tag = tags.pop()
+        if pivot_tag in runs:
+            raise ValueError(
+                f"pivot system {pivot_tag!r} also given via --run; supply it "
+                f"only as --pivot-run"
+            )
+    pivot_complete = pivot and all(label in pivot for label in labels)
+    if pivot and not pivot_complete:
+        missing = [label for label in labels if label not in pivot]
+        warnings.warn(
+            f"pivot runs missing for: {', '.join(missing)}; pivot-relative cells "
+            f"stay empty there",
+            ChangeWarning,
+            stacklevel=2,
+        )
+
+    common = sim.common_topics(envs)
+    if not common:
+        raise ValueError("no topic is common to every environment")
+    if family_size is None:
+        family_size = max(1, len(runs) * (len(labels) - 1))
+
+    by_tag = {**runs, pivot_tag: pivot} if pivot else runs
+    scores_cache: dict[tuple[str, str, MeasureSpec], PerTopicScores] = {}
+
+    def per_topic_scores(tag: str, label: str, measure: MeasureSpec) -> PerTopicScores:
+        key = (tag, label, measure)
+        if key not in scores_cache:
+            scores_cache[key] = eff.evaluate_run(
+                by_tag[tag][label], qrels_by_label[label], measure, common
+            )
+        return scores_cache[key]
+
+    def arp_of(tag: str, label: str, measure: MeasureSpec) -> ArpResult:
+        return eff.arp(per_topic_scores(tag, label, measure))
+
+    rows: list[ChangeReport] = []
+    # an incomplete pivot gets no rows of its own
+    for tag in sorted(by_tag if pivot_complete else runs):
+        for label in labels:
+            if scenario is Scenario.DTQ:
+                overlap = mean_rbo(by_tag[tag][initial], by_tag[tag][label], rbo, common)
+                rmse_map = {
+                    measure: rmse(
+                        per_topic_scores(tag, initial, measure),
+                        per_topic_scores(tag, label, measure),
+                    )
+                    for measure in measures
+                }
+                rows.append(
+                    ChangeReport(
+                        system_tag=tag,
+                        ee_label=label,
+                        scenario=scenario,
+                        rbo_mean=overlap.mean,
+                        rmse=rmse_map,
+                    )
+                )
+                continue
+            arp_map: dict[MeasureSpec, float] = {}
+            re_delta_map: dict[MeasureSpec, float] = {}
+            delta_ri_map: dict[MeasureSpec, float | None] = {}
+            significant_map: dict[MeasureSpec, bool | None] = {}
+            for measure in measures:
+                result = arp_of(tag, label, measure)
+                arp_map[measure] = result.mean
+                try:
+                    re_delta_map[measure] = result_delta(
+                        arp_of(tag, initial, measure), result
+                    )
+                except ValueError as exc:
+                    warnings.warn(
+                        f"{tag} {label} {measure.name}: {exc}",
+                        ChangeWarning,
+                        stacklevel=2,
+                    )
+                if tag == pivot_tag or label not in pivot or initial not in pivot:
+                    delta_ri_map[measure] = None
+                    significant_map[measure] = None
+                    continue
+                try:
+                    ri_initial = relative_improvement(
+                        arp_of(tag, initial, measure),
+                        arp_of(pivot_tag, initial, measure),
+                    )
+                    ri_evolved = relative_improvement(
+                        result, arp_of(pivot_tag, label, measure)
+                    )
+                    delta_ri_map[measure] = delta_ri(ri_initial, ri_evolved)
+                except ValueError as exc:
+                    warnings.warn(
+                        f"{tag} {label} {measure.name}: {exc}",
+                        ChangeWarning,
+                        stacklevel=2,
+                    )
+                    delta_ri_map[measure] = None
+                try:
+                    significant_map[measure] = sig.compare(
+                        per_topic_scores(tag, label, measure),
+                        per_topic_scores(pivot_tag, label, measure),
+                        alpha=alpha,
+                        family_size=family_size,
+                    ).significant
+                except ValueError as exc:
+                    warnings.warn(
+                        f"{tag} {label} {measure.name}: significance skipped ({exc})",
+                        ChangeWarning,
+                        stacklevel=2,
+                    )
+                    significant_map[measure] = None
+            rows.append(
+                ChangeReport(
+                    system_tag=tag,
+                    ee_label=label,
+                    scenario=scenario,
+                    arp=arp_map,
+                    re_delta=re_delta_map,
+                    delta_ri=delta_ri_map,
+                    significant=significant_map,
+                )
+            )
+    return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))

@@ -17,9 +17,9 @@ repeated invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from . import change as cm
@@ -29,7 +29,6 @@ from . import report as rep
 from . import significance as sig
 from . import simulate as sim
 from .ingest import (
-    IngestWarning,
     ParseError,
     format_manifest,
     format_qrels,
@@ -183,191 +182,38 @@ def cmd_change(args: argparse.Namespace) -> int:
         raise CliError(f"--alpha/--family-size: {exc}") from None
     labels, envs = _load_environments(args.config)
     scenario = rep.Scenario(args.scenario)
-    initial = labels[0]
-    measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
+    measures = _parse_measures(args.measures)
 
-    qrels_override = _parse_label_paths(args.qrels or [], labels, "--qrels")
-    if scenario is rep.Scenario.DTQ and qrels_override:
+    qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")
+    if scenario is rep.Scenario.DTQ and qrels_paths:
         raise CliError(
             "--qrels conflicts with --scenario dtq: the document-only scenario "
             "pins the recall base to the first environment's qrels"
         )
-    qrels_by_label = {label: envs[label].qrels for label in labels}
-    for label, path in qrels_override.items():
-        qrels_by_label[label] = load_qrels(path)
-    if scenario is rep.Scenario.DTQ:
-        qrels_by_label = {label: qrels_by_label[initial] for label in labels}
-
     run_paths = _parse_run_flags(args.run or [], labels)
     if not run_paths:
         raise CliError("at least one --run TAG:EE_LABEL:PATH is required")
-    for tag in sorted(run_paths):
-        missing = [label for label in labels if label not in run_paths[tag]]
-        if missing:
-            raise CliError(
-                f"system {tag!r} is missing runs for: " + ", ".join(missing)
-            )
+    pivot_paths = _parse_label_paths(args.pivot_run or [], labels, "--pivot-run")
+
+    for label, path in qrels_paths.items():
+        envs[label] = dataclasses.replace(envs[label], qrels=load_qrels(path))
     runs = {
         tag: {label: load_run(path, label) for label, path in by_label.items()}
         for tag, by_label in run_paths.items()
     }
-    for tag, by_label in runs.items():
-        for run in by_label.values():
-            if run.system_tag != tag:
-                warnings.warn(
-                    f"run tagged {run.system_tag!r} in its file is registered "
-                    f"as system {tag!r}",
-                    IngestWarning,
-                    stacklevel=2,
-                )
+    pivot = {label: load_run(path, label) for label, path in pivot_paths.items()}
 
-    pivot_paths = _parse_label_paths(args.pivot_run or [], labels, "--pivot-run")
-    pivot_runs = {label: load_run(path, label) for label, path in pivot_paths.items()}
-    pivot_tag: str | None = None
-    if pivot_runs:
-        tags = {run.system_tag for run in pivot_runs.values()}
-        if len(tags) > 1:
-            raise CliError(
-                "pivot runs carry mixed system tags: " + ", ".join(sorted(tags))
-            )
-        pivot_tag = tags.pop()
-        if pivot_tag in runs:
-            raise CliError(
-                f"pivot system {pivot_tag!r} also given via --run; supply it "
-                f"only as --pivot-run"
-            )
-    pivot_complete = pivot_runs and all(label in pivot_runs for label in labels)
-    if pivot_runs and not pivot_complete:
-        missing = [label for label in labels if label not in pivot_runs]
-        warnings.warn(
-            f"pivot runs missing for: {', '.join(missing)}; pivot-relative cells "
-            f"stay empty there",
-            cm.ChangeWarning,
-            stacklevel=2,
-        )
-
-    common = sim.common_topics([envs[label] for label in labels])
-    if not common:
-        raise CliError("no topic is common to every environment")
-
-    cfg = cm.RboConfig(
-        phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize
+    matrix = cm.build_matrix(
+        args.collection or Path(args.config).stem,
+        [envs[label] for label in labels],
+        runs,
+        pivot,
+        scenario,
+        measures,
+        cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize),
+        alpha=args.alpha,
+        family_size=args.family_size,
     )
-    family = args.family_size
-    if family is None:
-        family = max(1, len(runs) * (len(labels) - 1))
-
-    scores_cache: dict[tuple[str, str, MeasureSpec], object] = {}
-
-    def per_topic_scores(tag: str, label: str, measure: MeasureSpec):
-        key = (tag, label, measure)
-        if key not in scores_cache:
-            run = runs[tag][label] if tag in runs else pivot_runs[label]
-            scores_cache[key] = eff.evaluate_run(
-                run, qrels_by_label[label], measure, common
-            )
-        return scores_cache[key]
-
-    def arp_of(tag: str, label: str, measure: MeasureSpec):
-        return eff.arp(per_topic_scores(tag, label, measure))
-
-    all_tags = sorted(runs)
-    if pivot_tag is not None and pivot_complete:
-        all_tags = sorted(all_tags + [pivot_tag])
-
-    rows: list[rep.ChangeReport] = []
-    for tag in all_tags:
-        tag_runs = runs.get(tag, pivot_runs if tag == pivot_tag else {})
-        for label in labels:
-            if scenario is rep.Scenario.DTQ:
-                overlap = cm.mean_rbo(tag_runs[initial], tag_runs[label], cfg, common)
-                rmse_map: dict[MeasureSpec, float] = {}
-                for measure in measures:
-                    rmse_map[measure] = cm.rmse(
-                        per_topic_scores(tag, initial, measure),
-                        per_topic_scores(tag, label, measure),
-                    )
-                rows.append(
-                    rep.ChangeReport(
-                        system_tag=tag,
-                        ee_label=label,
-                        scenario=scenario,
-                        rbo_mean=overlap.mean,
-                        rmse=rmse_map,
-                    )
-                )
-                continue
-            arp_map: dict[MeasureSpec, float] = {}
-            re_delta_map: dict[MeasureSpec, float] = {}
-            delta_ri_map: dict[MeasureSpec, float | None] = {}
-            significant_map: dict[MeasureSpec, bool | None] = {}
-            for measure in measures:
-                result = arp_of(tag, label, measure)
-                arp_map[measure] = result.mean
-                try:
-                    re_delta_map[measure] = cm.result_delta(
-                        arp_of(tag, initial, measure), result
-                    )
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: {exc}",
-                        cm.ChangeWarning,
-                        stacklevel=2,
-                    )
-                is_pivot_row = tag == pivot_tag
-                if (
-                    is_pivot_row
-                    or pivot_tag is None
-                    or label not in pivot_runs
-                    or initial not in pivot_runs
-                ):
-                    delta_ri_map[measure] = None
-                    significant_map[measure] = None
-                    continue
-                try:
-                    ri_initial = cm.relative_improvement(
-                        arp_of(tag, initial, measure),
-                        arp_of(pivot_tag, initial, measure),
-                    )
-                    ri_evolved = cm.relative_improvement(
-                        result, arp_of(pivot_tag, label, measure)
-                    )
-                    delta_ri_map[measure] = cm.delta_ri(ri_initial, ri_evolved)
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: {exc}",
-                        cm.ChangeWarning,
-                        stacklevel=2,
-                    )
-                    delta_ri_map[measure] = None
-                try:
-                    significant_map[measure] = sig.compare(
-                        per_topic_scores(tag, label, measure),
-                        per_topic_scores(pivot_tag, label, measure),
-                        alpha=args.alpha,
-                        family_size=family,
-                    ).significant
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: significance skipped ({exc})",
-                        cm.ChangeWarning,
-                        stacklevel=2,
-                    )
-                    significant_map[measure] = None
-            rows.append(
-                rep.ChangeReport(
-                    system_tag=tag,
-                    ee_label=label,
-                    scenario=scenario,
-                    arp=arp_map,
-                    re_delta=re_delta_map,
-                    delta_ri=delta_ri_map,
-                    significant=significant_map,
-                )
-            )
-
-    collection = args.collection or Path(args.config).stem
-    matrix = rep.LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
     _write_output(rep.render(matrix, args.format, places=args.places), args.out)
     return 0
 

@@ -52,7 +52,8 @@ def paired_t_test(
     Returns (t statistic, p value, n). The p value is the two-sided tail
     of the t distribution with n-1 degrees of freedom. Degenerate
     zero-variance samples use the convention p = 0 for a nonzero mean
-    difference and p = 1 otherwise.
+    difference and p = 1 otherwise. Differences that vary but whose
+    computed variance underflows to 0 raise a ``ValueError``.
     """
     if scores_a.measure != scores_b.measure:
         raise ValueError(
@@ -74,6 +75,11 @@ def paired_t_test(
     # NumPy's order: the mean, then the squared deviations from it
     mean = pairwise_sum(diffs) / n
     sd = math.sqrt(pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
+    if sd == 0.0:
+        raise ValueError(
+            "paired test undefined: the differences vary but their variance "
+            "underflows to 0"
+        )
     t = mean / (sd / math.sqrt(n))
     p = t_two_sided_p(t, n - 1)
     return t, min(p, 1.0), n

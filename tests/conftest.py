@@ -20,6 +20,7 @@ from irdrift.model import (
     DocId,
     DocMeta,
     EvaluationEnvironment,
+    PerTopicScores,
     Qrels,
     RankedDoc,
     Ranking,
@@ -121,6 +122,17 @@ def make_environment(
     else:
         topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topic_ids}
     return EvaluationEnvironment(label=label, corpus=corpus, topics=topics, qrels=qrels)
+
+
+def underflowing_scores(run, qrels, measure, topic_filter=None) -> PerTopicScores:
+    """Stand-in for ``evaluate_run``: every run scores 0.5 on q1 and 0 on
+    q2, except that the pivot zpivot scores 1.27e-225 on q2. The paired
+    differences to the pivot, 0 and -1.27e-225, vary, but their variance
+    underflows to 0."""
+    scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
+    if run.system_tag == "zpivot":
+        scores[TopicId("q2")] = 1.27e-225
+    return PerTopicScores(measure, run.system_tag, run.ee_label, scores)
 
 
 CLI_TOPICS = [f"q{i}" for i in range(1, 9)]

@@ -3,15 +3,18 @@ agreement, and structural properties."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+from irdrift import effectiveness, significance
 from irdrift.change import (
     ChangeScores,
     ChangeWarning,
     RboConfig,
+    build_matrix,
     delta_ri,
     mean_rbo,
     rbo_topic,
@@ -20,9 +23,22 @@ from irdrift.change import (
     rmse,
 )
 from irdrift.effectiveness import ArpResult
+from irdrift.ingest import IngestWarning
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
+from irdrift.report import Scenario
 
-from conftest import NO_SHRINK, make_ranking, make_run, score_list_pairs
+from conftest import (
+    CLI_TOPICS,
+    NO_SHRINK,
+    make_environment,
+    make_ranking,
+    make_run,
+    score_list_pairs,
+    synth_corpus,
+    synth_qrels,
+    synth_run,
+    underflowing_scores,
+)
 
 
 def rbo_brute(docs_a, docs_b, phi, depth, normalize):
@@ -300,3 +316,90 @@ def test_delta_ri_scale_invariance():
         base = dri(sys0, piv0, sys1, piv1)
         scaled = dri(sys0 * scale, piv0 * scale, sys1 * scale, piv1 * scale)
         assert scaled == pytest.approx(base, abs=1e-9)
+
+
+# --- build_matrix ---
+
+MEASURES = [MeasureSpec.parse("p@10"), MeasureSpec.parse("ndcg")]
+
+
+def _matrix_inputs(labels=("t0", "t1"), systems=("alpha",), topic_ids=None):
+    """In-memory environments over one corpus, with a run per system and
+    environment and a complete zpivot run set."""
+    corpus = synth_corpus(60)
+    ids = sorted(str(d) for d in corpus.docs)
+    qrels = synth_qrels(ids, CLI_TOPICS)
+    envs = [
+        make_environment(label, corpus, qrels, CLI_TOPICS if topic_ids is None else topic_ids[i])
+        for i, label in enumerate(labels)
+    ]
+    runs = {
+        tag: {label: synth_run(tag, label, ids, CLI_TOPICS, depth=20) for label in labels}
+        for tag in systems
+    }
+    pivot = {label: synth_run("zpivot", label, ids, CLI_TOPICS, depth=20) for label in labels}
+    return envs, runs, pivot
+
+
+def _build(envs, runs, pivot, **kwargs):
+    return build_matrix(
+        "c", envs, runs, pivot, Scenario.DTQ_PRIME, MEASURES, RboConfig(), **kwargs
+    )
+
+
+def test_build_matrix_rejects_mixed_pivot_tags():
+    envs, runs, pivot = _matrix_inputs(systems=("alpha", "other"))
+    pivot["t1"] = runs.pop("other")["t1"]
+    with pytest.raises(ValueError, match="^pivot runs carry mixed system tags: other, zpivot$"):
+        _build(envs, runs, pivot)
+
+
+def test_build_matrix_rejects_a_pivot_that_is_also_a_system():
+    envs, runs, _ = _matrix_inputs()
+    message = "pivot system 'alpha' also given via --run; supply it only as --pivot-run"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _build(envs, runs, dict(runs["alpha"]))
+
+
+def test_build_matrix_rejects_environments_without_a_common_topic():
+    envs, runs, pivot = _matrix_inputs(topic_ids=(["q1"], ["q2"]))
+    with pytest.warns(UserWarning, match="no topic is common"):
+        with pytest.raises(ValueError, match="^no topic is common to every environment$"):
+            _build(envs, runs, pivot)
+
+
+def test_build_matrix_warns_when_a_run_file_names_another_system():
+    envs, runs, pivot = _matrix_inputs()
+    runs = {"gamma": runs["alpha"]}
+    with pytest.warns(
+        IngestWarning, match="^run tagged 'alpha' in its file is registered as system 'gamma'$"
+    ):
+        matrix = _build(envs, runs, pivot)
+    assert {row.system_tag for row in matrix.rows} == {"gamma", "zpivot"}
+
+
+def test_build_matrix_default_family_is_systems_times_later_environments(monkeypatch):
+    envs, runs, pivot = _matrix_inputs(labels=("t0", "t1", "t2"), systems=("alpha", "beta"))
+    families = []
+    original = significance.compare
+
+    def recording_compare(a, b, alpha, family_size):
+        families.append(family_size)
+        return original(a, b, alpha=alpha, family_size=family_size)
+
+    monkeypatch.setattr(significance, "compare", recording_compare)
+    _build(envs, runs, pivot)
+    # every system is tested against the pivot in every environment and measure
+    assert families == [2 * (3 - 1)] * (2 * 3 * len(MEASURES))
+    families.clear()
+    _build(envs, runs, pivot, family_size=7)
+    assert set(families) == {7}
+
+
+def test_build_matrix_skips_significance_when_the_variance_underflows(monkeypatch):
+    envs, runs, pivot = _matrix_inputs()
+    monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
+    with pytest.warns(ChangeWarning, match=r"significance skipped \(.*underflows to 0\)"):
+        matrix = _build(envs, runs, pivot)
+    alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
+    assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES)] * 2

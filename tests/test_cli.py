@@ -4,11 +4,19 @@ import json
 
 import pytest
 
-from irdrift import _numeric
+from irdrift import _numeric, effectiveness
 from irdrift.cli import main
-from irdrift.ingest import format_manifest, format_qrels
+from irdrift.ingest import format_manifest, format_qrels, format_topics
+from irdrift.model import TopicDef, TopicId
 
-from conftest import change_argv, pivot_argv, synth_corpus, synth_qrels, write_cli_fixture
+from conftest import (
+    change_argv,
+    pivot_argv,
+    synth_corpus,
+    synth_qrels,
+    underflowing_scores,
+    write_cli_fixture,
+)
 
 
 def test_diff_reports_create_only_growth(tmp_path, capsys):
@@ -222,6 +230,43 @@ def test_change_missing_system_run_exits_2(tmp_path, capsys):
     ]
     assert main(args) == 2
     assert "missing runs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pivot_tags, topic_sets, message",
+    [
+        (("zpivot", "beta"), None, "pivot runs carry mixed system tags: beta, zpivot"),
+        (("alpha", "alpha"), None,
+         "pivot system 'alpha' also given via --run; supply it only as --pivot-run"),
+        (("zpivot", "zpivot"), (["q1"], ["q2"]), "no topic is common to every environment"),
+    ],
+)
+def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, message):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    if topic_sets is not None:
+        entries = json.loads(config.read_text())
+        for entry, topic_ids in zip(entries, topic_sets):
+            name = f"{entry['label']}.topics.jsonl"
+            topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topic_ids}
+            (tmp_path / name).write_text(format_topics(topics))
+            entry["topics"] = name
+        config.write_text(json.dumps(entries))
+    args = change_argv(config, runs, "dtq-prime")
+    for tag, label in zip(pivot_tags, ("t0", "t1")):
+        args += ["--pivot-run", f"{label}={runs[(tag, label)]}"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_change_variance_underflow_skips_significance(tmp_path, capsys, monkeypatch):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+    monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
+    with pytest.warns(UserWarning, match="significance skipped"):
+        assert main(pivot_argv(config, runs)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        assert dict(zip(header, line.split(",")))["significant_p@10"] == ""
 
 
 def test_change_missing_pivot_ee_warns_and_continues(tmp_path, capsys):

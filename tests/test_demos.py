@@ -1,0 +1,28 @@
+"""Every narrative demo runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
+)
+def test_demo_exits_0(demo):
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    if demo.name == "05_append_only_pipeline.py":
+        # both matrices: adv and the pivot base-sys over three slices each
+        assert done.stdout.count(" | dtq | ") == 6
+        assert done.stdout.count(" | dtq-prime | ") == 6

@@ -134,6 +134,13 @@ def test_t_statistic_matches_brute_force():
         assert t == pytest.approx(t_brute(diffs), abs=1e-12)
 
 
+def test_differences_whose_variance_underflows_are_a_value_error():
+    # the differences 0 and -1.27e-225 are unequal, but each squared
+    # deviation from their mean underflows to 0, and so does the variance
+    with pytest.raises(ValueError, match="underflows"):
+        paired_t_test(_scores([0.0, 0.0]), _scores([0.0, 1.27e-225]))
+
+
 def test_paired_t_test_requires_two_common_topics():
     with pytest.raises(ValueError, match=">= 2"):
         paired_t_test(_scores([0.1]), _scores([0.2]))
