@@ -24,6 +24,13 @@ whitespace-free id; those tokens are kept as plain ``str`` and need no
 further check. Ids read from JSON (manifests, topic files) go through
 the validating :class:`~irdrift.model.DocId` and
 :class:`~irdrift.model.TopicId` constructors.
+
+JSON-lines records are decoded by one helper that accepts exactly what
+``json.loads`` accepts, with its error messages. A manifest parses each
+distinct timestamp text once and shares the resulting (immutable)
+datetime between its documents. The JSON writers emit exactly the bytes
+``json.dumps`` gives for each record, with its default separators and
+ASCII escaping.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
 from typing import Iterable
@@ -208,38 +216,69 @@ def _parse_timestamp(value: str, lineno: int) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _json_line(raw: str, lineno: int) -> object:
+    """Decode one JSON-lines record as ``json.loads(raw)`` does.
+
+    The C scanner decodes the common line, one value from its first byte
+    up to an optional final newline, without the regex passes of
+    ``json.loads``; every other line (surrounding whitespace, a BOM,
+    extra data, malformed JSON) goes to ``json.loads`` itself, so what is
+    accepted and the message of what is not stay its own.
+    """
+    try:
+        value, end = _scan_json(raw, 0)
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    else:
+        if end == len(raw) or (end == len(raw) - 1 and raw[end] == "\n"):
+            return value
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+
+
 def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
     """Parse a JSON-lines corpus manifest into a snapshot."""
     docs: dict[DocId, DocMeta] = {}
+    # timestamp text -> parsed instant; manifests repeat few distinct dates
+    stamps: dict[str, datetime] = {}
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        obj = _json_line(raw, lineno)
         if not isinstance(obj, dict):
             raise ParseError(f"line {lineno}: manifest line must be a JSON object")
-        for field_name in ("doc_id", "length"):
-            if field_name not in obj:
-                raise ParseError(f"line {lineno}: missing required field {field_name!r}")
-        if not isinstance(obj["doc_id"], str):
+        try:
+            doc_text = obj["doc_id"]
+            length = obj["length"]
+        except KeyError as exc:
+            raise ParseError(
+                f"line {lineno}: missing required field {exc.args[0]!r}"
+            ) from None
+        if not isinstance(doc_text, str):
             raise ParseError(f"line {lineno}: doc_id must be a string")
-        if not isinstance(obj["length"], int) or isinstance(obj["length"], bool):
+        if not isinstance(length, int) or isinstance(length, bool):
             raise ParseError(f"line {lineno}: length must be an integer")
         try:
-            doc_id = DocId(obj["doc_id"])
+            doc_id = DocId(doc_text)
+            stamp_text = obj.get("timestamp")
             timestamp = None
-            if obj.get("timestamp") is not None:
-                if not isinstance(obj["timestamp"], str):
+            if stamp_text is not None:
+                if not isinstance(stamp_text, str):
                     raise ParseError(f"line {lineno}: timestamp must be a string")
-                timestamp = _parse_timestamp(obj["timestamp"], lineno)
+                timestamp = stamps.get(stamp_text)
+                if timestamp is None:
+                    timestamp = stamps[stamp_text] = _parse_timestamp(stamp_text, lineno)
             content_hash = obj.get("hash")
             if content_hash is not None and not isinstance(content_hash, str):
                 raise ParseError(f"line {lineno}: hash must be a string")
             meta = DocMeta(
                 doc_id=doc_id,
-                length=obj["length"],
+                length=length,
                 timestamp=timestamp,
                 content_hash=content_hash,
             )
@@ -259,10 +298,7 @@ def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        obj = _json_line(raw, lineno)
         if not isinstance(obj, dict) or "topic_id" not in obj:
             raise ParseError(f"line {lineno}: topic line must carry topic_id")
         if not isinstance(obj["topic_id"], str):
@@ -415,16 +451,30 @@ def format_qrels(qrels: Qrels) -> str:
 
 
 def format_manifest(corpus: CorpusSnapshot) -> str:
-    """Canonical manifest serialization, sorted by doc id."""
+    """Canonical manifest serialization, sorted by doc id.
+
+    Each line is the ``json.dumps`` of ``{"doc_id", "length", "timestamp"?,
+    "hash"?}``, built directly: strings quoted by the same ASCII encoder,
+    the length by ``int.__repr__`` as ``json.dumps`` renders an int.
+    """
     out: list[str] = []
-    for doc_id in sorted(corpus.docs):
-        meta = corpus.docs[doc_id]
-        obj: dict[str, object] = {"doc_id": str(doc_id), "length": meta.length}
-        if meta.timestamp is not None:
-            obj["timestamp"] = meta.timestamp.isoformat()
+    # id(timestamp) -> quoted isoformat. Keyed by identity, not equality:
+    # equal instants at different UTC offsets render differently. Every
+    # key stays alive in `corpus` for the whole call, so no id is reused.
+    stamps: dict[int, str] = {}
+    docs = corpus.docs
+    for doc_id in sorted(docs):
+        meta = docs[doc_id]
+        line = f'{{"doc_id": {_json_str(doc_id)}, "length": {int.__repr__(meta.length)}'
+        timestamp = meta.timestamp
+        if timestamp is not None:
+            stamp = stamps.get(id(timestamp))
+            if stamp is None:
+                stamp = stamps[id(timestamp)] = _json_str(timestamp.isoformat())
+            line += f', "timestamp": {stamp}'
         if meta.content_hash is not None:
-            obj["hash"] = meta.content_hash
-        out.append(json.dumps(obj))
+            line += f', "hash": {_json_str(meta.content_hash)}'
+        out.append(line + "}")
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -174,11 +174,12 @@ class Qrels:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocMeta:
-    """Per-document facts a corpus manifest carries: length in characters,
-    optional timestamp, optional content hash (used for update detection
-    when both sides of a diff have one)."""
+    """Per-document facts a corpus manifest carries: length in characters
+    (an ``int``, not a ``bool``, >= 0), optional timestamp, optional
+    content hash string (used for update detection when both sides of a
+    diff have one)."""
 
     doc_id: DocId
     length: int
@@ -186,8 +187,16 @@ class DocMeta:
     content_hash: str | None = None
 
     def __post_init__(self) -> None:
+        # the manifest writer renders the length as an integer literal and
+        # the hash as a string; anything else would not parse back
+        if not isinstance(self.length, int) or isinstance(self.length, bool):
+            raise ValueError(f"DocMeta length must be an integer, got {self.length!r}")
         if self.length < 0:
             raise ValueError(f"DocMeta length must be >= 0, got {self.length}")
+        if self.content_hash is not None and not isinstance(self.content_hash, str):
+            raise ValueError(
+                f"DocMeta content_hash must be a string, got {self.content_hash!r}"
+            )
 
 
 @dataclass(frozen=True)

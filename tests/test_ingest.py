@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from irdrift import ingest
 from irdrift.ingest import (
     EEConfig,
     IngestWarning,
@@ -152,6 +153,100 @@ def test_parse_manifest_bad_timestamp():
 def test_parse_manifest_hash_field():
     snapshot = parse_manifest(['{"doc_id":"d1","length":1,"hash":"abc"}'])
     assert snapshot.docs[DocId("d1")].content_hash == "abc"
+
+
+def test_parse_manifest_parses_each_timestamp_text_once(monkeypatch):
+    calls = []
+    real = ingest._parse_timestamp
+
+    def counting(value, lineno):
+        calls.append(value)
+        return real(value, lineno)
+
+    monkeypatch.setattr(ingest, "_parse_timestamp", counting)
+    dates = ["2019-01-01", "2019-02-01T10:00:00Z", "2019-03-01T00:00:00+02:00"]
+    lines = [
+        json.dumps({"doc_id": f"d{i}", "length": i, "timestamp": dates[i % 3]})
+        for i in range(1000)
+    ]
+    snapshot = parse_manifest(lines)
+    assert sorted(calls) == sorted(dates)
+    for i in (0, 1, 2, 998, 999):
+        assert snapshot.docs[DocId(f"d{i}")].timestamp == real(dates[i % 3], 0)
+
+
+def test_parse_manifest_bad_timestamp_after_good_ones_names_its_line():
+    lines = [
+        json.dumps({"doc_id": f"d{i}", "length": 1, "timestamp": "2019-01-01"})
+        for i in range(6)
+    ]
+    lines.append('{"doc_id": "d6", "length": 1, "timestamp": "2019-13-01"}')
+    with pytest.raises(ParseError, match=r"^line 7: unparsable timestamp '2019-13-01'$"):
+        parse_manifest(lines)
+
+
+@pytest.mark.parametrize("value", ['["x"]', "5", '{"a": 1}'])
+def test_parse_manifest_rejects_non_string_timestamp(value):
+    lines = [
+        '{"doc_id": "d0", "length": 1, "timestamp": "2019-01-01"}',
+        f'{{"doc_id": "d1", "length": 1, "timestamp": {value}}}',
+    ]
+    with pytest.raises(ParseError, match="^line 2: timestamp must be a string$"):
+        parse_manifest(lines)
+
+
+# per parser: a valid record, and the same record with a NaN value
+RECORDS = {
+    parse_manifest: ('{"doc_id": "d1", "length": 3}', '{"doc_id": "d1", "length": NaN}'),
+    parse_topics: ('{"topic_id": "q1", "text": "x"}', '{"topic_id": "q1", "text": NaN}'),
+}
+# each line variant holds one record; json.loads decides what it means
+JSON_LINE_VARIANTS = {
+    "leading spaces": "  {rec}",
+    "leading tab": "\t{rec}\n",
+    "trailing spaces": "{rec}   ",
+    "crlf": "{rec}\r\n",
+    "trailing nbsp": "{rec}\u00a0",
+    "bom": "\ufeff{rec}",
+    "two objects": "{rec} {rec}",
+    "two objects, no space": "{rec}{rec}\n",
+    "truncated": '{{"doc_id": "d1", "length": 3',
+    "missing value": '{{"doc_id": "d1", "length": }}',
+    "NaN value": "{nan}",
+    "bare list": "[]",
+}
+JSON_LINE_CASES = [
+    pytest.param(parse, variant.format(rec=rec, nan=nan), id=f"{parse.__name__}: {name}")
+    for parse, (rec, nan) in RECORDS.items()
+    for name, variant in JSON_LINE_VARIANTS.items()
+]
+
+
+def _outcome(parse, lines):
+    try:
+        return parse(lines)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("parse,raw", JSON_LINE_CASES)
+def test_json_lines_decode_as_json_loads_does(parse, raw):
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        expected = f"line 1: invalid JSON ({exc.msg})"
+    else:
+        expected = _outcome(parse, [json.dumps(value)])
+    assert _outcome(parse, [raw]) == expected
+
+
+@pytest.mark.parametrize(
+    "parse,record", [(parse, rec) for parse, (rec, _) in RECORDS.items()]
+)
+def test_json_lines_skip_whitespace_only_lines(parse, record):
+    assert parse([" \t\n", record, "\n"]) == parse([record])
+    with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+        parse([" \t\n", record, "{"])
 
 
 def test_parse_topics():

@@ -1,14 +1,25 @@
-"""Properties of the run and qrels parsers over generated inputs: the
-result does not depend on line order, canonical output re-parses to the
-same value, and a repeated (topic, doc) pair is reported at its line."""
+"""Properties of the parsers and writers over generated inputs: the run
+and qrels result does not depend on line order, canonical output
+re-parses to the same value, a repeated (topic, doc) pair is reported at
+its line, and the manifest writer emits the bytes of ``json.dumps``."""
 
+import json
 import warnings
+from datetime import timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irdrift.ingest import ParseError, format_run, parse_qrels, parse_run
+from irdrift.ingest import (
+    ParseError,
+    format_manifest,
+    format_run,
+    parse_manifest,
+    parse_qrels,
+    parse_run,
+)
+from irdrift.model import CorpusSnapshot, DocId, DocMeta
 
 # tokens as str.split() yields them: non-empty, no whitespace
 token = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s])
@@ -90,3 +101,66 @@ def test_conflicting_qrels_pair_is_reported_at_its_line(case, data):
         warnings.simplefilter("ignore")
         with pytest.raises(ParseError, match=f"^line {at + 1}: conflicting grades"):
             parse_qrels(lines)
+
+
+def reference_format_manifest(corpus):
+    """The manifest writer as one ``json.dumps`` per line: the oracle."""
+    out = []
+    for doc_id in sorted(corpus.docs):
+        meta = corpus.docs[doc_id]
+        obj = {"doc_id": str(doc_id), "length": meta.length}
+        if meta.timestamp is not None:
+            obj["timestamp"] = meta.timestamp.isoformat()
+        if meta.content_hash is not None:
+            obj["hash"] = meta.content_hash
+        out.append(json.dumps(obj))
+    return "\n".join(out) + ("\n" if out else "")
+
+
+# characters json.dumps escapes or ASCII-encodes, and ones str.splitlines
+# would cut a line at if they were written raw; \x00 and \x1f are not
+# whitespace, so a DocId may hold them
+json_text = st.text(
+    alphabet=st.sampled_from('ab"\\/\x00\x1f\x7f\x85\u2028é€😀 \t'), max_size=6
+)
+doc_id = json_text.filter(lambda s: s.split() == [s])
+UTC_OFFSETS = [timedelta(0), timedelta(hours=5, minutes=30), timedelta(hours=-8)]
+
+
+@st.composite
+def corpora(draw, utc_only=False):
+    """Corpora whose docs share a few timestamp objects, as parsed ones do."""
+    zones = st.sampled_from(
+        [timezone.utc] if utc_only else [None, *map(timezone, UTC_OFFSETS)]
+    )
+    stamp = st.datetimes(timezones=zones)
+    whole_second = stamp.map(lambda t: t.replace(microsecond=0))
+    stamps = draw(st.lists(st.one_of(stamp, whole_second), max_size=3))
+    if stamps and not utc_only and stamps[0].tzinfo is not None:
+        # an equal instant at another offset renders differently
+        stamps.append(stamps[0].astimezone(timezone(timedelta(hours=1))))
+    ids = draw(st.lists(doc_id, max_size=8, unique=True))
+    return CorpusSnapshot(
+        {
+            DocId(i): DocMeta(
+                doc_id=DocId(i),
+                length=draw(st.integers(0, 2**70)),
+                timestamp=draw(st.sampled_from([None, *stamps])),
+                content_hash=draw(st.none() | json_text),
+            )
+            for i in ids
+        }
+    )
+
+
+@SETTINGS
+@given(corpora())
+def test_format_manifest_writes_the_bytes_of_json_dumps(corpus):
+    assert format_manifest(corpus) == reference_format_manifest(corpus)
+
+
+@SETTINGS
+@given(corpora(utc_only=True))
+def test_format_manifest_reparses_to_the_same_text(corpus):
+    text = format_manifest(corpus)
+    assert format_manifest(parse_manifest(text.splitlines())) == text

@@ -91,6 +91,19 @@ def test_doc_meta_rejects_negative_length():
         DocMeta(doc_id=DocId("d1"), length=-1)
 
 
+@pytest.mark.parametrize("length", [True, False, 3.5, 3.0, "3", None])
+def test_doc_meta_rejects_non_integer_length(length):
+    # the manifest writer would render these as lines its parser rejects
+    with pytest.raises(ValueError, match="^DocMeta length must be an integer, got "):
+        DocMeta(doc_id=DocId("d1"), length=length)
+
+
+@pytest.mark.parametrize("content_hash", [5, b"ff", ["ff"]])
+def test_doc_meta_rejects_non_string_hash(content_hash):
+    with pytest.raises(ValueError, match="^DocMeta content_hash must be a string, got "):
+        DocMeta(doc_id=DocId("d1"), length=1, content_hash=content_hash)
+
+
 def test_corpus_snapshot_key_mismatch():
     with pytest.raises(ValueError, match="keyed"):
         CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d2"), length=0)})
