@@ -43,8 +43,8 @@ for finding in validate_environment(ee):
     print(f"  [{finding.severity}] {finding.location}: {finding.message}")
 
 # Run files are canonicalized on ingest: entries re-sorted by score
-# (descending, doc id breaking ties) and ranks renumbered, whatever the
-# file's rank column claimed.
+# (descending, doc id breaking ties), whatever the file's rank column
+# claimed. A ranking keeps its docs and scores; the rank is the position.
 (work / "run.txt").write_text(
     "1 Q0 d2 1 3.5 demo\n"
     "1 Q0 d1 2 9.9 demo\n"  # higher score: must end up at rank 1
@@ -53,5 +53,6 @@ for finding in validate_environment(ee):
 run = load_run(work / "run.txt", ee_label="t0")
 print(f"\nrun {run.system_tag!r} after canonicalization:")
 for topic in sorted(run.rankings):
-    for entry in run.rankings[topic].entries:
-        print(f"  topic {topic}: rank {entry.rank} {entry.doc} (score {entry.score})")
+    ranking = run.rankings[topic]
+    for rank, (doc, score) in enumerate(zip(ranking.docs, ranking.scores), start=1):
+        print(f"  topic {topic}: rank {rank} {doc} (score {score})")

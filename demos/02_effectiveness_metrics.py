@@ -7,13 +7,10 @@ zero.
 """
 
 from irdrift import (
-    DocId,
     MeasureSpec,
     Qrels,
-    RankedDoc,
     Ranking,
     RunFile,
-    TopicId,
     arp,
     bpref,
     evaluate_run,
@@ -23,21 +20,18 @@ from irdrift import (
 
 
 def ranking(topic: str, docs: list[str]) -> Ranking:
-    return Ranking(
-        topic=TopicId(topic),
-        entries=tuple(
-            RankedDoc(DocId(d), i + 1, float(len(docs) - i)) for i, d in enumerate(docs)
-        ),
-    )
+    """Docs best first, scored n, n-1, ..., 1."""
+    scores = tuple(float(len(docs) - i) for i in range(len(docs)))
+    return Ranking(topic, tuple(docs), scores)
 
 
 qrels = Qrels(
     {
-        (TopicId("1"), DocId("a")): 2,  # highly relevant
-        (TopicId("1"), DocId("b")): 1,
-        (TopicId("1"), DocId("c")): 0,  # judged non-relevant
-        (TopicId("2"), DocId("x")): 1,
-        (TopicId("2"), DocId("y")): 0,
+        ("1", "a"): 2,  # highly relevant
+        ("1", "b"): 1,
+        ("1", "c"): 0,  # judged non-relevant
+        ("2", "x"): 1,
+        ("2", "y"): 0,
     }
 )
 
@@ -58,7 +52,7 @@ print(f"  bpref = {bpref(bad, qrels):.4f}   (unjudged 'z' is ignored entirely)")
 run = RunFile(
     system_tag="demo",
     ee_label="t0",
-    rankings={TopicId("1"): good, TopicId("2"): ranking("2", ["y", "x"])},
+    rankings={"1": good, "2": ranking("2", ["y", "x"])},
 )
 for name in ("p@10", "ndcg", "bpref"):
     scores = evaluate_run(run, qrels, MeasureSpec.parse(name))

@@ -9,13 +9,10 @@ points in time.
 
 from irdrift import (
     ArpResult,
-    DocId,
     MeasureSpec,
     PerTopicScores,
-    RankedDoc,
     Ranking,
     RboConfig,
-    TopicId,
     delta_ri,
     rbo_topic,
     relative_improvement,
@@ -25,13 +22,10 @@ from irdrift import (
 
 
 def ranking(docs: str) -> Ranking:
-    names = docs.split()
-    return Ranking(
-        topic=TopicId("1"),
-        entries=tuple(
-            RankedDoc(DocId(d), i + 1, float(len(names) - i)) for i, d in enumerate(names)
-        ),
-    )
+    """Topic 1's docs best first, scored n, n-1, ..., 1."""
+    names = tuple(docs.split())
+    scores = tuple(float(len(names) - i) for i in range(len(names)))
+    return Ranking("1", names, scores)
 
 
 # --- rank-biased overlap -------------------------------------------------
@@ -51,7 +45,7 @@ m = MeasureSpec.parse("p@10")
 
 
 def scores(values: dict[str, float]) -> PerTopicScores:
-    return PerTopicScores(m, "sys", "t", {TopicId(k): v for k, v in values.items()})
+    return PerTopicScores(m, "sys", "t", values)
 
 
 a = scores({"1": 1.0, "2": 0.5})

@@ -19,19 +19,16 @@ from datetime import datetime, timedelta, timezone
 
 from irdrift import (
     CorpusSnapshot,
-    DocId,
     DocMeta,
     EvaluationEnvironment,
     MeasureSpec,
     Qrels,
-    RankedDoc,
     Ranking,
     RboConfig,
     RunFile,
     Scenario,
     SimulationPlan,
     TopicDef,
-    TopicId,
     build_matrix,
     render,
     split_append_only,
@@ -51,7 +48,7 @@ def pseudo(*parts: str) -> float:
 start = datetime(2019, 1, 1, tzinfo=timezone.utc)
 docs = {}
 for i in range(N_DOCS):
-    doc = DocId(f"d{i:04d}")
+    doc = f"d{i:04d}"
     docs[doc] = DocMeta(doc_id=doc, length=100, timestamp=start + timedelta(days=i))
 
 judgments = {}
@@ -59,14 +56,14 @@ for topic in TOPICS:
     for doc in docs:
         u = pseudo("qrel", topic, doc)
         if u < 0.06:
-            judgments[(TopicId(topic), doc)] = 1
+            judgments[(topic, doc)] = 1
         elif u < 0.12:
-            judgments[(TopicId(topic), doc)] = 0
+            judgments[(topic, doc)] = 0
 
 base = EvaluationEnvironment(
     label="base",
     corpus=CorpusSnapshot(docs),
-    topics={TopicId(t): TopicDef(topic_id=TopicId(t)) for t in TOPICS},
+    topics={t: TopicDef(topic_id=t) for t in TOPICS},
     qrels=Qrels(judgments),
 )
 
@@ -84,11 +81,8 @@ def run_over(tag: str, ee: EvaluationEnvironment, depth: int = 50) -> RunFile:
             ((pseudo("score", tag, topic, str(d)), str(d)) for d in ee.corpus),
             key=lambda pair: (-pair[0], pair[1]),
         )[:depth]
-        rankings[TopicId(topic)] = Ranking(
-            topic=TopicId(topic),
-            entries=tuple(
-                RankedDoc(DocId(d), i + 1, s) for i, (s, d) in enumerate(scored)
-            ),
+        rankings[topic] = Ranking(
+            topic, tuple(d for _, d in scored), tuple(s for s, _ in scored)
         )
     return RunFile(system_tag=tag, ee_label=ee.label, rankings=rankings)
 

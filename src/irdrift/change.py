@@ -94,8 +94,8 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     if longest == 0:
         return 1.0
     depth = min(cfg.depth, longest)
-    docs_a = r.docs()
-    docs_b = r_prime.docs()
+    docs_a = r.docs
+    docs_b = r_prime.docs
     # unmatched prefix docs per side; a doc moves from one set into the
     # running overlap count the moment the other ranking reaches it
     pending_a: set[str] = set()

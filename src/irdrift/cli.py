@@ -39,7 +39,7 @@ from .ingest import (
     load_qrels,
     load_run,
 )
-from .model import EvaluationEnvironment, MeasureSpec, TopicDef, TopicId
+from .model import EvaluationEnvironment, MeasureSpec, TopicDef, TopicId, _check_id
 
 
 class CliError(ValueError):
@@ -78,7 +78,7 @@ def _resolve_topic_filter(
         return None
     if spec == "common":
         return sim.common_topics([envs[label] for label in labels])
-    return {TopicId(part) for part in spec.split(",") if part.strip()}
+    return {_check_id(part, "TopicId") for part in spec.split(",") if part.strip()}
 
 
 # --- diff ---------------------------------------------------------------
@@ -125,7 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             run.system_tag,
                             args.ee,
                             measure.name,
-                            str(topic),
+                            topic,
                             format(scores.scores[topic], f".{args.places}f"),
                         ]
                     )
@@ -180,9 +180,10 @@ def cmd_change(args: argparse.Namespace) -> int:
         sig.bonferroni(args.alpha, 1 if args.family_size is None else args.family_size)
     except ValueError as exc:
         raise CliError(f"--alpha/--family-size: {exc}") from None
+    measures = _parse_measures(args.measures)
+    rbo = cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize)
     labels, envs = _load_environments(args.config)
     scenario = rep.Scenario(args.scenario)
-    measures = _parse_measures(args.measures)
 
     qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")
     if scenario is rep.Scenario.DTQ and qrels_paths:
@@ -210,7 +211,7 @@ def cmd_change(args: argparse.Namespace) -> int:
         pivot,
         scenario,
         measures,
-        cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize),
+        rbo,
         alpha=args.alpha,
         family_size=args.family_size,
     )
@@ -276,9 +277,20 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------
 
 
+def _places(text: str) -> int:
+    # checked while the flags are parsed, before any file is read
+    try:
+        places = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if places < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {places}")
+    return places
+
+
 def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "markdown", "json")) -> None:
     parser.add_argument("--format", choices=formats, default="csv")
-    parser.add_argument("--places", type=int, default=4, help="decimal places for reals")
+    parser.add_argument("--places", type=_places, default=4, help="decimal places for reals")
     parser.add_argument("--out", help="write output to this file instead of stdout")
 
 

@@ -49,7 +49,7 @@ def precision_at_k(ranking: Ranking, qrels: Qrels, k: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     grades = qrels.for_topic(ranking.topic)
-    hits = sum(1 for e in ranking.entries[:k] if grades.get(e.doc, 0) >= 1)
+    hits = sum(1 for doc in ranking.docs[:k] if grades.get(doc, 0) >= 1)
     return hits / k
 
 
@@ -63,8 +63,8 @@ def ndcg(ranking: Ranking, qrels: Qrels, k: int | None = None) -> float:
     grades = qrels.for_topic(ranking.topic)
     depth = k if k is not None else len(ranking)
     dcg = 0.0
-    for i, entry in enumerate(ranking.entries[:depth], start=1):
-        dcg += grades.get(entry.doc, 0) / math.log2(i + 1)
+    for i, doc in enumerate(ranking.docs[:depth], start=1):
+        dcg += grades.get(doc, 0) / math.log2(i + 1)
     ideal = sorted(grades.values(), reverse=True)[:depth]
     idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0.0:
@@ -91,10 +91,10 @@ def bpref(ranking: Ranking, qrels: Qrels) -> float:
         return 0.0
     total = 0.0
     nonrel_above = 0
-    for entry in ranking.entries:
-        if entry.doc in nonrelevant:
+    for doc in ranking.docs:
+        if doc in nonrelevant:
             nonrel_above += 1
-        elif entry.doc in relevant:
+        elif doc in relevant:
             if big_n == 0:
                 total += 1.0
             else:

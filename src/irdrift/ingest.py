@@ -15,15 +15,14 @@ Parsing is strict: every input line either contributes data or raises
 :class:`ParseError` naming its line number. Recoverable oddities (mixed
 run tags, duplicate identical qrels, negative grades) emit
 :class:`IngestWarning` instead. Run rankings are canonicalized on ingest:
-entries are re-sorted by (score descending, doc id ascending) and ranks
-renumbered 1..n, trusting scores over the file's rank column.
+entries are re-sorted by (score descending, doc id ascending), trusting
+scores over the file's rank column, which is validated but dropped; a
+ranking's rank is the position, and :func:`format_run` writes it back.
 
 Identifiers are checked once, where they enter. Run and qrels lines are
 split on whitespace, so every token is already a non-empty,
-whitespace-free id; those tokens are kept as plain ``str`` and need no
-further check. Ids read from JSON (manifests, topic files) go through
-the validating :class:`~irdrift.model.DocId` and
-:class:`~irdrift.model.TopicId` constructors.
+whitespace-free id and needs no further check. Ids read from JSON
+(manifests, topic files) go through :func:`~irdrift.model._check_id`.
 
 JSON-lines records are decoded by one helper that accepts exactly what
 ``json.loads`` accepts, with its error messages. A manifest parses each
@@ -50,11 +49,11 @@ from .model import (
     DocMeta,
     EvaluationEnvironment,
     Qrels,
-    RankedDoc,
     Ranking,
     RunFile,
     TopicDef,
     TopicId,
+    _check_id,
     validate_environment,
 )
 
@@ -144,10 +143,7 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
 def _canonical_ranking(topic: str, docs: dict[str, float]) -> Ranking:
     ordered = sorted(docs.items(), key=lambda e: (-e[1], e[0]))
     doc_ids, scores = zip(*ordered)
-    return Ranking(
-        topic=topic,
-        entries=tuple(map(RankedDoc, doc_ids, range(1, len(doc_ids) + 1), scores)),
-    )
+    return Ranking(topic, doc_ids, scores)
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:
@@ -264,7 +260,7 @@ def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
         if not isinstance(length, int) or isinstance(length, bool):
             raise ParseError(f"line {lineno}: length must be an integer")
         try:
-            doc_id = DocId(doc_text)
+            doc_id = _check_id(doc_text, "DocId")
             stamp_text = obj.get("timestamp")
             timestamp = None
             if stamp_text is not None:
@@ -304,7 +300,7 @@ def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
         if not isinstance(obj["topic_id"], str):
             raise ParseError(f"line {lineno}: topic_id must be a string")
         try:
-            topic_id = TopicId(obj["topic_id"])
+            topic_id = _check_id(obj["topic_id"], "TopicId")
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
         text = obj.get("text")
@@ -433,11 +429,9 @@ def format_run(run: RunFile) -> str:
     """Canonical run serialization: one line per entry, sorted by topic, rank."""
     out: list[str] = []
     for topic in sorted(run.rankings):
-        for entry in run.rankings[topic].entries:
-            out.append(
-                f"{topic} Q0 {entry.doc} {entry.rank} "
-                f"{_format_score(entry.score)} {run.system_tag}"
-            )
+        ranking = run.rankings[topic]
+        for rank, (doc, score) in enumerate(zip(ranking.docs, ranking.scores), start=1):
+            out.append(f"{topic} Q0 {doc} {rank} {_format_score(score)} {run.system_tag}")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -483,7 +477,7 @@ def format_topics(topics: dict[TopicId, TopicDef]) -> str:
     out: list[str] = []
     for topic_id in sorted(topics):
         topic = topics[topic_id]
-        obj: dict[str, object] = {"topic_id": str(topic_id)}
+        obj: dict[str, object] = {"topic_id": topic_id}
         if topic.text is not None:
             obj["text"] = topic.text
         out.append(json.dumps(obj))

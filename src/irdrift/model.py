@@ -5,97 +5,80 @@ test-collection components: the document corpus, the topic set, and the
 relevance judgments (qrels). Runs hold a system's ranked results against
 one such environment. All types are immutable after construction.
 
-Identifiers are checked once, where they enter the program.
-:class:`DocId` and :class:`TopicId` are the checking constructors for
-ids read from JSON or command-line flags (manifests, topic files,
+Identifiers are plain ``str``; :data:`DocId` and :data:`TopicId` name
+their role. An id is checked once, by :func:`_check_id`, where it enters
+the program from JSON or a command-line flag (manifests, topic files,
 ``--topics``). Tokens that ``str.split()`` cut from a run or qrels line
-already satisfy their invariant and stay plain ``str``. The container
-types check their structural invariants at construction, so downstream
-code can rely on them without re-checking.
+already satisfy the check. A :class:`Ranking` stores its documents and
+scores as two parallel tuples; a document's rank is its position. The
+container types check their structural invariants at construction, so
+downstream code can rely on them without re-checking.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
+
+DocId = str
+TopicId = str
 
 
-class DocId(str):
-    """Document identifier: a non-empty token without whitespace."""
+def _check_id(value: str, kind: str) -> str:
+    """Return ``value`` if it is a non-empty token without whitespace.
 
-    __slots__ = ()
-
-    def __new__(cls, value: str) -> "DocId":
-        # split() drops exactly the characters isspace() flags, so this
-        # one C-level test rejects empty values and embedded whitespace
-        if value.split() != [value]:
-            if not value:
-                raise ValueError("DocId must be non-empty")
-            raise ValueError(f"DocId must not contain whitespace: {value!r}")
-        return super().__new__(cls, value)
-
-
-class TopicId(str):
-    """Topic identifier: a non-empty token without whitespace."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: str) -> "TopicId":
-        # split() drops exactly the characters isspace() flags, so this
-        # one C-level test rejects empty values and embedded whitespace
-        if value.split() != [value]:
-            if not value:
-                raise ValueError("TopicId must be non-empty")
-            raise ValueError(f"TopicId must not contain whitespace: {value!r}")
-        return super().__new__(cls, value)
-
-
-class RankedDoc(NamedTuple):
-    doc: DocId
-    rank: int
-    score: float
+    ``kind`` names the id in the message, e.g. ``"DocId"``.
+    """
+    # split() drops exactly the characters isspace() flags, so this one
+    # C-level test rejects empty values and embedded whitespace
+    if value.split() != [value]:
+        if not value:
+            raise ValueError(f"{kind} must be non-empty")
+        raise ValueError(f"{kind} must not contain whitespace: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class Ranking:
     """One topic's ranked document list, best first.
 
-    Ranks run 1..n in list order and scores are non-increasing; parsers
+    ``docs`` and ``scores`` are parallel tuples; the rank of ``docs[i]``
+    is ``i + 1``. Doc ids are unique and scores non-increasing; parsers
     canonicalize raw input into this form before construction.
     """
 
     topic: TopicId
-    entries: tuple[RankedDoc, ...]
+    docs: tuple[DocId, ...]
+    scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        docs, scores = self.docs, self.scores
+        if len(docs) != len(scores):
+            raise ValueError(
+                f"Ranking for topic {self.topic}: {len(docs)} docs but "
+                f"{len(scores)} scores"
+            )
+        if len(set(docs)) == len(docs) and not any(map(operator.lt, scores, scores[1:])):
+            return
+        # a fault exists; walk in order to report the first one
         seen: set[DocId] = set()
         prev_score: float | None = None
-        for i, entry in enumerate(self.entries):
-            if entry.doc in seen:
-                raise ValueError(
-                    f"Ranking for topic {self.topic}: duplicate doc id {entry.doc}"
-                )
-            seen.add(entry.doc)
-            if entry.rank != i + 1:
-                raise ValueError(
-                    f"Ranking for topic {self.topic}: ranks must be 1..n in order, "
-                    f"got rank {entry.rank} at position {i + 1}"
-                )
-            if prev_score is not None and entry.score > prev_score:
+        for doc, score in zip(docs, scores):
+            if doc in seen:
+                raise ValueError(f"Ranking for topic {self.topic}: duplicate doc id {doc}")
+            seen.add(doc)
+            if prev_score is not None and score > prev_score:
                 raise ValueError(
                     f"Ranking for topic {self.topic}: scores must be non-increasing, "
-                    f"got {entry.score} after {prev_score}"
+                    f"got {score} after {prev_score}"
                 )
-            prev_score = entry.score
+            prev_score = score
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def docs(self) -> list[DocId]:
-        """Document ids in rank order."""
-        return [e.doc for e in self.entries]
+        return len(self.docs)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ score sets were computed against the same qrels.
 
 The arithmetic needs only the standard library: the mean and the
 standard deviation are summed in NumPy's pairwise order, so the t
-statistic has the bits of ``np.mean``/``np.std(ddof=1)``, and the p value
+statistic has the bits of ``np.mean``/``np.std(ddof=1)`` wherever those
+do not underflow. The differences are first scaled by a power of two,
+which is exact and leaves t unchanged, so that the largest lies in
+[0.5, 1) and tiny differences keep their t. The p value
 is the regularised incomplete beta function's continued fraction, within
 ~1e-12 relative of a 50-digit reference for 1-999 degrees of freedom.
 """
@@ -52,8 +55,7 @@ def paired_t_test(
     Returns (t statistic, p value, n). The p value is the two-sided tail
     of the t distribution with n-1 degrees of freedom. Degenerate
     zero-variance samples use the convention p = 0 for a nonzero mean
-    difference and p = 1 otherwise. Differences that vary but whose
-    computed variance underflows to 0 raise a ``ValueError``.
+    difference and p = 1 otherwise.
     """
     if scores_a.measure != scores_b.measure:
         raise ValueError(
@@ -72,14 +74,14 @@ def paired_t_test(
         if first == 0.0:
             return 0.0, 1.0, n
         return math.copysign(math.inf, first), 0.0, n
+    # t is scale-free, and a power-of-two scale is exact: with the largest
+    # |difference| in [0.5, 1) the squared deviations of differences that
+    # vary cannot all underflow, so sd > 0
+    _, exponent = math.frexp(max(map(abs, diffs)))
+    diffs = [math.ldexp(d, -exponent) for d in diffs]
     # NumPy's order: the mean, then the squared deviations from it
     mean = pairwise_sum(diffs) / n
     sd = math.sqrt(pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
-    if sd == 0.0:
-        raise ValueError(
-            "paired test undefined: the differences vary but their variance "
-            "underflows to 0"
-        )
     t = mean / (sd / math.sqrt(n))
     p = t_two_sided_p(t, n - 1)
     return t, min(p, 1.0), n

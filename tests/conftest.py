@@ -22,7 +22,6 @@ from irdrift.model import (
     EvaluationEnvironment,
     PerTopicScores,
     Qrels,
-    RankedDoc,
     Ranking,
     RunFile,
     TopicDef,
@@ -40,13 +39,7 @@ def make_ranking(topic: str, docs: list[str], scores: list[float] | None = None)
     """Ranking with the given docs in order; scores default to n, n-1, ..."""
     if scores is None:
         scores = [float(len(docs) - i) for i in range(len(docs))]
-    return Ranking(
-        topic=TopicId(topic),
-        entries=tuple(
-            RankedDoc(doc=DocId(d), rank=i + 1, score=s)
-            for i, (d, s) in enumerate(zip(docs, scores))
-        ),
-    )
+    return Ranking(topic, tuple(docs), tuple(scores))
 
 
 def make_qrels(judgments: dict[tuple[str, str], int]) -> Qrels:
@@ -101,12 +94,8 @@ def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth
             ((unit_hash("score", tag, topic, doc), doc) for doc in doc_ids),
             key=lambda pair: (-pair[0], pair[1]),
         )[:depth]
-        rankings[TopicId(topic)] = Ranking(
-            topic=TopicId(topic),
-            entries=tuple(
-                RankedDoc(doc=DocId(doc), rank=i + 1, score=score)
-                for i, (score, doc) in enumerate(scored)
-            ),
+        rankings[topic] = Ranking(
+            topic, tuple(doc for _, doc in scored), tuple(score for score, _ in scored)
         )
     return RunFile(system_tag=tag, ee_label=label, rankings=rankings)
 
@@ -127,8 +116,9 @@ def make_environment(
 def underflowing_scores(run, qrels, measure, topic_filter=None) -> PerTopicScores:
     """Stand-in for ``evaluate_run``: every run scores 0.5 on q1 and 0 on
     q2, except that the pivot zpivot scores 1.27e-225 on q2. The paired
-    differences to the pivot, 0 and -1.27e-225, vary, but their variance
-    underflows to 0."""
+    differences to the pivot, 0 and -1.27e-225, vary, but each squared
+    deviation from their mean underflows to 0 unless they are scaled
+    first."""
     scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
     if run.system_tag == "zpivot":
         scores[TopicId("q2")] = 1.27e-225

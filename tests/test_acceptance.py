@@ -295,9 +295,9 @@ def test_criterion_9_mean_rbo_monotone_over_append_only_growth(simulated):
         for earlier, later in zip(labels, labels[1:]):
             new_docs = corpora[later] - corpora[earlier]
             entered = any(
-                entry.doc in new_docs
+                doc in new_docs
                 for ranking in runs[later].rankings.values()
-                for entry in ranking.entries
+                for doc in ranking.docs
             )
             assert entered
         topics = {TopicId(t) for t in TOPICS}

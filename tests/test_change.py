@@ -4,6 +4,7 @@ agreement, and structural properties."""
 import itertools
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -396,10 +397,12 @@ def test_build_matrix_default_family_is_systems_times_later_environments(monkeyp
     assert set(families) == {7}
 
 
-def test_build_matrix_skips_significance_when_the_variance_underflows(monkeypatch):
+def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(monkeypatch):
     envs, runs, pivot = _matrix_inputs()
     monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
-    with pytest.warns(ChangeWarning, match=r"significance skipped \(.*underflows to 0\)"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ChangeWarning)
         matrix = _build(envs, runs, pivot)
+    # the differences 0 and -1.27e-225 give t = -1 and p = 0.5
     alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
-    assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES)] * 2
+    assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES, False)] * 2

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output shape, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -193,6 +194,52 @@ def test_change_rejects_invalid_alpha_or_family_size(tmp_path, capsys, flag):
     assert capsys.readouterr().err.startswith("error: --alpha/--family-size:")
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--measures=map", "unknown measure 'map' (expected p@K, ndcg[@K], bpref)"),
+        ("--measures=,", "no measures given in ','"),
+        ("--phi=1.5", "phi must lie strictly between 0 and 1, got 1.5"),
+        ("--rbo-depth=0", "depth must be >= 1, got 0"),
+    ],
+)
+def test_change_rejects_bad_measures_or_rbo_flags(tmp_path, capsys, flag, message):
+    config, runs = write_cli_fixture(tmp_path)
+    assert main(change_argv(config, runs, "dtq") + [flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # checked before any file is read
+    absent = ["change", "--config", str(tmp_path / "absent.json"), "--scenario", "dtq"]
+    assert main(absent + [flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "--config", "{absent}", "--from", "t0", "--to", "t1"],
+        ["evaluate", "--config", "{absent}", "--ee", "t0", "--run", "{absent}"],
+        ["change", "--config", "{absent}", "--scenario", "dtq"],
+        ["report", "--matrix", "{absent}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("output_format", ["csv", "markdown", "json"])
+def test_negative_places_exits_2_before_any_file_is_read(tmp_path, capsys, argv, output_format):
+    argv = [arg.format(absent=tmp_path / "absent") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", output_format, "--places", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"irdrift {argv[0]}: error: argument --places: must be >= 0, got -1\n")
+
+
+def test_non_integer_places_keeps_the_int_message(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--matrix", str(tmp_path / "absent"), "--places", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --places: invalid int value: 'x'\n")
+
+
 def test_change_t_tail_non_convergence_is_internal_error(tmp_path, capsys, monkeypatch):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
     monkeypatch.setattr(_numeric, "_MAX_ITERATIONS", 1)
@@ -258,15 +305,23 @@ def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_change_variance_underflow_skips_significance(tmp_path, capsys, monkeypatch):
+def test_change_squared_deviation_underflow_gives_false_significance(
+    tmp_path, capsys, monkeypatch
+):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
     monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
-    with pytest.warns(UserWarning, match="significance skipped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
         assert main(pivot_argv(config, runs)) == 0
     lines = capsys.readouterr().out.splitlines()
     header = lines[0].split(",")
-    for line in lines[1:]:
-        assert dict(zip(header, line.split(",")))["significant_p@10"] == ""
+    cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    # the pivot rows are not tested against themselves
+    assert {c["system"]: c["significant_p@10"] for c in cells} == {
+        "alpha": "false",
+        "beta": "false",
+        "zpivot": "",
+    }
 
 
 def test_change_missing_pivot_ee_warns_and_continues(tmp_path, capsys):

@@ -22,6 +22,14 @@ def test_demo_exits_0(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    if demo.name == "01_parse_and_validate.py":
+        # re-sorted by score, ranked by position
+        assert done.stdout.endswith(
+            "\nrun 'demo' after canonicalization:\n"
+            "  topic 1: rank 1 d1 (score 9.9)\n"
+            "  topic 1: rank 2 d2 (score 3.5)\n"
+            "  topic 2: rank 1 d3 (score 1.2)\n"
+        )
     if demo.name == "05_append_only_pipeline.py":
         # both matrices: adv and the pivot base-sys over three slices each
         assert done.stdout.count(" | dtq | ") == 6

@@ -28,21 +28,21 @@ def test_parse_run_minimal_line():
     assert run.system_tag == "bm25"
     assert run.ee_label == "t0"
     assert len(run.rankings) == 1
-    (entry,) = run.rankings[TopicId("1")].entries
-    assert (entry.doc, entry.rank, entry.score) == ("d7", 1, 12.5)
+    ranking = run.rankings[TopicId("1")]
+    assert (ranking.docs, ranking.scores) == (("d7",), (12.5,))
 
 
 def test_parse_run_canonicalizes_by_score():
     # file order says d7 first, but d8's higher score must win rank 1
     run = parse_run(["1 Q0 d7 1 12.5 bm25", "1 Q0 d8 2 13.0 bm25"], "t0")
-    docs = run.rankings[TopicId("1")].docs()
-    assert docs == ["d8", "d7"]
-    assert [e.rank for e in run.rankings[TopicId("1")].entries] == [1, 2]
+    assert run.rankings[TopicId("1")].docs == ("d8", "d7")
+    # the ranks written back are the positions, not the file's rank column
+    assert format_run(run) == "1 Q0 d8 1 13.0 bm25\n1 Q0 d7 2 12.5 bm25\n"
 
 
 def test_parse_run_breaks_score_ties_by_doc_id():
     run = parse_run(["1 Q0 zz 1 5.0 s", "1 Q0 aa 2 5.0 s"], "t0")
-    assert run.rankings[TopicId("1")].docs() == ["aa", "zz"]
+    assert run.rankings[TopicId("1")].docs == ("aa", "zz")
 
 
 def test_parse_run_non_numeric_rank_names_line():
@@ -369,11 +369,11 @@ def test_canonicalization_is_idempotent():
     once = format_run(parse_run(lines, "t0"))
     twice = format_run(parse_run(once.splitlines(), "t0"))
     assert once == twice
-    assert parse_run(once.splitlines(), "t0").rankings[TopicId("1")].docs() == [
+    assert parse_run(once.splitlines(), "t0").rankings[TopicId("1")].docs == (
         "d8",
         "d9",
         "d7",
-    ]
+    )
 
 
 def test_parse_run_skips_blank_lines_only():

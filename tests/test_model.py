@@ -1,6 +1,8 @@
 """Domain type invariants and the environment validator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irdrift.model import (
     CorpusSnapshot,
@@ -11,11 +13,11 @@ from irdrift.model import (
     MeasureSpec,
     PerTopicScores,
     Qrels,
-    RankedDoc,
     Ranking,
     RunFile,
     TopicDef,
     TopicId,
+    _check_id,
     validate_environment,
 )
 
@@ -24,25 +26,23 @@ from conftest import make_qrels, make_ranking
 
 def test_doc_id_rejects_empty_and_whitespace():
     with pytest.raises(ValueError, match="non-empty"):
-        DocId("")
+        _check_id("", "DocId")
     with pytest.raises(ValueError, match="whitespace"):
-        DocId("a b")
+        _check_id("a b", "DocId")
     with pytest.raises(ValueError, match="whitespace"):
-        TopicId("1\t2")
-    assert DocId("d-1") == "d-1"
+        _check_id("1\t2", "TopicId")
+    assert _check_id("d-1", "DocId") == "d-1"
+    with pytest.raises(ValueError) as exc:
+        _check_id("1\t2", "TopicId")
+    assert str(exc.value) == "TopicId must not contain whitespace: '1\\t2'"
+    with pytest.raises(ValueError) as exc:
+        _check_id("", "DocId")
+    assert str(exc.value) == "DocId must be non-empty"
 
 
 def test_ranking_rejects_duplicate_docs():
     with pytest.raises(ValueError, match="duplicate doc id"):
         make_ranking("1", ["a", "b", "a"])
-
-
-def test_ranking_rejects_bad_ranks():
-    with pytest.raises(ValueError, match="ranks must be 1..n"):
-        Ranking(
-            topic=TopicId("1"),
-            entries=(RankedDoc(DocId("a"), 2, 1.0),),
-        )
 
 
 def test_ranking_rejects_increasing_scores():
@@ -52,7 +52,56 @@ def test_ranking_rejects_increasing_scores():
 
 def test_ranking_allows_score_ties():
     r = make_ranking("1", ["a", "b"], scores=[1.0, 1.0])
-    assert r.docs() == ["a", "b"]
+    assert r.docs == ("a", "b")
+
+
+def test_ranking_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="^Ranking for topic 1: 2 docs but 1 scores$"):
+        Ranking("1", ("a", "b"), (1.0,))
+
+
+# a small alphabet makes duplicate ids common; a few shared values make
+# score ties common, 0.0 against -0.0 included
+ranking_doc = st.sampled_from("abcde")
+ranking_score = st.one_of(
+    st.sampled_from([2.0, 1.0, 0.0, -0.0, -1.0]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(ranking_doc, ranking_score), max_size=6), st.sampled_from([0, 0, 1, -1]))
+def test_ranking_accepts_exactly_unique_docs_with_non_increasing_scores(entries, extra_scores):
+    docs = tuple(doc for doc, _ in entries)
+    scores = tuple(score for _, score in entries)
+    # one score too many or too few now and then
+    scores = scores + (0.0,) if extra_scores > 0 else scores[: len(scores) + extra_scores]
+    if len(docs) != len(scores):
+        with pytest.raises(ValueError, match=" docs but "):
+            Ranking("7", docs, scores)
+        return
+    # the first position holding a repeated doc or a score above its
+    # predecessor; a repeated doc is reported before its score
+    faults = [
+        i
+        for i in range(len(docs))
+        if docs[i] in docs[:i] or (i > 0 and scores[i] > scores[i - 1])
+    ]
+    if not faults:
+        ranking = Ranking("7", docs, scores)
+        assert (ranking.docs, ranking.scores, len(ranking)) == (docs, scores, len(docs))
+        return
+    i = faults[0]
+    if docs[i] in docs[:i]:
+        expected = f"Ranking for topic 7: duplicate doc id {docs[i]}"
+    else:
+        expected = (
+            f"Ranking for topic 7: scores must be non-increasing, "
+            f"got {scores[i]} after {scores[i - 1]}"
+        )
+    with pytest.raises(ValueError) as exc:
+        Ranking("7", docs, scores)
+    assert str(exc.value) == expected
 
 
 def test_empty_ranking_is_valid():

@@ -134,11 +134,40 @@ def test_t_statistic_matches_brute_force():
         assert t == pytest.approx(t_brute(diffs), abs=1e-12)
 
 
-def test_differences_whose_variance_underflows_are_a_value_error():
-    # the differences 0 and -1.27e-225 are unequal, but each squared
-    # deviation from their mean underflows to 0, and so does the variance
-    with pytest.raises(ValueError, match="underflows"):
-        paired_t_test(_scores([0.0, 0.0]), _scores([0.0, 1.27e-225]))
+def test_differences_whose_squared_deviations_underflow_keep_their_t():
+    # each squared deviation of the differences 0 and -1.27e-225 from
+    # their mean underflows to 0 unless the differences are scaled first;
+    # t does not depend on their scale, and is -1 for any pair (0, -x)
+    t, p, n = paired_t_test(_scores([0.0, 0.0]), _scores([0.0, 1.27e-225]))
+    assert t == pytest.approx(-1.0, rel=1e-15)
+    assert p == pytest.approx(0.5, rel=1e-14)
+    assert n == 2
+    # the squared deviations of 5e-162 and 0 are subnormal; unscaled, they
+    # keep too few bits and t reads 1.1247
+    t, p, _ = paired_t_test(_scores([5e-162, 0.0]), _scores([0.0, 0.0]))
+    assert t == pytest.approx(1.0, rel=1e-15)
+    assert p == pytest.approx(0.5, rel=1e-14)
+
+
+# a difference in every binade down to the smallest subnormal, 2**-1074
+tiny_difference = st.builds(
+    lambda mantissa, exponent, sign: sign * math.ldexp(mantissa, exponent),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-1074, 0),
+    st.sampled_from([1.0, -1.0]),
+) | st.just(0.0)
+
+
+@NO_SHRINK
+@given(st.lists(tiny_difference, min_size=2, max_size=40))
+def test_t_statistic_is_finite_whenever_the_differences_vary(diffs):
+    assume(len(set(diffs)) > 1)
+    # a - b == d exactly, with both scores in [0, 1]
+    a = _scores([max(d, 0.0) for d in diffs])
+    b = _scores([max(-d, 0.0) for d in diffs])
+    t, p, n = paired_t_test(a, b)
+    assert math.isfinite(t)
+    assert 0.0 <= p <= 1.0 and n == len(diffs)
 
 
 def test_paired_t_test_requires_two_common_topics():
