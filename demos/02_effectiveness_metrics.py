@@ -25,13 +25,11 @@ def ranking(topic: str, docs: list[str]) -> Ranking:
     return Ranking(topic, tuple(docs), scores)
 
 
+# topic -> doc -> grade
 qrels = Qrels(
     {
-        ("1", "a"): 2,  # highly relevant
-        ("1", "b"): 1,
-        ("1", "c"): 0,  # judged non-relevant
-        ("2", "x"): 1,
-        ("2", "y"): 0,
+        "1": {"a": 2, "b": 1, "c": 0},  # a highly relevant, c judged non-relevant
+        "2": {"x": 1, "y": 0},
     }
 )
 

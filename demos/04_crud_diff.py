@@ -32,7 +32,7 @@ def environment(label, docs, topics, qrels):
         label=label,
         corpus=corpus(docs),
         topics={TopicId(t): TopicDef(topic_id=TopicId(t), text=x) for t, x in topics.items()},
-        qrels=Qrels({(TopicId(t), DocId(d)): g for (t, d), g in qrels.items()}),
+        qrels=Qrels(qrels),
     )
 
 
@@ -40,14 +40,14 @@ before = environment(
     "t0",
     docs={"d1": 100, "d2": 250, "d3": 80},
     topics={"1": "rain", "2": "storms"},
-    qrels={("1", "d1"): 1, ("1", "d2"): 0, ("2", "d3"): 2},
+    qrels={"1": {"d1": 1, "d2": 0}, "2": {"d3": 2}},
 )
 
 after = environment(
     "t1",
     docs={"d1": 100, "d2": 310, "d4": 55},  # d2 edited, d3 removed, d4 new
     topics={"1": "acid rain", "2": "storms", "3": "floods"},  # reworded + new
-    qrels={("1", "d1"): 0, ("1", "d2"): 0, ("2", "d3"): 2, ("3", "d4"): 1},
+    qrels={"1": {"d1": 0, "d2": 0}, "2": {"d3": 2}, "3": {"d4": 1}},
 )
 
 summary = summarize(before, after)

@@ -51,20 +51,20 @@ for i in range(N_DOCS):
     doc = f"d{i:04d}"
     docs[doc] = DocMeta(doc_id=doc, length=100, timestamp=start + timedelta(days=i))
 
-judgments = {}
+grades = {topic: {} for topic in TOPICS}  # topic -> doc -> grade
 for topic in TOPICS:
     for doc in docs:
         u = pseudo("qrel", topic, doc)
         if u < 0.06:
-            judgments[(topic, doc)] = 1
+            grades[topic][doc] = 1
         elif u < 0.12:
-            judgments[(topic, doc)] = 0
+            grades[topic][doc] = 0
 
 base = EvaluationEnvironment(
     label="base",
     corpus=CorpusSnapshot(docs),
     topics={t: TopicDef(topic_id=t) for t in TOPICS},
-    qrels=Qrels(judgments),
+    qrels=Qrels(grades),
 )
 
 slices = split_append_only(base, SimulationPlan(num_slices=3))

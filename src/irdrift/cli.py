@@ -61,12 +61,26 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
     return measures
 
 
-def _load_environments(config_path: str) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
+def _check_label(label: str, labels: list[str]) -> None:
+    if label not in labels:
+        raise CliError(
+            f"unknown environment label {label!r}; known labels: " + ", ".join(labels)
+        )
+
+
+def _load_environments(
+    config_path: str, only: tuple[str, ...] = ()
+) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
+    """The config's labels and its environments; with `only`, each of its
+    labels is checked first and just those environments are loaded."""
     configs = load_config(config_path)
     if not configs:
         raise CliError(f"{config_path}: config lists no environments")
-    envs = {cfg.label: load_environment(cfg) for cfg in configs}
-    return [cfg.label for cfg in configs], envs
+    labels = [cfg.label for cfg in configs]
+    for label in only:
+        _check_label(label, labels)
+    envs = {cfg.label: load_environment(cfg) for cfg in configs if not only or cfg.label in only}
+    return labels, envs
 
 
 def _resolve_topic_filter(
@@ -78,20 +92,15 @@ def _resolve_topic_filter(
         return None
     if spec == "common":
         return sim.common_topics([envs[label] for label in labels])
-    return {_check_id(part, "TopicId") for part in spec.split(",") if part.strip()}
+    parts = [part.strip() for part in spec.split(",")]
+    return {_check_id(part, "TopicId") for part in parts if part}
 
 
 # --- diff ---------------------------------------------------------------
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    labels, envs = _load_environments(args.config)
-    for label in (args.from_label, args.to_label):
-        if label not in envs:
-            raise CliError(
-                f"unknown environment label {label!r}; known labels: "
-                + ", ".join(labels)
-            )
+    _, envs = _load_environments(args.config, only=(args.from_label, args.to_label))
     summary = crud.summarize(envs[args.from_label], envs[args.to_label])
     _write_output(
         rep.render_change_summary(summary, args.format, places=args.places), args.out
@@ -104,10 +113,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     labels, envs = _load_environments(args.config)
-    if args.ee not in envs:
-        raise CliError(
-            f"unknown environment label {args.ee!r}; known labels: " + ", ".join(labels)
-        )
+    _check_label(args.ee, labels)
     env = envs[args.ee]
     measures = _parse_measures(args.measures)
     topic_filter = _resolve_topic_filter(args.topics, labels, envs)

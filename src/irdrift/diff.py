@@ -121,11 +121,11 @@ def diff_topics(
 
 def diff_qrels(a: Qrels, b: Qrels) -> ComponentDiff:
     """Diff two qrels sets by (topic, doc) pair; an update is a changed grade."""
-
-    def changed(pair) -> bool:
-        return a.judgments[pair] != b.judgments[pair]
-
-    return _diff_ids(a.judgments, b.judgments, changed)
+    pairs_a, pairs_b = (
+        {(t, d): g for t, grades in q.by_topic.items() for d, g in grades.items()}
+        for q in (a, b)
+    )
+    return _diff_ids(pairs_a, pairs_b, lambda pair: pairs_a[pair] != pairs_b[pair])
 
 
 def summarize(

@@ -1,10 +1,12 @@
 """Per-topic effectiveness measures and their average (ARP).
 
 Three measures are provided: precision at k, nDCG with linear gain, and
-bpref. P@k and bpref binarize grades at >= 1; nDCG consumes the raw
-grades. Topics without any judged-relevant document are excluded from
-evaluation rather than scored zero, matching standard TREC evaluation
-behavior.
+bpref. This is the one module that binarizes qrels grades: a grade >= 1
+is relevant and a grade of 0 judged non-relevant. P@k, bpref and topic
+eligibility use that rule; nDCG consumes the raw grades. Each measure
+reads its topic's grade map from ``Qrels.by_topic`` directly. Topics
+without any judged-relevant document are excluded from evaluation
+rather than scored zero, matching standard TREC evaluation behavior.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def precision_at_k(ranking: Ranking, qrels: Qrels, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grades = qrels.for_topic(ranking.topic)
+    grades = qrels.by_topic.get(ranking.topic, {})
     hits = sum(1 for doc in ranking.docs[:k] if grades.get(doc, 0) >= 1)
     return hits / k
 
@@ -60,7 +62,7 @@ def ndcg(ranking: Ranking, qrels: Qrels, k: int | None = None) -> float:
     ideal ranking is the topic's judged grades sorted descending; returns
     0 when its gain is 0 (no relevant documents).
     """
-    grades = qrels.for_topic(ranking.topic)
+    grades = qrels.by_topic.get(ranking.topic, {})
     depth = k if k is not None else len(ranking)
     dcg = 0.0
     for i, doc in enumerate(ranking.docs[:depth], start=1):
@@ -83,22 +85,23 @@ def bpref(ranking: Ranking, qrels: Qrels) -> float:
     document contributes 1. Returns 0 when the topic has no judged
     relevant documents.
     """
-    relevant = qrels.relevant_docs(ranking.topic)
-    nonrelevant = qrels.nonrelevant_docs(ranking.topic)
-    big_r = len(relevant)
-    big_n = len(nonrelevant)
+    grades = qrels.by_topic.get(ranking.topic, {})
+    big_r = sum(1 for grade in grades.values() if grade >= 1)
+    big_n = len(grades) - big_r
     if big_r == 0:
         return 0.0
     total = 0.0
     nonrel_above = 0
     for doc in ranking.docs:
-        if doc in nonrelevant:
+        grade = grades.get(doc)
+        if grade is None:
+            continue
+        if grade < 1:
             nonrel_above += 1
-        elif doc in relevant:
-            if big_n == 0:
-                total += 1.0
-            else:
-                total += 1.0 - min(nonrel_above, big_r) / min(big_r, big_n)
+        elif big_n == 0:
+            total += 1.0
+        else:
+            total += 1.0 - min(nonrel_above, big_r) / min(big_r, big_n)
     return total / big_r
 
 
@@ -123,7 +126,9 @@ def evaluate_run(
     run did not answer scores 0. Without a filter, only topics present in
     the run are evaluated.
     """
-    eligible = {t for t in qrels.topics() if qrels.relevant_docs(t)}
+    eligible = {
+        topic for topic, grades in qrels.by_topic.items() if max(grades.values()) >= 1
+    }
     if topic_filter is None:
         topics = run.topics() & eligible
     else:

@@ -78,10 +78,6 @@ class EEConfig:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("EEConfig label must be non-empty")
-        if not str(self.manifest_path):
-            raise ValueError("EEConfig manifest_path must be non-empty")
-        if not str(self.qrels_path):
-            raise ValueError("EEConfig qrels_path must be non-empty")
 
 
 def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
@@ -153,7 +149,8 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
     is how standard TREC tooling treats them. Duplicate pairs error when
     their grades conflict and dedup with a warning when they agree.
     """
-    judgments: dict[tuple[str, str], int] = {}
+    # topic -> doc -> grade; the inner dict also detects duplicate pairs
+    by_topic: dict[str, dict[str, int]] = {}
     for lineno, raw in enumerate(lines, start=1):
         cols = raw.split()
         if not cols:
@@ -176,12 +173,14 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
                 stacklevel=2,
             )
             grade = 0
-        key = (topic, doc)
-        if key in judgments:
-            if judgments[key] != grade:
+        grades = by_topic.get(topic)
+        if grades is None:
+            grades = by_topic[topic] = {}
+        elif doc in grades:
+            if grades[doc] != grade:
                 raise ParseError(
                     f"line {lineno}: conflicting grades for topic {topic}, doc {doc}: "
-                    f"{judgments[key]} vs {grade}"
+                    f"{grades[doc]} vs {grade}"
                 )
             warnings.warn(
                 f"line {lineno}: duplicate judgment for ({topic}, {doc}) with equal "
@@ -190,8 +189,8 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
                 stacklevel=2,
             )
             continue
-        judgments[key] = grade
-    return Qrels(judgments)
+        grades[doc] = grade
+    return Qrels(by_topic)
 
 
 def _parse_timestamp(value: str, lineno: int) -> datetime:
@@ -317,7 +316,7 @@ def load_config(path: Path | str) -> list[EEConfig]:
 
     Relative file paths are resolved against the config file's directory.
     ``label``, ``manifest`` and ``qrels`` must be strings, and ``topics``
-    a string or absent (or null).
+    a string or absent (or null); a path string must be non-empty.
     """
     path = Path(path)
     try:
@@ -342,6 +341,9 @@ def load_config(path: Path | str) -> list[EEConfig]:
                     f"{path}: entry {i}: {field_name!r} must be a string, "
                     f"got {type(value).__name__}"
                 )
+            if value == "" and field_name != "label":
+                # Path("") is ".", the config's own directory
+                raise ParseError(f"{path}: entry {i}: {field_name!r} must be a non-empty path")
         label = entry["label"]
         if label in labels:
             raise ParseError(f"{path}: duplicate environment label {label!r}")
@@ -438,8 +440,9 @@ def format_run(run: RunFile) -> str:
 def format_qrels(qrels: Qrels) -> str:
     """Canonical qrels serialization, sorted by (topic, doc)."""
     out = [
-        f"{topic} 0 {doc} {qrels.judgments[(topic, doc)]}"
-        for topic, doc in sorted(qrels.judgments)
+        f"{topic} 0 {doc} {grades[doc]}"
+        for topic, grades in sorted(qrels.by_topic.items())
+        for doc in sorted(grades)
     ]
     return "\n".join(out) + ("\n" if out else "")
 

@@ -2,17 +2,20 @@
 
 An evaluation environment bundles one timestamped state of the three
 test-collection components: the document corpus, the topic set, and the
-relevance judgments (qrels). Runs hold a system's ranked results against
-one such environment. All types are immutable after construction.
+graded relevance assessments (qrels). Runs hold a system's ranked
+results against one such environment. All types are immutable after
+construction.
 
 Identifiers are plain ``str``; :data:`DocId` and :data:`TopicId` name
 their role. An id is checked once, by :func:`_check_id`, where it enters
 the program from JSON or a command-line flag (manifests, topic files,
 ``--topics``). Tokens that ``str.split()`` cut from a run or qrels line
 already satisfy the check. A :class:`Ranking` stores its documents and
-scores as two parallel tuples; a document's rank is its position. The
-container types check their structural invariants at construction, so
-downstream code can rely on them without re-checking.
+scores as two parallel tuples; a document's rank is its position.
+:class:`Qrels` is one topic -> doc -> grade map holding the raw grades;
+:mod:`irdrift.effectiveness` alone decides which grades count as
+relevant. The container types check their structural invariants at
+construction, so downstream code can rely on them without re-checking.
 """
 
 from __future__ import annotations
@@ -104,57 +107,39 @@ class RunFile:
 
 @dataclass(frozen=True)
 class Qrels:
-    """Graded relevance judgments keyed by (topic, doc); grades are >= 0.
+    """Graded relevance assessments: topic -> doc -> grade, grades >= 0.
 
-    Grades stay raw integers here; measures binarize (grade >= 1 counts as
-    relevant) where their definition needs it.
+    Every topic maps at least one judged doc, so :meth:`topics` is the set
+    of judged topics. Grades stay raw integers here; only
+    :mod:`irdrift.effectiveness` decides which grades count as relevant.
     """
 
-    judgments: dict[tuple[TopicId, DocId], int]
+    by_topic: dict[TopicId, dict[DocId, int]]
 
     def __post_init__(self) -> None:
-        by_topic: dict[TopicId, dict[DocId, int]] = {}
-        for (topic, doc), grade in self.judgments.items():
-            if grade < 0:
+        for topic, grades in self.by_topic.items():
+            if not grades:
+                raise ValueError(f"Qrels topic {topic} has no judged docs")
+            if min(grades.values()) < 0:
+                doc, grade = next((d, g) for d, g in grades.items() if g < 0)
                 raise ValueError(
                     f"Qrels grade must be >= 0, got {grade} for ({topic}, {doc})"
                 )
-            by_topic.setdefault(topic, {})[doc] = grade
-        # per-topic index, built once; the frozen dataclass guard is bypassed
-        # deliberately for this derived cache
-        object.__setattr__(self, "_by_topic", by_topic)
 
     def __len__(self) -> int:
-        return len(self.judgments)
+        return sum(map(len, self.by_topic.values()))
 
     def topics(self) -> set[TopicId]:
-        return set(self._by_topic)
-
-    def for_topic(self, topic: TopicId) -> dict[DocId, int]:
-        """All judged docs of one topic with their grades."""
-        return dict(self._by_topic.get(topic, {}))
-
-    def relevant_docs(self, topic: TopicId) -> set[DocId]:
-        """Judged docs with grade >= 1."""
-        return {
-            doc for doc, grade in self._by_topic.get(topic, {}).items() if grade >= 1
-        }
-
-    def nonrelevant_docs(self, topic: TopicId) -> set[DocId]:
-        """Judged docs with grade 0."""
-        return {
-            doc for doc, grade in self._by_topic.get(topic, {}).items() if grade == 0
-        }
+        return set(self.by_topic)
 
     def restricted_to_docs(self, docs: set[DocId]) -> "Qrels":
-        """Qrels containing only pairs whose document is in `docs`."""
-        return Qrels(
-            {
-                (topic, doc): grade
-                for (topic, doc), grade in self.judgments.items()
-                if doc in docs
-            }
-        )
+        """The grades of docs in `docs`; topics left with none are dropped."""
+        by_topic: dict[TopicId, dict[DocId, int]] = {}
+        for topic, grades in self.by_topic.items():
+            kept = {doc: grade for doc, grade in grades.items() if doc in docs}
+            if kept:
+                by_topic[topic] = kept
+        return Qrels(by_topic)
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,9 +332,7 @@ def validate_environment(ee: EvaluationEnvironment) -> list[ValidationFinding]:
                 message=f"qrels topic {topic} does not appear in the topic set",
             )
         )
-    missing_docs = sorted(
-        {doc for (_, doc) in ee.qrels.judgments if doc not in ee.corpus}
-    )
+    missing_docs = sorted(set().union(*ee.qrels.by_topic.values()) - ee.corpus.docs.keys())
     for doc in missing_docs:
         findings.append(
             ValidationFinding(

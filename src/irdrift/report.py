@@ -157,8 +157,12 @@ def _render_markdown(header: list[str], rows: list[list[str]]) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _measure_map(values: dict, convert) -> dict[str, object]:
-    return {m.name: convert(v) for m, v in sorted(values.items(), key=lambda kv: kv[0].name)}
+# the per-measure fields of a ChangeReport, in the json row's key order
+_MEASURE_FIELDS = ("rmse", "arp", "re_delta", "delta_ri", "significant")
+
+
+def _measure_map(values: dict) -> dict[str, object]:
+    return {m.name: v for m, v in sorted(values.items(), key=lambda kv: kv[0].name)}
 
 
 def render(matrix: LongitudinalMatrix, format: str, places: int = 4) -> bytes:
@@ -172,11 +176,7 @@ def render(matrix: LongitudinalMatrix, format: str, places: int = 4) -> bytes:
                     "ee": row.ee_label,
                     "scenario": row.scenario.value,
                     "rbo_mean": row.rbo_mean,
-                    "rmse": _measure_map(row.rmse, lambda v: v),
-                    "arp": _measure_map(row.arp, lambda v: v),
-                    "re_delta": _measure_map(row.re_delta, lambda v: v),
-                    "delta_ri": _measure_map(row.delta_ri, lambda v: v),
-                    "significant": _measure_map(row.significant, lambda v: v),
+                    **{f: _measure_map(getattr(row, f)) for f in _MEASURE_FIELDS},
                 }
                 for row in matrix.rows
             ],
@@ -215,12 +215,9 @@ def matrix_from_json(data: bytes | str) -> LongitudinalMatrix:
                 ee_label=row["ee"],
                 scenario=Scenario(row["scenario"]),
                 rbo_mean=row["rbo_mean"],
-                rmse={MeasureSpec.parse(k): v for k, v in row["rmse"].items()},
-                arp={MeasureSpec.parse(k): v for k, v in row["arp"].items()},
-                re_delta={MeasureSpec.parse(k): v for k, v in row["re_delta"].items()},
-                delta_ri={MeasureSpec.parse(k): v for k, v in row["delta_ri"].items()},
-                significant={
-                    MeasureSpec.parse(k): v for k, v in row["significant"].items()
+                **{
+                    f: {MeasureSpec.parse(k): v for k, v in row[f].items()}
+                    for f in _MEASURE_FIELDS
                 },
             )
         )

@@ -42,8 +42,12 @@ def make_ranking(topic: str, docs: list[str], scores: list[float] | None = None)
     return Ranking(topic, tuple(docs), tuple(scores))
 
 
-def make_qrels(judgments: dict[tuple[str, str], int]) -> Qrels:
-    return Qrels({(TopicId(t), DocId(d)): g for (t, d), g in judgments.items()})
+def make_qrels(pairs: dict[tuple[str, str], int]) -> Qrels:
+    """Qrels from flat ``{(topic, doc): grade}`` pairs."""
+    by_topic: dict[TopicId, dict[DocId, int]] = {}
+    for (topic, doc), grade in pairs.items():
+        by_topic.setdefault(topic, {})[doc] = grade
+    return Qrels(by_topic)
 
 
 def make_run(tag: str, label: str, rankings: dict[str, list[str]]) -> RunFile:
@@ -72,17 +76,20 @@ def synth_corpus(n_docs: int, start: date = date(2019, 1, 1)) -> CorpusSnapshot:
 def synth_qrels(doc_ids: list[str], topics: list[str]) -> Qrels:
     """Pseudo-random judgments: ~5%% of docs relevant per topic (grade 1 or
     2), the next ~5%% judged non-relevant (grade 0)."""
-    judgments: dict[tuple[TopicId, DocId], int] = {}
+    by_topic: dict[TopicId, dict[DocId, int]] = {}
     for topic in topics:
+        grades: dict[DocId, int] = {}
         for doc in doc_ids:
             u = unit_hash("qrel", topic, doc)
             if u < 0.015:
-                judgments[(TopicId(topic), DocId(doc))] = 2
+                grades[doc] = 2
             elif u < 0.05:
-                judgments[(TopicId(topic), DocId(doc))] = 1
+                grades[doc] = 1
             elif u < 0.10:
-                judgments[(TopicId(topic), DocId(doc))] = 0
-    return Qrels(judgments)
+                grades[doc] = 0
+        if grades:
+            by_topic[topic] = grades
+    return Qrels(by_topic)
 
 
 def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth: int = 100) -> RunFile:

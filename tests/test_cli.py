@@ -45,6 +45,31 @@ def test_diff_unknown_label_exits_2(tmp_path, capsys):
     assert "t9" in err and "t0" in err and "t1" in err
 
 
+def _add_broken_t2(config):
+    entries = json.loads(config.read_text())
+    entries.append({"label": "t2", "manifest": "absent.jsonl", "qrels": "t1.qrels.txt"})
+    config.write_text(json.dumps(entries))
+
+
+def test_diff_reads_only_the_compared_environments(tmp_path, capsys):
+    config, _ = write_cli_fixture(tmp_path)
+    assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t1"]) == 0
+    expected = capsys.readouterr().out
+    _add_broken_t2(config)  # its manifest does not exist
+    assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t1"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_diff_reports_an_unknown_label_before_a_parse_error(tmp_path, capsys):
+    config, _ = write_cli_fixture(tmp_path)
+    _add_broken_t2(config)
+    assert main(["diff", "--config", str(config), "--from", "t2", "--to", "t9"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown environment label 't9'; known labels: t0, t1, t2" in err
+
+
 def test_evaluate_three_measures(tmp_path, capsys):
     config, runs = write_cli_fixture(tmp_path)
     code = main(
@@ -89,6 +114,19 @@ def test_evaluate_per_topic_rows(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     assert sum(1 for l in lines if ",all," in l) == 1
     assert sum(1 for l in lines if ",all," not in l) >= 2
+
+
+def test_evaluate_topic_list_ignores_spaces_around_ids(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path)
+    base = ["evaluate", "--config", str(config), "--ee", "t1", "--per-topic"]
+    base += ["--run", runs[("alpha", "t1")], "--topics"]
+    outputs = []
+    for spec in ("q1,q2", "q1, q2", " q1 ,q2 ,"):
+        assert main(base + [spec]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert main(base + ["q1,q 2"]) == 2
+    assert "TopicId must not contain whitespace: 'q 2'" in capsys.readouterr().err
 
 
 def test_evaluate_perfect_run_scores_one(tmp_path, capsys):

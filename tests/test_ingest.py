@@ -90,7 +90,7 @@ def test_parse_run_empty_is_error():
 
 def test_parse_qrels_minimal():
     q = parse_qrels(["1 0 d7 2"])
-    assert q.judgments == {(TopicId("1"), DocId("d7")): 2}
+    assert q.by_topic == {"1": {"d7": 2}}
 
 
 def test_parse_qrels_conflicting_duplicate_is_error():
@@ -107,7 +107,7 @@ def test_parse_qrels_equal_duplicate_warns_and_dedups():
 def test_parse_qrels_clamps_negative_grade():
     with pytest.warns(IngestWarning, match="clamped"):
         q = parse_qrels(["1 0 d7 -1"])
-    assert q.judgments[(TopicId("1"), DocId("d7"))] == 0
+    assert q.by_topic["1"]["d7"] == 0
 
 
 def test_parse_qrels_malformed_line():
@@ -326,6 +326,18 @@ def test_load_config_rejects_non_string_entries(tmp_path, field_name, value):
     bad[field_name] = value
     path.write_text(json.dumps([good, bad]))
     with pytest.raises(ParseError, match=f"entry 1: '{field_name}' must be a string"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("field_name", ["manifest", "qrels", "topics"])
+def test_load_config_rejects_empty_paths(tmp_path, field_name):
+    # an empty path would resolve to the config's own directory
+    path = tmp_path / "ees.json"
+    good = {"label": "t0", "manifest": "m", "qrels": "q", "topics": "t"}
+    bad = dict(good, label="t1")
+    bad[field_name] = ""
+    path.write_text(json.dumps([good, bad]))
+    with pytest.raises(ParseError, match=f"entry 1: '{field_name}' must be a non-empty path"):
         load_config(path)
 
 

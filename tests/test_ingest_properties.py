@@ -1,25 +1,29 @@
 """Properties of the parsers and writers over generated inputs: the run
 and qrels result does not depend on line order, canonical output
 re-parses to the same value, a repeated (topic, doc) pair is reported at
-its line, and the manifest writer emits the bytes of ``json.dumps``."""
+its line, the nested qrels map agrees with the flat (topic, doc) pairs it
+was built from, and the manifest writer emits the bytes of
+``json.dumps``."""
 
 import json
+import re
 import warnings
 from datetime import timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irdrift.ingest import (
     ParseError,
     format_manifest,
+    format_qrels,
     format_run,
     parse_manifest,
     parse_qrels,
     parse_run,
 )
-from irdrift.model import CorpusSnapshot, DocId, DocMeta
+from irdrift.model import CorpusSnapshot, DocId, DocMeta, Qrels
 
 # tokens as str.split() yields them: non-empty, no whitespace
 token = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s])
@@ -101,6 +105,54 @@ def test_conflicting_qrels_pair_is_reported_at_its_line(case, data):
         warnings.simplefilter("ignore")
         with pytest.raises(ParseError, match=f"^line {at + 1}: conflicting grades"):
             parse_qrels(lines)
+
+
+def nest(pairs):
+    """``{(topic, doc): grade}`` -> ``{topic: {doc: grade}}``."""
+    by_topic = {}
+    for (topic, doc), grade in pairs.items():
+        by_topic.setdefault(topic, {})[doc] = grade
+    return by_topic
+
+
+# grades 0..3: topics judged only 0, and grades above 1, are common
+flat_pairs = st.dictionaries(st.tuples(token, token), st.integers(0, 3), max_size=30)
+
+
+@SETTINGS
+@given(flat_pairs, st.data())
+@example({("a", "x"): 0, ("a", "y"): 0, ("b", "x"): 2, ("b", "z"): 3}, None)
+def test_nested_qrels_agree_with_their_flat_pairs(pairs, data):
+    qrels = Qrels(nest(pairs))
+    assert qrels.topics() == {topic for topic, _ in pairs}
+    assert len(qrels) == len(pairs)
+    # the writer's bytes are those of the flat pairs in (topic, doc) order
+    text = format_qrels(qrels)
+    assert text == "".join(f"{t} 0 {d} {g}\n" for (t, d), g in sorted(pairs.items()))
+    assert parse_qrels(text.splitlines()) == qrels
+
+    docs = sorted({doc for _, doc in pairs})
+    kept = {"x"} if data is None else data.draw(st.sets(st.sampled_from(docs or ["x"])))
+    restricted = qrels.restricted_to_docs(kept)
+    assert restricted == Qrels(nest({k: g for k, g in pairs.items() if k[1] in kept}))
+    emptied = {t for t, grades in qrels.by_topic.items() if not grades.keys() & kept}
+    assert restricted.topics() == qrels.topics() - emptied
+
+
+@SETTINGS
+@given(flat_pairs.filter(bool), st.integers(max_value=-1), st.data())
+def test_qrels_reject_negative_grades_and_empty_topics(pairs, negative, data):
+    topic, doc = data.draw(st.sampled_from(sorted(pairs)))
+    by_topic = nest(pairs)
+    by_topic[topic][doc] = negative
+    message = f"Qrels grade must be >= 0, got {negative} for ({topic}, {doc})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Qrels(by_topic)
+    by_topic = nest(pairs)
+    empty = data.draw(token.filter(lambda t: t not in by_topic))
+    by_topic[empty] = {}
+    with pytest.raises(ValueError, match="no judged docs"):
+        Qrels(by_topic)
 
 
 def reference_format_manifest(corpus):

@@ -127,12 +127,10 @@ def test_qrels_rejects_negative_grade():
 def test_qrels_topic_helpers():
     q = make_qrels({("1", "a"): 2, ("1", "b"): 0, ("2", "c"): 1})
     assert q.topics() == {"1", "2"}
-    assert q.for_topic(TopicId("1")) == {"a": 2, "b": 0}
-    assert q.relevant_docs(TopicId("1")) == {"a"}
-    assert q.nonrelevant_docs(TopicId("1")) == {"b"}
-    assert q.restricted_to_docs({DocId("a")}).judgments == {
-        (TopicId("1"), DocId("a")): 2
-    }
+    assert len(q) == 3
+    assert q.by_topic["1"] == {"a": 2, "b": 0}
+    # topic 2 keeps no judged doc, so it is dropped
+    assert q.restricted_to_docs({DocId("a")}).by_topic == {"1": {"a": 2}}
 
 
 def test_doc_meta_rejects_negative_length():

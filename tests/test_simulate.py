@@ -72,12 +72,15 @@ def test_qrels_restricted_to_present_docs():
         qrels=make_qrels({("1", "d0"): 1, ("1", "d8"): 1}),
     )
     t0, t1, t2 = split_append_only(base, SimulationPlan(num_slices=3))
-    pair = (TopicId("1"), DocId("d8"))
-    assert pair not in t0.qrels.judgments
-    assert pair not in t1.qrels.judgments
-    assert pair in t2.qrels.judgments
+    assert "d8" not in t0.qrels.by_topic["1"]
+    assert "d8" not in t1.qrels.by_topic["1"]
+    assert "d8" in t2.qrels.by_topic["1"]
+
+    def pairs(ee):
+        return {(t, d) for t, grades in ee.qrels.by_topic.items() for d in grades}
+
     # restriction is monotone
-    assert set(t0.qrels.judgments) <= set(t1.qrels.judgments) <= set(t2.qrels.judgments)
+    assert pairs(t0) <= pairs(t1) <= pairs(t2)
 
 
 def test_missing_timestamp_names_document():
