@@ -84,7 +84,8 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     prefixes, |prefix_i(r) & prefix_i(r')| / i, and d is the configured
     depth capped at the longer ranking's length. A ranking shorter than i
     contributes its full list as the prefix. Two empty rankings count as
-    identical (1.0).
+    identical (1.0). Two rankings that share one docs tuple skip the
+    prefix walk; the result has the walk's bits.
     """
     if r.topic != r_prime.topic:
         raise ValueError(
@@ -96,6 +97,18 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     depth = min(cfg.depth, longest)
     docs_a = r.docs
     docs_b = r_prime.docs
+    if docs_a is docs_b:
+        # a ranking compared with itself, as in the t0 rows of a change
+        # matrix: every prefix agrees fully, so total and norm below
+        # accumulate the same weights, in the same order
+        if cfg.normalize:
+            return 1.0
+        norm = 0.0
+        weight = 1.0
+        for _ in range(depth):
+            norm += weight
+            weight *= cfg.phi
+        return (1.0 - cfg.phi) * norm
     # unmatched prefix docs per side; a doc moves from one set into the
     # running overlap count the moment the other ranking reaches it
     pending_a: set[str] = set()
@@ -256,10 +269,6 @@ def build_matrix(
     labels = [env.label for env in envs]
     initial = labels[0]
     measures = sorted(measures, key=lambda m: m.name)
-    if scenario is Scenario.DTQ:
-        qrels_by_label = {label: envs[0].qrels for label in labels}
-    else:
-        qrels_by_label = {env.label: env.qrels for env in envs}
 
     for tag in sorted(runs):
         missing = [label for label in labels if label not in runs[tag]]
@@ -305,18 +314,22 @@ def build_matrix(
         family_size = max(1, len(runs) * (len(labels) - 1))
 
     by_tag = {**runs, pivot_tag: pivot} if pivot else runs
-    scores_cache: dict[tuple[str, str, MeasureSpec], PerTopicScores] = {}
-
-    def per_topic_scores(tag: str, label: str, measure: MeasureSpec) -> PerTopicScores:
-        key = (tag, label, measure)
-        if key not in scores_cache:
-            scores_cache[key] = eff.evaluate_run(
-                by_tag[tag][label], qrels_by_label[label], measure, common
-            )
-        return scores_cache[key]
+    # one scoring call per recall base: dtq scores every environment
+    # against t0's qrels, dtq-prime each against its own
+    if scenario is Scenario.DTQ:
+        batches = [(envs[0].qrels, labels)]
+    else:
+        batches = [(env.qrels, [env.label]) for env in envs]
+    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores] = {}
+    for qrels, batch in batches:
+        keys = [(tag, label) for label in batch for tag in sorted(by_tag) if label in by_tag[tag]]
+        scored = eff.score_runs([by_tag[t][l] for t, l in keys], qrels, measures, common)
+        for (tag, label), by_measure in zip(keys, scored):
+            for measure, scores in by_measure.items():
+                per_topic[tag, label, measure] = scores
 
     def arp_of(tag: str, label: str, measure: MeasureSpec) -> ArpResult:
-        return eff.arp(per_topic_scores(tag, label, measure))
+        return eff.arp(per_topic[tag, label, measure])
 
     rows: list[ChangeReport] = []
     # an incomplete pivot gets no rows of its own
@@ -326,8 +339,8 @@ def build_matrix(
                 overlap = mean_rbo(by_tag[tag][initial], by_tag[tag][label], rbo, common)
                 rmse_map = {
                     measure: rmse(
-                        per_topic_scores(tag, initial, measure),
-                        per_topic_scores(tag, label, measure),
+                        per_topic[tag, initial, measure],
+                        per_topic[tag, label, measure],
                     )
                     for measure in measures
                 }
@@ -380,8 +393,8 @@ def build_matrix(
                     delta_ri_map[measure] = None
                 try:
                     significant_map[measure] = sig.compare(
-                        per_topic_scores(tag, label, measure),
-                        per_topic_scores(pivot_tag, label, measure),
+                        per_topic[tag, label, measure],
+                        per_topic[pivot_tag, label, measure],
                         alpha=alpha,
                         family_size=family_size,
                     ).significant

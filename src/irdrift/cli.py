@@ -69,17 +69,22 @@ def _check_label(label: str, labels: list[str]) -> None:
 
 
 def _load_environments(
-    config_path: str, only: tuple[str, ...] = ()
+    config_path: str, only: tuple[str, ...] = (), load_all: bool = False
 ) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
     """The config's labels and its environments; with `only`, each of its
-    labels is checked first and just those environments are loaded."""
+    labels is checked before any file is read and just those environments
+    are loaded, unless `load_all`."""
     configs = load_config(config_path)
     if not configs:
         raise CliError(f"{config_path}: config lists no environments")
     labels = [cfg.label for cfg in configs]
     for label in only:
         _check_label(label, labels)
-    envs = {cfg.label: load_environment(cfg) for cfg in configs if not only or cfg.label in only}
+    envs = {
+        cfg.label: load_environment(cfg)
+        for cfg in configs
+        if load_all or not only or cfg.label in only
+    }
     return labels, envs
 
 
@@ -112,17 +117,19 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    labels, envs = _load_environments(args.config)
-    _check_label(args.ee, labels)
-    env = envs[args.ee]
-    measures = _parse_measures(args.measures)
+    # the other environments matter only for their common topics
+    labels, envs = _load_environments(
+        args.config, only=(args.ee,), load_all=args.topics == "common"
+    )
+    measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
     topic_filter = _resolve_topic_filter(args.topics, labels, envs)
-    runs = [load_run(path, args.ee) for path in args.run]
+    runs = sorted((load_run(path, args.ee) for path in args.run), key=lambda r: r.system_tag)
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
-    for run in sorted(runs, key=lambda r: r.system_tag):
-        for measure in sorted(measures, key=lambda m: m.name):
-            scores = eff.evaluate_run(run, env.qrels, measure, topic_filter)
+    scored = eff.score_runs(runs, envs[args.ee].qrels, measures, topic_filter)
+    for run, by_measure in zip(runs, scored):
+        for measure in measures:
+            scores = by_measure[measure]
             result = eff.arp(scores)  # raises when no topic was evaluable
             if args.per_topic:
                 for topic in sorted(scores.scores):

@@ -7,14 +7,28 @@ eligibility use that rule; nDCG consumes the raw grades. Each measure
 reads its topic's grade map from ``Qrels.by_topic`` directly. Topics
 without any judged-relevant document are excluded from evaluation
 rather than scored zero, matching standard TREC evaluation behavior.
+
+Scoring is organised in three layers. :func:`score_runs` is the engine:
+it scores several runs under several measures against one qrels in one
+pass, deciding eligibility once, computing each topic's judgment facts
+once (the grades sorted into the ideal ranking, R, N and the ideal DCG
+of each depth) and looking each ranking's docs up in the grades once.
+Each measure's arithmetic lives in one private kernel that reads that
+list of gains. :func:`precision_at_k`, :func:`ndcg`, :func:`bpref` and
+:func:`evaluate_run` are thin callers of the same kernels, so every path
+gives the same bits. The facts live only for one call; nothing is cached
+between calls or stored on ``Qrels``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .model import (
+    DocId,
     MeasureKind,
     MeasureSpec,
     PerTopicScores,
@@ -50,9 +64,7 @@ def precision_at_k(ranking: Ranking, qrels: Qrels, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grades = qrels.by_topic.get(ranking.topic, {})
-    hits = sum(1 for doc in ranking.docs[:k] if grades.get(doc, 0) >= 1)
-    return hits / k
+    return _precision(_gains(ranking.docs[:k], qrels.by_topic.get(ranking.topic, {})), k)
 
 
 def ndcg(ranking: Ranking, qrels: Qrels, k: int | None = None) -> float:
@@ -62,16 +74,10 @@ def ndcg(ranking: Ranking, qrels: Qrels, k: int | None = None) -> float:
     ideal ranking is the topic's judged grades sorted descending; returns
     0 when its gain is 0 (no relevant documents).
     """
-    grades = qrels.by_topic.get(ranking.topic, {})
+    facts = _TopicFacts(qrels.by_topic.get(ranking.topic, {}))
     depth = k if k is not None else len(ranking)
-    dcg = 0.0
-    for i, doc in enumerate(ranking.docs[:depth], start=1):
-        dcg += grades.get(doc, 0) / math.log2(i + 1)
-    ideal = sorted(grades.values(), reverse=True)[:depth]
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
+    discounts = _discounts(max(len(ranking), len(facts.ideal)))
+    return _ndcg(_gains(ranking.docs, facts.grades), depth, facts, discounts)
 
 
 def bpref(ranking: Ranking, qrels: Qrels) -> float:
@@ -85,32 +91,8 @@ def bpref(ranking: Ranking, qrels: Qrels) -> float:
     document contributes 1. Returns 0 when the topic has no judged
     relevant documents.
     """
-    grades = qrels.by_topic.get(ranking.topic, {})
-    big_r = sum(1 for grade in grades.values() if grade >= 1)
-    big_n = len(grades) - big_r
-    if big_r == 0:
-        return 0.0
-    total = 0.0
-    nonrel_above = 0
-    for doc in ranking.docs:
-        grade = grades.get(doc)
-        if grade is None:
-            continue
-        if grade < 1:
-            nonrel_above += 1
-        elif big_n == 0:
-            total += 1.0
-        else:
-            total += 1.0 - min(nonrel_above, big_r) / min(big_r, big_n)
-    return total / big_r
-
-
-def _score_one(ranking: Ranking, qrels: Qrels, measure: MeasureSpec) -> float:
-    if measure.kind is MeasureKind.PRECISION:
-        return precision_at_k(ranking, qrels, measure.cutoff)
-    if measure.kind is MeasureKind.NDCG:
-        return ndcg(ranking, qrels, measure.cutoff)
-    return bpref(ranking, qrels)
+    facts = _TopicFacts(qrels.by_topic.get(ranking.topic, {}))
+    return _bpref(_gains(ranking.docs, facts.grades), facts.big_r, facts.big_n)
 
 
 def evaluate_run(
@@ -126,26 +108,63 @@ def evaluate_run(
     run did not answer scores 0. Without a filter, only topics present in
     the run are evaluated.
     """
-    eligible = {
-        topic for topic, grades in qrels.by_topic.items() if max(grades.values()) >= 1
-    }
+    return score_runs([run], qrels, [measure], topic_filter)[0][measure]
+
+
+def score_runs(
+    runs: Sequence[RunFile],
+    qrels: Qrels,
+    measures: Iterable[MeasureSpec],
+    topic_filter: set[TopicId] | None = None,
+) -> list[dict[MeasureSpec, PerTopicScores]]:
+    """Score several runs under several measures against one qrels.
+
+    Returns, for each run in order, its scores under each measure, each
+    equal bit for bit to ``evaluate_run(run, qrels, measure,
+    topic_filter)``. Eligibility is decided once, each topic's judgment
+    facts are computed once, and each ranking's docs are looked up in the
+    grades once for every measure.
+    """
+    measures = list(measures)
+    by_topic = qrels.by_topic
     if topic_filter is None:
-        topics = run.topics() & eligible
+        candidates = set().union(*(run.rankings for run in runs))
     else:
-        topics = topic_filter & eligible
-    scores: dict[TopicId, float] = {}
-    for topic in sorted(topics):
-        ranking = run.rankings.get(topic)
-        if ranking is None:
-            scores[topic] = 0.0
-        else:
-            scores[topic] = _score_one(ranking, qrels, measure)
-    return PerTopicScores(
-        measure=measure,
-        system_tag=run.system_tag,
-        ee_label=run.ee_label,
-        scores=scores,
+        candidates = topic_filter
+    facts = {topic: _TopicFacts(by_topic[topic]) for topic in candidates if topic in by_topic}
+    # a topic with R >= 1 is one whose highest grade is >= 1
+    eligible = sorted(topic for topic, fact in facts.items() if fact.big_r)
+    # bpref and nDCG without a cutoff read the whole ranking
+    full = any(m.cutoff is None for m in measures)
+    depth = None if full else max((m.cutoff for m in measures), default=0)
+    longest = max(
+        [len(ranking) for run in runs for ranking in run.rankings.values()]
+        + [len(fact.ideal) for fact in facts.values()],
+        default=0,
     )
+    discounts = _discounts(longest)
+    results: list[dict[MeasureSpec, PerTopicScores]] = []
+    for run in runs:
+        rankings = run.rankings
+        topics = eligible if topic_filter is not None else [t for t in eligible if t in rankings]
+        per_measure: dict[MeasureSpec, dict[TopicId, float]] = {m: {} for m in measures}
+        for topic in topics:
+            ranking = rankings.get(topic)
+            if ranking is None:
+                for scores in per_measure.values():
+                    scores[topic] = 0.0
+                continue
+            fact = facts[topic]
+            gains = _gains(ranking.docs[:depth], fact.grades)
+            for measure, scores in per_measure.items():
+                scores[topic] = _score(measure, gains, fact, discounts)
+        results.append(
+            {
+                measure: PerTopicScores(measure, run.system_tag, run.ee_label, scores)
+                for measure, scores in per_measure.items()
+            }
+        )
+    return results
 
 
 def arp(scores: PerTopicScores) -> ArpResult:
@@ -164,3 +183,88 @@ def arp(scores: PerTopicScores) -> ArpResult:
         mean=sum(ordered) / len(ordered),
         evaluated_topic_count=len(ordered),
     )
+
+
+# --- one copy of each measure's arithmetic --------------------------------
+
+# the gain of a retrieved doc the topic does not judge; real grades are >= 0
+_UNJUDGED = -1
+
+
+class _TopicFacts:
+    """One topic's judgment facts: its grade map, its grades sorted
+    descending (the ideal ranking), R (grades >= 1), N (the other judged
+    docs) and the ideal DCG of each depth asked for so far."""
+
+    __slots__ = ("grades", "ideal", "big_r", "big_n", "_idcg")
+
+    def __init__(self, grades: dict[DocId, int]) -> None:
+        self.grades = grades
+        self.ideal = sorted(grades.values(), reverse=True)
+        self.big_r = sum(1 for grade in self.ideal if grade >= 1)
+        self.big_n = len(self.ideal) - self.big_r
+        self._idcg: dict[int, float] = {}
+
+    def idcg(self, depth: int, discounts: list[float]) -> float:
+        # past the ideal list's length every depth cuts the same prefix
+        depth = min(depth, len(self.ideal))
+        value = self._idcg.get(depth)
+        if value is None:
+            value = self._idcg[depth] = sum(
+                g / discounts[i] for i, g in enumerate(self.ideal[:depth])
+            )
+        return value
+
+
+def _discounts(n: int) -> list[float]:
+    """log2(i + 1) for the ranks i = 1..n, indexed from 0."""
+    return [math.log2(rank + 1) for rank in range(1, n + 1)]
+
+
+def _gains(docs: Sequence[DocId], grades: dict[DocId, int]) -> list[int]:
+    """Each doc's grade, or _UNJUDGED."""
+    return list(map(grades.get, docs, repeat(_UNJUDGED)))
+
+
+def _precision(gains: list[int], k: int) -> float:
+    return sum(1 for g in gains[:k] if g >= 1) / k
+
+
+def _ndcg(gains: list[int], depth: int, facts: _TopicFacts, discounts: list[float]) -> float:
+    idcg = facts.idcg(depth, discounts)
+    if idcg == 0.0:
+        return 0.0
+    dcg = 0.0
+    for i, g in enumerate(gains[:depth]):
+        # a zero or unjudged gain would add exactly 0.0
+        if g > 0:
+            dcg += g / discounts[i]
+    return dcg / idcg
+
+
+def _bpref(gains: list[int], big_r: int, big_n: int) -> float:
+    if big_r == 0:
+        return 0.0
+    total = 0.0
+    nonrel_above = 0
+    denominator = min(big_r, big_n)
+    for g in gains:
+        if g >= 1:
+            if big_n == 0:
+                total += 1.0
+            else:
+                total += 1.0 - min(nonrel_above, big_r) / denominator
+        elif g != _UNJUDGED:
+            nonrel_above += 1
+    return total / big_r
+
+
+def _score(
+    measure: MeasureSpec, gains: list[int], facts: _TopicFacts, discounts: list[float]
+) -> float:
+    if measure.kind is MeasureKind.PRECISION:
+        return _precision(gains, measure.cutoff)
+    if measure.kind is MeasureKind.NDCG:
+        depth = len(gains) if measure.cutoff is None else measure.cutoff
+        return _ndcg(gains, depth, facts, discounts)
+    return _bpref(gains, facts.big_r, facts.big_n)

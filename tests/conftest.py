@@ -120,16 +120,28 @@ def make_environment(
     return EvaluationEnvironment(label=label, corpus=corpus, topics=topics, qrels=qrels)
 
 
-def underflowing_scores(run, qrels, measure, topic_filter=None) -> PerTopicScores:
-    """Stand-in for ``evaluate_run``: every run scores 0.5 on q1 and 0 on
-    q2, except that the pivot zpivot scores 1.27e-225 on q2. The paired
-    differences to the pivot, 0 and -1.27e-225, vary, but each squared
-    deviation from their mean underflows to 0 unless they are scaled
-    first."""
-    scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
-    if run.system_tag == "zpivot":
-        scores[TopicId("q2")] = 1.27e-225
-    return PerTopicScores(measure, run.system_tag, run.ee_label, scores)
+class UnderflowingScores:
+    """Stand-in for ``effectiveness.score_runs``: every run scores 0.5 on
+    q1 and 0 on q2 under every measure, except that the pivot zpivot
+    scores 1.27e-225 on q2. The paired differences to the pivot, 0 and
+    -1.27e-225, vary, but each squared deviation from their mean
+    underflows to 0 unless they are scaled first. ``calls`` counts the
+    calls it served."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, runs, qrels, measures, topic_filter=None):
+        self.calls += 1
+        results = []
+        for run in runs:
+            scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
+            if run.system_tag == "zpivot":
+                scores[TopicId("q2")] = 1.27e-225
+            results.append(
+                {m: PerTopicScores(m, run.system_tag, run.ee_label, scores) for m in measures}
+            )
+        return results
 
 
 CLI_TOPICS = [f"q{i}" for i in range(1, 9)]

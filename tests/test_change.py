@@ -31,6 +31,7 @@ from irdrift.report import Scenario
 from conftest import (
     CLI_TOPICS,
     NO_SHRINK,
+    UnderflowingScores,
     make_environment,
     make_ranking,
     make_run,
@@ -38,7 +39,6 @@ from conftest import (
     synth_corpus,
     synth_qrels,
     synth_run,
-    underflowing_scores,
 )
 
 
@@ -73,6 +73,19 @@ def _arp(mean, measure="p@10", tag="s", ee="t0", n=10) -> ArpResult:
 def test_rbo_identity_is_exactly_one():
     r = make_ranking("1", ["a", "b", "c"])
     assert rbo_topic(r, r, RboConfig(phi=0.9, depth=100, normalize=True)) == 1.0
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_rbo_of_a_ranking_with_itself_has_the_bits_of_the_walk(normalize):
+    docs = [f"d{i}" for i in range(40)]
+    ranking = make_ranking("1", docs)
+    # equal docs in a tuple of its own, so this comparison walks the prefixes
+    copy = make_ranking("1", docs)
+    assert copy.docs == ranking.docs and copy.docs is not ranking.docs
+    for phi in (0.1, 0.5, 0.9, 0.98):
+        for depth in (1, 7, 40, 1000):
+            cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
+            assert rbo_topic(ranking, ranking, cfg).hex() == rbo_topic(ranking, copy, cfg).hex()
 
 
 def test_rbo_disjoint_is_zero():
@@ -203,6 +216,10 @@ def test_mean_rbo_missing_topic_warns_and_scores_zero():
     with pytest.warns(ChangeWarning, match="missing"):
         scores = mean_rbo(a, b, RboConfig(), {TopicId("1"), TopicId("2")})
     assert scores.per_topic[TopicId("2")] == 0.0
+    # a run compared with itself keeps the rule for a topic it lacks
+    with pytest.warns(ChangeWarning, match="missing"):
+        scores = mean_rbo(a, a, RboConfig(), {TopicId("1"), TopicId("2")})
+    assert scores.per_topic == {TopicId("1"): 1.0, TopicId("2"): 0.0}
 
 
 def test_mean_rbo_empty_filter_is_error():
@@ -399,10 +416,12 @@ def test_build_matrix_default_family_is_systems_times_later_environments(monkeyp
 
 def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(monkeypatch):
     envs, runs, pivot = _matrix_inputs()
-    monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
+    stand_in = UnderflowingScores()
+    monkeypatch.setattr(effectiveness, "score_runs", stand_in)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ChangeWarning)
         matrix = _build(envs, runs, pivot)
+    assert stand_in.calls == 2  # one per environment's qrels
     # the differences 0 and -1.27e-225 give t = -1 and p = 0.5
     alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
     assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES, False)] * 2

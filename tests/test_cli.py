@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +12,11 @@ from irdrift.ingest import format_manifest, format_qrels, format_topics
 from irdrift.model import TopicDef, TopicId
 
 from conftest import (
+    UnderflowingScores,
     change_argv,
     pivot_argv,
     synth_corpus,
     synth_qrels,
-    underflowing_scores,
     write_cli_fixture,
 )
 
@@ -68,6 +69,37 @@ def test_diff_reports_an_unknown_label_before_a_parse_error(tmp_path, capsys):
     assert main(["diff", "--config", str(config), "--from", "t2", "--to", "t9"]) == 2
     err = capsys.readouterr().err
     assert "unknown environment label 't9'; known labels: t0, t1, t2" in err
+
+
+def test_evaluate_reads_only_its_environment_unless_topics_are_common(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path)
+    argv = ["evaluate", "--config", str(config), "--ee", "t0", "--run", runs[("alpha", "t0")]]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    entries = json.loads(config.read_text())
+    # t2 judges t1's documents but lists only t0's, so validating it warns
+    entries.append({"label": "t2", "manifest": "t0.manifest.jsonl", "qrels": "t1.qrels.txt"})
+    config.write_text(json.dumps(entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+    with pytest.warns(UserWarning, match="absent from the corpus snapshot"):
+        assert main(argv + ["--topics", "common"]) == 0
+
+
+def test_evaluate_reports_an_unknown_label_before_a_parse_error(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path)
+    _add_broken_t2(config)
+    argv = ["evaluate", "--config", str(config), "--run", runs[("alpha", "t0")]]
+    assert main(argv + ["--ee", "t0"]) == 0
+    capsys.readouterr()
+    for topics in ([], ["--topics", "common"]):
+        assert main(argv + ["--ee", "t9"] + topics) == 2
+        err = capsys.readouterr().err
+        assert "unknown environment label 't9'; known labels: t0, t1, t2" in err
+    assert main(argv + ["--ee", "t0", "--topics", "common"]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_evaluate_three_measures(tmp_path, capsys):
@@ -179,6 +211,23 @@ def test_evaluate_run_without_judged_topics_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "no evaluated topics" in capsys.readouterr().err
+
+
+PINNED = Path(__file__).resolve().parent / "change_stdout"
+
+
+@pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
+@pytest.mark.parametrize("case", ["dtq", "dtq-prime-pivot"])
+def test_change_stdout_matches_its_pin(tmp_path, capsysbinary, case, fmt, ext):
+    if case == "dtq":
+        config, runs = write_cli_fixture(tmp_path)
+        argv = change_argv(config, runs, "dtq")
+    else:
+        config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
+        argv = pivot_argv(config, runs)
+    assert main(argv + ["--format", fmt]) == 0
+    # the whole output, byte for byte, as first recorded
+    assert capsysbinary.readouterr().out == (PINNED / f"{case}.{ext}").read_bytes()
 
 
 def test_change_dtq_matrix_shape_and_ideal_t0(tmp_path, capsys):
@@ -347,10 +396,12 @@ def test_change_squared_deviation_underflow_gives_false_significance(
     tmp_path, capsys, monkeypatch
 ):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
-    monkeypatch.setattr(effectiveness, "evaluate_run", underflowing_scores)
+    stand_in = UnderflowingScores()
+    monkeypatch.setattr(effectiveness, "score_runs", stand_in)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)
         assert main(pivot_argv(config, runs)) == 0
+    assert stand_in.calls == 2  # one per environment's qrels
     lines = capsys.readouterr().out.splitlines()
     header = lines[0].split(",")
     cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
