@@ -25,6 +25,7 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import effectiveness as eff
 from . import significance as sig
@@ -110,31 +111,31 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
             weight *= cfg.phi
         return (1.0 - cfg.phi) * norm
     # unmatched prefix docs per side; a doc moves from one set into the
-    # running overlap count the moment the other ranking reaches it
+    # running overlap count the moment the other ranking reaches it. A
+    # ranking shorter than i yields None there (no doc id is None).
     pending_a: set[str] = set()
     pending_b: set[str] = set()
     overlap = 0
     total = 0.0
     norm = 0.0
     weight = 1.0  # phi**(i-1)
-    for i in range(1, depth + 1):
-        if i <= len(docs_a):
-            doc = docs_a[i - 1]
-            if doc in pending_b:
-                pending_b.remove(doc)
+    phi = cfg.phi
+    for i, (doc_a, doc_b) in enumerate(zip_longest(docs_a[:depth], docs_b[:depth]), 1):
+        if doc_a is not None:
+            if doc_a in pending_b:
+                pending_b.remove(doc_a)
                 overlap += 1
             else:
-                pending_a.add(doc)
-        if i <= len(docs_b):
-            doc = docs_b[i - 1]
-            if doc in pending_a:
-                pending_a.remove(doc)
+                pending_a.add(doc_a)
+        if doc_b is not None:
+            if doc_b in pending_a:
+                pending_a.remove(doc_b)
                 overlap += 1
             else:
-                pending_b.add(doc)
+                pending_b.add(doc_b)
         total += weight * (overlap / i)
         norm += weight
-        weight *= cfg.phi
+        weight *= phi
     # norm accumulates sum(phi**(i-1)) the same way as total, so
     # (1-phi)*total / ((1-phi)*norm) is exactly 1.0 for identical rankings;
     # (1-phi)*norm equals the closed form 1 - phi**depth

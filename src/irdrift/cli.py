@@ -69,11 +69,15 @@ def _check_label(label: str, labels: list[str]) -> None:
 
 
 def _load_environments(
-    config_path: str, only: tuple[str, ...] = (), load_all: bool = False
+    config_path: str,
+    only: tuple[str, ...] = (),
+    load_all: bool = False,
+    corpus: bool = True,
 ) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
     """The config's labels and its environments; with `only`, each of its
     labels is checked before any file is read and just those environments
-    are loaded, unless `load_all`."""
+    are loaded, unless `load_all`. Without `corpus`, manifests are checked
+    but only their doc ids are kept (see `load_environment`)."""
     configs = load_config(config_path)
     if not configs:
         raise CliError(f"{config_path}: config lists no environments")
@@ -81,7 +85,7 @@ def _load_environments(
     for label in only:
         _check_label(label, labels)
     envs = {
-        cfg.label: load_environment(cfg)
+        cfg.label: load_environment(cfg, corpus=corpus)
         for cfg in configs
         if load_all or not only or cfg.label in only
     }
@@ -119,11 +123,21 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # the other environments matter only for their common topics
     labels, envs = _load_environments(
-        args.config, only=(args.ee,), load_all=args.topics == "common"
+        args.config, only=(args.ee,), load_all=args.topics == "common", corpus=False
     )
     measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
     topic_filter = _resolve_topic_filter(args.topics, labels, envs)
-    runs = sorted((load_run(path, args.ee) for path in args.run), key=lambda r: r.system_tag)
+    runs = [load_run(path, args.ee) for path in args.run]
+    tagged: dict[str, str] = {}
+    for path, run in zip(args.run, runs):
+        if run.system_tag in tagged:
+            # two rows per (system, measure, topic) could not be told apart
+            raise CliError(
+                f"--run {path!r}: system tag {run.system_tag!r} is also the tag of "
+                f"--run {tagged[run.system_tag]!r}; each run needs its own tag"
+            )
+        tagged[run.system_tag] = path
+    runs.sort(key=lambda r: r.system_tag)
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
     scored = eff.score_runs(runs, envs[args.ee].qrels, measures, topic_filter)
@@ -195,7 +209,7 @@ def cmd_change(args: argparse.Namespace) -> int:
         raise CliError(f"--alpha/--family-size: {exc}") from None
     measures = _parse_measures(args.measures)
     rbo = cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize)
-    labels, envs = _load_environments(args.config)
+    labels, envs = _load_environments(args.config, corpus=False)
     scenario = rep.Scenario(args.scenario)
 
     qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")

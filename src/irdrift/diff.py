@@ -131,7 +131,14 @@ def diff_qrels(a: Qrels, b: Qrels) -> ComponentDiff:
 def summarize(
     a: EvaluationEnvironment, b: EvaluationEnvironment
 ) -> ChangeSummary:
-    """Bundle the three component diffs for an ordered environment pair."""
+    """Bundle the three component diffs for an ordered environment pair.
+
+    Both environments need their corpus snapshot: one loaded with
+    ``corpus=False`` is rejected with a ``ValueError``.
+    """
+    for ee in (a, b):
+        if ee.corpus is None:
+            raise ValueError(f"environment {ee.label} carries no corpus snapshot to diff")
     return ChangeSummary(
         from_label=a.label,
         to_label=b.label,

@@ -27,9 +27,14 @@ whitespace-free id and needs no further check. Ids read from JSON
 JSON-lines records are decoded by one helper that accepts exactly what
 ``json.loads`` accepts, with its error messages. A manifest parses each
 distinct timestamp text once and shares the resulting (immutable)
-datetime between its documents. The JSON writers emit exactly the bytes
-``json.dumps`` gives for each record, with its default separators and
-ASCII escaping.
+datetime between its documents. Manifests have one line loop with two
+outputs: :func:`parse_manifest` keeps each document's :class:`DocMeta`,
+:func:`parse_manifest_ids` only its id. Both make the same checks in the
+same order with the same messages, so they accept the same files;
+``load_environment(config, corpus=False)`` reads manifests the second
+way, for callers that score runs and need no document metadata. The
+JSON writers emit exactly the bytes ``json.dumps`` gives for each
+record, with its default separators and ASCII escaping.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
+from operator import neg
 from pathlib import Path
 from typing import Iterable
 
@@ -90,6 +96,10 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
     system_tag: str | None = None
     # topic -> doc -> score; the inner dict also detects duplicate pairs
     by_topic: dict[str, dict[str, float]] = {}
+    # a run lists a topic's lines together, so its dict is looked up only
+    # when the topic changes
+    prev_topic: str | None = None
+    docs: dict[str, float] = {}
     for lineno, raw in enumerate(lines, start=1):
         cols = raw.split()
         if not cols:
@@ -100,7 +110,7 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
                 f"got {len(cols)}"
             )
         topic, q0, doc, rank_s, score_s, tag = cols
-        if q0.lower() != "q0":
+        if q0 != "Q0" and q0.lower() != "q0":
             raise ParseError(f"line {lineno}: column 2 must be the literal Q0, got {q0!r}")
         try:
             int(rank_s)  # the rank column is validated but not trusted
@@ -113,21 +123,24 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
         if not isfinite(score):
             # NaN is unordered, so the canonical sort would follow line order
             raise ParseError(f"line {lineno}: non-finite score {score_s!r}")
-        docs = by_topic.get(topic)
-        if docs is None:
-            docs = by_topic[topic] = {}
-        elif doc in docs:
+        if topic != prev_topic:
+            prev_topic = topic
+            docs = by_topic.get(topic)
+            if docs is None:
+                docs = by_topic[topic] = {}
+        if doc in docs:
             raise ParseError(f"line {lineno}: duplicate entry for topic {topic}, doc {doc}")
         docs[doc] = score
-        if system_tag is None:
-            system_tag = tag
-        elif tag != system_tag:
-            warnings.warn(
-                f"line {lineno}: mixed run tags ({tag!r} after {system_tag!r}); "
-                f"keeping the first",
-                IngestWarning,
-                stacklevel=2,
-            )
+        if tag != system_tag:
+            if system_tag is None:
+                system_tag = tag
+            else:
+                warnings.warn(
+                    f"line {lineno}: mixed run tags ({tag!r} after {system_tag!r}); "
+                    f"keeping the first",
+                    IngestWarning,
+                    stacklevel=2,
+                )
     if system_tag is None:
         raise ParseError("empty run: no lines to take a system tag from")
     rankings = {
@@ -137,9 +150,10 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
 
 
 def _canonical_ranking(topic: str, docs: dict[str, float]) -> Ranking:
-    ordered = sorted(docs.items(), key=lambda e: (-e[1], e[0]))
-    doc_ids, scores = zip(*ordered)
-    return Ranking(topic, doc_ids, scores)
+    # (-score, doc) pairs sort as the key (score descending, doc ascending);
+    # the scores are read back from `docs`, so each keeps its own bits
+    _, doc_ids = zip(*sorted(zip(map(neg, docs.values()), docs)))
+    return Ranking(topic, doc_ids, tuple(map(docs.__getitem__, doc_ids)))
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:
@@ -151,6 +165,8 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
     """
     # topic -> doc -> grade; the inner dict also detects duplicate pairs
     by_topic: dict[str, dict[str, int]] = {}
+    prev_topic: str | None = None  # as in parse_run
+    grades: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         cols = raw.split()
         if not cols:
@@ -173,10 +189,12 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
                 stacklevel=2,
             )
             grade = 0
-        grades = by_topic.get(topic)
-        if grades is None:
-            grades = by_topic[topic] = {}
-        elif doc in grades:
+        if topic != prev_topic:
+            prev_topic = topic
+            grades = by_topic.get(topic)
+            if grades is None:
+                grades = by_topic[topic] = {}
+        if doc in grades:
             if grades[doc] != grade:
                 raise ParseError(
                     f"line {lineno}: conflicting grades for topic {topic}, doc {doc}: "
@@ -213,15 +231,20 @@ def _parse_timestamp(value: str, lineno: int) -> datetime:
 
 _scan_json = json.JSONDecoder().scan_once
 
+# what _json_line returns for a blank line; JSON ``null`` decodes to None
+_BLANK = object()
+
 
 def _json_line(raw: str, lineno: int) -> object:
-    """Decode one JSON-lines record as ``json.loads(raw)`` does.
+    """Decode one JSON-lines record as ``json.loads(raw)`` does, or return
+    ``_BLANK`` for a line of whitespace only.
 
     The C scanner decodes the common line, one value from its first byte
     up to an optional final newline, without the regex passes of
     ``json.loads``; every other line (surrounding whitespace, a BOM,
     extra data, malformed JSON) goes to ``json.loads`` itself, so what is
-    accepted and the message of what is not stay its own.
+    accepted and the message of what is not stay its own. A blank line
+    never scans, so it is recognised there too.
     """
     try:
         value, end = _scan_json(raw, 0)
@@ -230,21 +253,25 @@ def _json_line(raw: str, lineno: int) -> object:
     else:
         if end == len(raw) or (end == len(raw) - 1 and raw[end] == "\n"):
             return value
+    if not raw.strip():
+        return _BLANK
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
 
 
-def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
-    """Parse a JSON-lines corpus manifest into a snapshot."""
-    docs: dict[DocId, DocMeta] = {}
+def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta | None]:
+    """The one manifest line loop: every line is checked in full, and each
+    doc id maps to its :class:`DocMeta` if `keep_meta`, else to None."""
+    docs: dict[DocId, DocMeta | None] = {}
     # timestamp text -> parsed instant; manifests repeat few distinct dates
     stamps: dict[str, datetime] = {}
+    meta = None
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
         obj = _json_line(raw, lineno)
+        if obj is _BLANK:
+            continue
         if not isinstance(obj, dict):
             raise ParseError(f"line {lineno}: manifest line must be a JSON object")
         try:
@@ -271,12 +298,11 @@ def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
             content_hash = obj.get("hash")
             if content_hash is not None and not isinstance(content_hash, str):
                 raise ParseError(f"line {lineno}: hash must be a string")
-            meta = DocMeta(
-                doc_id=doc_id,
-                length=length,
-                timestamp=timestamp,
-                content_hash=content_hash,
-            )
+            if keep_meta:
+                meta = DocMeta(doc_id, length, timestamp, content_hash)
+            elif length < 0:
+                # the check DocMeta would make, with its message
+                raise ValueError(f"DocMeta length must be >= 0, got {length}")
         except ParseError:
             raise
         except ValueError as exc:
@@ -284,16 +310,31 @@ def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
         if doc_id in docs:
             raise ParseError(f"line {lineno}: duplicate doc_id {doc_id}")
         docs[doc_id] = meta
-    return CorpusSnapshot(docs)
+    return docs
+
+
+def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
+    """Parse a JSON-lines corpus manifest into a snapshot."""
+    return CorpusSnapshot(_read_manifest(lines, keep_meta=True))
+
+
+def parse_manifest_ids(lines: Iterable[str]) -> set[DocId]:
+    """The doc ids of a JSON-lines corpus manifest.
+
+    Every line gets the checks of :func:`parse_manifest`, in the same
+    order and with the same messages, so both accept the same manifests;
+    only the ids are kept.
+    """
+    return set(_read_manifest(lines, keep_meta=False))
 
 
 def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
     """Parse a JSON-lines topic file: ``{"topic_id": ..., "text": ...}``."""
     topics: dict[TopicId, TopicDef] = {}
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
         obj = _json_line(raw, lineno)
+        if obj is _BLANK:
+            continue
         if not isinstance(obj, dict) or "topic_id" not in obj:
             raise ParseError(f"line {lineno}: topic line must carry topic_id")
         if not isinstance(obj["topic_id"], str):
@@ -363,14 +404,21 @@ def load_config(path: Path | str) -> list[EEConfig]:
     return configs
 
 
-def load_environment(config: EEConfig) -> EvaluationEnvironment:
+def load_environment(config: EEConfig, *, corpus: bool = True) -> EvaluationEnvironment:
     """Assemble an environment from its files.
 
     Without a topics file the topic set is inferred from the qrels' topic
     ids with empty text. Validation findings are emitted as warnings; they
-    never block assembly.
+    never block assembly. With ``corpus=False`` the manifest is checked
+    line by line as :func:`parse_manifest` checks it, but only its doc ids
+    are kept, for the findings; the environment's ``corpus`` is None.
     """
-    corpus = _parse_file(parse_manifest, config.manifest_path)
+    if corpus:
+        snapshot = _parse_file(parse_manifest, config.manifest_path)
+        doc_ids = None
+    else:
+        snapshot = None
+        doc_ids = _parse_file(parse_manifest_ids, config.manifest_path)
     qrels = _parse_file(parse_qrels, config.qrels_path)
     if config.topics_path is not None:
         topics = _parse_file(parse_topics, config.topics_path)
@@ -380,9 +428,9 @@ def load_environment(config: EEConfig) -> EvaluationEnvironment:
             for topic in sorted(qrels.topics())
         }
     ee = EvaluationEnvironment(
-        label=config.label, corpus=corpus, topics=topics, qrels=qrels
+        label=config.label, corpus=snapshot, topics=topics, qrels=qrels
     )
-    for finding in validate_environment(ee):
+    for finding in validate_environment(ee, doc_ids):
         warnings.warn(
             f"environment {config.label}: {finding.message}",
             IngestWarning,

@@ -16,6 +16,8 @@ scores as two parallel tuples; a document's rank is its position.
 :mod:`irdrift.effectiveness` alone decides which grades count as
 relevant. The container types check their structural invariants at
 construction, so downstream code can rely on them without re-checking.
+An :class:`EvaluationEnvironment` loaded for scoring carries no corpus
+snapshot; :func:`validate_environment` then takes the corpus's doc ids.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterator
+from typing import Collection, Iterator
 
 DocId = str
 TopicId = str
@@ -203,11 +205,13 @@ class EvaluationEnvironment:
     Labels are opaque; their temporal order comes from the sequence the
     caller supplies, never from parsing the label text. Qrels topics
     missing from the topic map are tolerated at construction and surfaced
-    by :func:`validate_environment` as warnings.
+    by :func:`validate_environment` as warnings. ``corpus`` is None when
+    the environment was loaded for scoring only, which reads no document
+    metadata; the CRUD diff and the simulator need it.
     """
 
     label: str
-    corpus: CorpusSnapshot
+    corpus: CorpusSnapshot | None
     topics: dict[TopicId, TopicDef]
     qrels: Qrels
 
@@ -314,14 +318,23 @@ class ValidationFinding:
     message: str
 
 
-def validate_environment(ee: EvaluationEnvironment) -> list[ValidationFinding]:
+def validate_environment(
+    ee: EvaluationEnvironment, doc_ids: Collection[DocId] | None = None
+) -> list[ValidationFinding]:
     """Cross-component consistency checks over an assembled environment.
 
     Type-level invariants are already guaranteed at construction; this
     reports the soft issues that are tolerated but worth surfacing: qrels
     topics missing from the topic set and judged documents absent from the
-    corpus snapshot. Returns an empty list iff nothing was found.
+    corpus. The corpus is ``doc_ids`` when given, else the environment's
+    snapshot. Returns an empty list iff nothing was found.
     """
+    if doc_ids is None:
+        if ee.corpus is None:
+            raise ValueError(
+                f"environment {ee.label} carries no corpus; pass its doc ids"
+            )
+        doc_ids = ee.corpus.docs
     findings: list[ValidationFinding] = []
     topic_ids = ee.topic_ids()
     for topic in sorted(ee.qrels.topics() - topic_ids):
@@ -332,8 +345,8 @@ def validate_environment(ee: EvaluationEnvironment) -> list[ValidationFinding]:
                 message=f"qrels topic {topic} does not appear in the topic set",
             )
         )
-    missing_docs = sorted(set().union(*ee.qrels.by_topic.values()) - ee.corpus.docs.keys())
-    for doc in missing_docs:
+    judged = set().union(*ee.qrels.by_topic.values())
+    for doc in sorted(judged.difference(doc_ids)):
         findings.append(
             ValidationFinding(
                 severity="warning",

@@ -8,7 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from irdrift import effectiveness, significance
 from irdrift.change import (
@@ -86,6 +87,60 @@ def test_rbo_of_a_ranking_with_itself_has_the_bits_of_the_walk(normalize):
         for depth in (1, 7, 40, 1000):
             cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
             assert rbo_topic(ranking, ranking, cfg).hex() == rbo_topic(ranking, copy, cfg).hex()
+
+
+def reference_rbo_walk(docs_a, docs_b, cfg):
+    """The prefix walk as first written, indexing each ranking per step:
+    the bit-for-bit oracle for ``rbo_topic``'s walk."""
+    depth = min(cfg.depth, max(len(docs_a), len(docs_b)))
+    pending_a: set[str] = set()
+    pending_b: set[str] = set()
+    overlap = 0
+    total = 0.0
+    norm = 0.0
+    weight = 1.0
+    for i in range(1, depth + 1):
+        if i <= len(docs_a):
+            doc = docs_a[i - 1]
+            if doc in pending_b:
+                pending_b.remove(doc)
+                overlap += 1
+            else:
+                pending_a.add(doc)
+        if i <= len(docs_b):
+            doc = docs_b[i - 1]
+            if doc in pending_a:
+                pending_a.remove(doc)
+                overlap += 1
+            else:
+                pending_b.add(doc)
+        total += weight * (overlap / i)
+        norm += weight
+        weight *= cfg.phi
+    if cfg.normalize:
+        return total / norm
+    return (1.0 - cfg.phi) * total
+
+
+# few doc ids, so that the rankings overlap often
+rbo_docs = st.lists(st.sampled_from([f"d{i}" for i in range(12)]), unique=True, max_size=12)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    rbo_docs,
+    rbo_docs,
+    st.floats(0.01, 0.99),
+    st.integers(1, 30),  # past both lengths too
+    st.booleans(),
+)
+@example(["d0", "d1", "d2"], ["d2"], 0.9, 20, False)
+@example(["d0"], ["d1", "d0", "d2", "d3"], 0.5, 3, True)
+def test_rbo_walk_has_the_bits_of_the_reference_walk(docs_a, docs_b, phi, depth, normalize):
+    assume(docs_a or docs_b)  # two empty rankings score 1.0 without a walk
+    cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
+    got = rbo_topic(make_ranking("1", docs_a), make_ranking("1", docs_b), cfg)
+    assert got.hex() == reference_rbo_walk(docs_a, docs_b, cfg).hex()
 
 
 def test_rbo_disjoint_is_zero():

@@ -6,9 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from irdrift import _numeric, effectiveness
+from irdrift import _numeric, effectiveness, ingest
 from irdrift.cli import main
-from irdrift.ingest import format_manifest, format_qrels, format_topics
+from irdrift.ingest import (
+    ParseError,
+    format_manifest,
+    format_qrels,
+    format_topics,
+    load_config,
+    load_environment,
+    load_manifest,
+)
 from irdrift.model import TopicDef, TopicId
 
 from conftest import (
@@ -449,6 +457,103 @@ def test_change_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def _drop_manifest_docs(config, label, keep):
+    """Keep the first `keep` lines of an environment's manifest, so that
+    its qrels judge documents the manifest no longer lists."""
+    manifest = config.parent / f"{label}.manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(lines[:keep]))
+
+
+def _full_parse_warnings(config, labels):
+    """The findings of each environment loaded with its full corpus."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cfg in load_config(config):
+            if cfg.label in labels:
+                assert load_environment(cfg).corpus is not None
+    return [str(w.message) for w in caught]
+
+
+class _NoDocMeta:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("DocMeta built on a path that keeps only doc ids")
+
+
+def test_change_and_evaluate_build_no_document_metadata(tmp_path, capsysbinary, monkeypatch):
+    config, runs = write_cli_fixture(tmp_path)
+    _drop_manifest_docs(config, "t0", 12)  # run and qrels files are untouched
+    t0_warnings = _full_parse_warnings(config, ("t0",))
+    assert t0_warnings and all("absent from the corpus" in w for w in t0_warnings)
+    all_warnings = _full_parse_warnings(config, ("t0", "t1"))
+    evaluate = ["evaluate", "--config", str(config), "--ee", "t0", "--per-topic",
+                "--run", runs[("alpha", "t0")], "--run", runs[("beta", "t0")]]
+    assert main(evaluate) == 0
+    evaluate_out = capsysbinary.readouterr().out
+
+    monkeypatch.setattr(ingest, "DocMeta", _NoDocMeta)
+    for argv, pin, expected_warnings in [
+        (change_argv(config, runs, "dtq"), (PINNED / "dtq.csv").read_bytes(), all_warnings),
+        (evaluate, evaluate_out, t0_warnings),
+        (evaluate + ["--topics", "common"], evaluate_out, all_warnings),
+    ]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert capsysbinary.readouterr().out == pin
+        assert [str(w.message) for w in caught] == expected_warnings
+    # the full parse does build it
+    assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"doc_id": "zz", "length": -1}',
+        '{"doc_id": "zz", "length": 1.5}',
+        '{"doc_id": "z z", "length": 1}',
+        '{"doc_id": "zz", "length": 1, "timestamp": "2022-13-01"}',
+        '{"doc_id": "zz", "length": 1, "hash": 7}',
+        '{"doc_id": "zz"}',
+        "[1]",
+        "{",
+    ],
+)
+def test_change_reports_a_malformed_manifest_line_as_the_full_parse_does(
+    tmp_path, capsys, line
+):
+    config, runs = write_cli_fixture(tmp_path)
+    manifest = tmp_path / "t1.manifest.jsonl"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join([*lines[:4], line + "\n", *lines[4:]]))
+    with pytest.raises(ParseError) as full:
+        load_manifest(manifest)
+    assert str(full.value).startswith(f"{manifest}: line 5: ")
+    assert main(change_argv(config, runs, "dtq")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {full.value}\n"
+
+
+def test_evaluate_rejects_two_runs_with_one_system_tag(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path)
+    first = runs[("alpha", "t0")]
+    second = tmp_path / "alpha-again.run.txt"
+    second.write_text(Path(runs[("beta", "t0")]).read_text().replace(" beta\n", " alpha\n"))
+    argv = ["evaluate", "--config", str(config), "--ee", "t0", "--measures", "p@1",
+            "--run", runs[("beta", "t0")], "--run", first, "--run", str(second)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --run {str(second)!r}: system tag 'alpha' is also the tag of "
+        f"--run {first!r}; each run needs its own tag\n"
+    )
+    # one path given twice is rejected the same way
+    assert main(argv[:-2] + ["--run", first]) == 2
+    assert "is also the tag of" in capsys.readouterr().err
 
 
 def test_simulate_writes_slices_and_config(tmp_path, capsys):

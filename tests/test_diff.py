@@ -1,5 +1,6 @@
 """CRUD diffing of documents, topics, and qrels."""
 
+import dataclasses
 import math
 
 import pytest
@@ -117,6 +118,16 @@ def test_summarize_identity():
     for diff in (s.documents, s.topics, s.qrels):
         assert not diff.created and not diff.updated and not diff.deleted
     assert (s.from_label, s.to_label) == ("t0", "t0b")
+
+
+def test_summarize_rejects_an_environment_without_corpus():
+    corpus = synth_corpus(10)
+    qrels = synth_qrels([str(d) for d in corpus.docs], ["1"])
+    ee = make_environment("t0", corpus, qrels)
+    lean = dataclasses.replace(ee, label="t1", corpus=None)
+    for pair in ((ee, lean), (lean, ee)):
+        with pytest.raises(ValueError, match="environment t1 carries no corpus snapshot"):
+            summarize(*pair)
 
 
 def test_summarize_append_only_has_no_deletions():

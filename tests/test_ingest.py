@@ -290,6 +290,36 @@ def test_load_environment_warns_on_disjoint_topics(tmp_path):
     assert ee.topic_ids() == {"7"}
 
 
+def test_load_environment_without_corpus_keeps_only_the_findings(tmp_path):
+    config_path = _write_env(tmp_path, with_topics=True, topic_ids=("7",))
+    (tmp_path / "qrels.txt").write_text("1 0 d1 1\n1 0 ghost 0\n")
+    config = load_config(config_path)[0]
+    with pytest.warns(IngestWarning) as full:
+        full_ee = load_environment(config)
+    with pytest.warns(IngestWarning) as lean:
+        lean_ee = load_environment(config, corpus=False)
+    assert [str(w.message) for w in lean] == [str(w.message) for w in full]
+    assert [str(w.message) for w in lean] == [
+        "environment t0: qrels topic 1 does not appear in the topic set",
+        "environment t0: judged document ghost is absent from the corpus snapshot",
+    ]
+    assert lean_ee.corpus is None and full_ee.corpus is not None
+    assert (lean_ee.topics, lean_ee.qrels) == (full_ee.topics, full_ee.qrels)
+
+
+def test_load_environment_without_corpus_still_checks_every_manifest_line(tmp_path):
+    config_path = _write_env(tmp_path)
+    (tmp_path / "corpus.jsonl").write_text(
+        '{"doc_id": "d1", "length": 10}\n{"doc_id": "d2", "length": -1}\n'
+    )
+    config = load_config(config_path)[0]
+    message = f"{tmp_path / 'corpus.jsonl'}: line 2: DocMeta length must be >= 0, got -1"
+    for corpus in (True, False):
+        with pytest.raises(ParseError) as exc:
+            load_environment(config, corpus=corpus)
+        assert str(exc.value) == message
+
+
 def test_load_environment_missing_manifest_names_path(tmp_path):
     config = EEConfig(
         label="t0",

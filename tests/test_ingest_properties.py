@@ -2,8 +2,9 @@
 and qrels result does not depend on line order, canonical output
 re-parses to the same value, a repeated (topic, doc) pair is reported at
 its line, the nested qrels map agrees with the flat (topic, doc) pairs it
-was built from, and the manifest writer emits the bytes of
-``json.dumps``."""
+was built from, the manifest writer emits the bytes of ``json.dumps``,
+and the ids-only manifest check accepts and rejects what the full parse
+does."""
 
 import json
 import re
@@ -20,6 +21,7 @@ from irdrift.ingest import (
     format_qrels,
     format_run,
     parse_manifest,
+    parse_manifest_ids,
     parse_qrels,
     parse_run,
 )
@@ -216,3 +218,70 @@ def test_format_manifest_writes_the_bytes_of_json_dumps(corpus):
 def test_format_manifest_reparses_to_the_same_text(corpus):
     text = format_manifest(corpus)
     assert format_manifest(parse_manifest(text.splitlines())) == text
+
+
+# a few ids, so that duplicates are common; "" and "a b" fail the id check
+manifest_id = st.sampled_from(["d1", "d2", "d3", "é", "", "a b", "x\x00"])
+manifest_value = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.floats(-2, 2), st.none(), st.text(max_size=3)
+)
+manifest_stamp = st.sampled_from(
+    ["2022-06-01", "2022-06-01T10:00:00Z", "2022-06-01T10:00:00+05:30",
+     "2022-13-01", "yesterday", ""]
+)
+
+
+def mostly(valid, other):
+    """`valid` four times in five, else `other`."""
+    return st.integers(0, 4).flatmap(lambda i: valid if i else other)
+
+
+@st.composite
+def manifest_record(draw):
+    """A JSON object close to a manifest record: any field may be missing
+    or of the wrong type."""
+    obj = {}
+    if draw(st.integers(0, 9)):
+        obj["doc_id"] = draw(mostly(manifest_id, manifest_value))
+    if draw(st.integers(0, 9)):
+        obj["length"] = draw(mostly(st.integers(-1, 5), manifest_value))
+    if draw(st.booleans()):
+        obj["timestamp"] = draw(mostly(manifest_stamp, manifest_value))
+    if draw(st.booleans()):
+        obj["hash"] = draw(mostly(st.text(max_size=3), manifest_value))
+    return obj
+
+
+@st.composite
+def manifest_line(draw):
+    text = draw(
+        mostly(
+            manifest_record().map(json.dumps),
+            st.sampled_from(
+                ["null", "[1]", "3", '"d1"', "{", '{"doc_id": "d1"} 5', "", " ", "\t", "\u00a0"]
+            ),
+        )
+    )
+    # padding and a BOM go to json.loads; a CRLF ending is whitespace to it
+    if not draw(st.integers(0, 9)):
+        text = draw(st.sampled_from([" ", "\ufeff"])) + text + draw(st.sampled_from(["", " "]))
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def manifest_outcome(parse, lines):
+    try:
+        return "ok", parse(lines)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(manifest_line(), max_size=8))
+@example(['{"doc_id": "d1", "length": -1}'])
+@example(['{"doc_id": "d1", "length": 1}', "", '{"doc_id": "d1", "length": 2}\n'])
+def test_manifest_ids_check_every_line_as_the_full_parse_does(lines):
+    full = manifest_outcome(lambda ls: set(parse_manifest(ls).docs), lines)
+    ids = manifest_outcome(parse_manifest_ids, lines)
+    assert ids == full
+    if ids[0] == "ok":
+        assert type(ids[1]) is set

@@ -228,3 +228,17 @@ def test_validate_reports_judged_doc_missing_from_corpus():
     findings = [f for f in validate_environment(ee) if "doc" in f.location]
     assert len(findings) == 1
     assert findings[0].severity == "warning"
+
+
+def test_validate_reads_the_given_doc_ids_in_place_of_the_corpus():
+    qrels = make_qrels({("1", "d1"): 1, ("1", "ghost"): 0})
+    topics = {TopicId("1"): TopicDef(topic_id=TopicId("1"))}
+    corpus = CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d1"), length=3)})
+    full = EvaluationEnvironment(label="t0", corpus=corpus, topics=topics, qrels=qrels)
+    lean = EvaluationEnvironment(label="t0", corpus=None, topics=topics, qrels=qrels)
+    assert validate_environment(lean, {"d1"}) == validate_environment(full)
+    assert [f.location for f in validate_environment(full)] == ["qrels doc ghost"]
+    # the ids stand in for the snapshot's
+    assert validate_environment(full, {"d1", "ghost"}) == []
+    with pytest.raises(ValueError, match="carries no corpus"):
+        validate_environment(lean)
