@@ -177,6 +177,83 @@ def write_cli_fixture(tmp_path, n_docs=60, systems=("alpha", "beta"), labels=("t
     return config_path, run_paths
 
 
+# Three environments written as literal files, so the diff and simulate
+# pins do not depend on how the library builds or writes its types.
+# t0 -> t1: d1 changes hash at equal length (updated), d2 changes length
+# at equal hash (not updated: the hashes decide), d3 has no hash and
+# changes length (updated), d4 loses its hash and changes length
+# (updated), d6 is deleted, d7 and d8 are created. q2 is reworded, q3
+# removed, q4 gains text (not updated: one side has none), q5 added;
+# (q1, d1) and (q4, d5) are regraded, (q3, d4) removed, two pairs added.
+# t2 adds d9 and has no topic file, so its topics come from its qrels.
+CHURN_FILES = {
+    "t0.manifest.jsonl": (
+        '{"doc_id": "d1", "length": 100, "timestamp": "2020-01-01", "hash": "aa"}\n'
+        '{"doc_id": "d2", "length": 200, "timestamp": "2020-01-02", "hash": "bb"}\n'
+        '{"doc_id": "d3", "length": 300, "timestamp": "2020-01-03"}\n'
+        '{"doc_id": "d4", "length": 400, "timestamp": "2020-01-04", "hash": "dd"}\n'
+        '{"doc_id": "d5", "length": 500}\n'
+        '{"doc_id": "d6", "length": 600, "hash": "ff"}\n'
+    ),
+    "t1.manifest.jsonl": (
+        '{"doc_id": "d1", "length": 100, "timestamp": "2020-01-01", "hash": "a2"}\n'
+        '{"doc_id": "d2", "length": 210, "timestamp": "2020-01-02", "hash": "bb"}\n'
+        '{"doc_id": "d3", "length": 310, "timestamp": "2020-01-03"}\n'
+        '{"doc_id": "d4", "length": 410, "timestamp": "2020-01-04"}\n'
+        '{"doc_id": "d5", "length": 500}\n'
+        '{"doc_id": "d7", "length": 700, "hash": "77"}\n'
+        '{"doc_id": "d8", "length": 800}\n'
+    ),
+    "t0.topics.jsonl": (
+        '{"topic_id": "q1", "text": "rain"}\n'
+        '{"topic_id": "q2", "text": "snow"}\n'
+        '{"topic_id": "q3", "text": "wind"}\n'
+        '{"topic_id": "q4"}\n'
+    ),
+    "t1.topics.jsonl": (
+        '{"topic_id": "q1", "text": "rain"}\n'
+        '{"topic_id": "q2", "text": "snowfall"}\n'
+        '{"topic_id": "q4", "text": "fog"}\n'
+        '{"topic_id": "q5", "text": "hail"}\n'
+    ),
+    "t0.qrels.txt": "q1 0 d1 1\nq1 0 d2 0\nq2 0 d3 2\nq3 0 d4 1\nq4 0 d5 0\n",
+    "t1.qrels.txt": "q1 0 d1 2\nq1 0 d2 0\nq2 0 d3 2\nq2 0 d7 1\nq4 0 d5 1\nq5 0 d8 1\n",
+}
+CHURN_FILES["t2.manifest.jsonl"] = (
+    CHURN_FILES["t1.manifest.jsonl"] + '{"doc_id": "d9", "length": 900}\n'
+)
+CHURN_CONFIG = [
+    {"label": "t0", "manifest": "t0.manifest.jsonl", "qrels": "t0.qrels.txt",
+     "topics": "t0.topics.jsonl"},
+    {"label": "t1", "manifest": "t1.manifest.jsonl", "qrels": "t1.qrels.txt",
+     "topics": "t1.topics.jsonl"},
+    {"label": "t2", "manifest": "t2.manifest.jsonl", "qrels": "t1.qrels.txt"},
+]
+
+# A dated corpus for `simulate`: shared and offset timestamps, hashes on
+# some documents and a non-ASCII id, which the manifest writer escapes.
+DATED_MANIFEST = (
+    '{"doc_id": "a1", "length": 10, "timestamp": "2021-03-01", "hash": "h1"}\n'
+    '{"doc_id": "b2", "length": 20, "timestamp": "2021-03-01"}\n'
+    '{"doc_id": "c3", "length": 30, "timestamp": "2021-03-02T23:30:00-02:00"}\n'
+    '{"doc_id": "d\\u00e94", "length": 40, "timestamp": "2021-03-03T08:00:00Z", "hash": "h4"}\n'
+    '{"doc_id": "e5", "length": 0, "timestamp": "2021-03-04"}\n'
+    '{"doc_id": "f6", "length": 60, "timestamp": "2021-03-05T12:00:00+05:30", "hash": "h6"}\n'
+    '{"doc_id": "g7", "length": 70, "timestamp": "2021-03-06"}\n'
+)
+DATED_QRELS = (
+    "q1 0 a1 1\nq1 0 c3 0\nq1 0 g7 2\nq2 0 dé4 1\nq2 0 f6 0\nq3 0 g7 1\n"
+)
+
+
+def write_churn_fixture(tmp_path):
+    for name, text in CHURN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    config = tmp_path / "ees.json"
+    config.write_text(json.dumps(CHURN_CONFIG))
+    return config
+
+
 def change_argv(config, runs, scenario, labels=("t0", "t1"), systems=("alpha", "beta")):
     args = ["change", "--config", str(config), "--scenario", scenario]
     for tag in systems:

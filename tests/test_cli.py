@@ -20,11 +20,14 @@ from irdrift.ingest import (
 from irdrift.model import TopicDef, TopicId
 
 from conftest import (
+    DATED_MANIFEST,
+    DATED_QRELS,
     UnderflowingScores,
     change_argv,
     pivot_argv,
     synth_corpus,
     synth_qrels,
+    write_churn_fixture,
     write_cli_fixture,
 )
 
@@ -236,6 +239,42 @@ def test_change_stdout_matches_its_pin(tmp_path, capsysbinary, case, fmt, ext):
     assert main(argv + ["--format", fmt]) == 0
     # the whole output, byte for byte, as first recorded
     assert capsysbinary.readouterr().out == (PINNED / f"{case}.{ext}").read_bytes()
+
+
+DIFF_PINNED = Path(__file__).resolve().parent / "diff_stdout"
+
+
+@pytest.mark.parametrize(
+    "pair, fmt, ext",
+    [
+        (("t0", "t1"), "csv", "csv"),
+        (("t0", "t1"), "markdown", "md"),
+        (("t0", "t1"), "json", "json"),
+        (("t1", "t2"), "csv", "csv"),
+    ],
+)
+def test_diff_stdout_matches_its_pin(tmp_path, capsysbinary, pair, fmt, ext):
+    config = write_churn_fixture(tmp_path)
+    argv = ["diff", "--config", str(config), "--from", pair[0], "--to", pair[1]]
+    assert main(argv + ["--format", fmt]) == 0
+    # the whole output, byte for byte, as first recorded
+    assert capsysbinary.readouterr().out == (DIFF_PINNED / f"{'-'.join(pair)}.{ext}").read_bytes()
+
+
+def test_simulate_files_match_their_pin(tmp_path, capsysbinary):
+    (tmp_path / "m.jsonl").write_text(DATED_MANIFEST, encoding="utf-8")
+    (tmp_path / "q.txt").write_text(DATED_QRELS, encoding="utf-8")
+    out_dir = tmp_path / "slices"
+    argv = ["simulate", "--manifest", str(tmp_path / "m.jsonl"), "--qrels",
+            str(tmp_path / "q.txt"), "--slices", "3", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    pinned = DIFF_PINNED / "simulate"
+    stdout = capsysbinary.readouterr().out.replace(str(out_dir).encode(), b"OUT")
+    assert stdout == (pinned / "stdout.txt").read_bytes()
+    written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert written == {
+        p.name: p.read_bytes() for p in pinned.iterdir() if p.name != "stdout.txt"
+    }
 
 
 def test_change_dtq_matrix_shape_and_ideal_t0(tmp_path, capsys):
