@@ -9,29 +9,20 @@ deterministic table.
 import sys
 
 from irdrift import (
-    CorpusSnapshot,
-    DocId,
     DocMeta,
     EvaluationEnvironment,
     Qrels,
-    TopicDef,
-    TopicId,
     render_change_summary,
     summarize,
 )
 
 
-def corpus(spec: dict[str, int]) -> CorpusSnapshot:
-    return CorpusSnapshot(
-        {DocId(d): DocMeta(doc_id=DocId(d), length=n) for d, n in spec.items()}
-    )
-
-
 def environment(label, docs, topics, qrels):
+    # the corpus maps doc id -> DocMeta and the topics topic id -> text
     return EvaluationEnvironment(
         label=label,
-        corpus=corpus(docs),
-        topics={TopicId(t): TopicDef(topic_id=TopicId(t), text=x) for t, x in topics.items()},
+        corpus={d: DocMeta(length=n) for d, n in docs.items()},
+        topics=topics,
         qrels=Qrels(qrels),
     )
 

@@ -18,7 +18,6 @@ import sys
 from datetime import datetime, timedelta, timezone
 
 from irdrift import (
-    CorpusSnapshot,
     DocMeta,
     EvaluationEnvironment,
     MeasureSpec,
@@ -28,7 +27,6 @@ from irdrift import (
     RunFile,
     Scenario,
     SimulationPlan,
-    TopicDef,
     build_matrix,
     render,
     split_append_only,
@@ -49,7 +47,7 @@ start = datetime(2019, 1, 1, tzinfo=timezone.utc)
 docs = {}
 for i in range(N_DOCS):
     doc = f"d{i:04d}"
-    docs[doc] = DocMeta(doc_id=doc, length=100, timestamp=start + timedelta(days=i))
+    docs[doc] = DocMeta(length=100, timestamp=start + timedelta(days=i))
 
 grades = {topic: {} for topic in TOPICS}  # topic -> doc -> grade
 for topic in TOPICS:
@@ -62,8 +60,8 @@ for topic in TOPICS:
 
 base = EvaluationEnvironment(
     label="base",
-    corpus=CorpusSnapshot(docs),
-    topics={t: TopicDef(topic_id=t) for t in TOPICS},
+    corpus=docs,
+    topics=dict.fromkeys(TOPICS),
     qrels=Qrels(grades),
 )
 

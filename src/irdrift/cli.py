@@ -39,7 +39,7 @@ from .ingest import (
     load_qrels,
     load_run,
 )
-from .model import EvaluationEnvironment, MeasureSpec, TopicDef, TopicId, _check_id
+from .model import EvaluationEnvironment, MeasureSpec, TopicId, _check_id
 
 
 class CliError(ValueError):
@@ -58,6 +58,10 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
     measures = [MeasureSpec.parse(part) for part in text.split(",") if part.strip()]
     if not measures:
         raise CliError(f"no measures given in {text!r}")
+    for i, measure in enumerate(measures):
+        if measure in measures[:i]:
+            # by canonical name: p@10 and P@10 would give every row twice
+            raise CliError(f"--measures {text!r}: duplicate measure {measure.name!r}")
     return measures
 
 
@@ -121,11 +125,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
     # the other environments matter only for their common topics
     labels, envs = _load_environments(
         args.config, only=(args.ee,), load_all=args.topics == "common", corpus=False
     )
-    measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
     topic_filter = _resolve_topic_filter(args.topics, labels, envs)
     runs = [load_run(path, args.ee) for path in args.run]
     tagged: dict[str, str] = {}
@@ -250,13 +254,11 @@ def cmd_change(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    plan = sim.SimulationPlan(num_slices=args.slices)  # before any file is read
     corpus = load_manifest(args.manifest)
     qrels = load_qrels(args.qrels)
-    topics = {t: TopicDef(topic_id=t) for t in sorted(qrels.topics())}
-    base = EvaluationEnvironment(
-        label="base", corpus=corpus, topics=topics, qrels=qrels
-    )
-    plan = sim.SimulationPlan(num_slices=args.slices)
+    topics = dict.fromkeys(sorted(qrels.topics()))
+    base = EvaluationEnvironment(label="base", corpus=corpus, topics=topics, qrels=qrels)
     slices = sim.split_append_only(base, plan)
 
     out_dir = Path(args.out_dir)
@@ -295,7 +297,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     data = Path(args.matrix).read_bytes()
     try:
         matrix = rep.matrix_from_json(data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"{args.matrix}: not a rendered matrix JSON ({exc})") from None
     _write_output(rep.render(matrix, args.format, places=args.places), args.out)
     return 0

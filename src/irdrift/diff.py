@@ -1,9 +1,10 @@
 """Create/update/delete statistics between two evaluation environments.
 
 Each of the three components diffs by identifier: documents by doc id,
-topics by topic id, qrels by (topic, doc) pair. An identifier present in
-both snapshots counts as updated when its payload changed — document
-length (or content hash when both sides carry one), topic text, or grade.
+topics by topic id, qrels by (topic, doc) pair. Each component is an
+id-keyed map, read directly. An identifier present in both snapshots
+counts as updated when its payload changed — document length (or
+content hash when both sides carry one), topic text, or grade.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .model import CorpusSnapshot, EvaluationEnvironment, Qrels, TopicDef, TopicId
+from .model import Corpus, EvaluationEnvironment, Qrels, TopicId
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ def _diff_ids(a: dict, b: dict, changed: Callable[[Hashable], bool]) -> Componen
     return ComponentDiff.build(created, updated, deleted, len(ids_a), len(ids_b))
 
 
-def diff_documents(a: CorpusSnapshot, b: CorpusSnapshot) -> ComponentDiff:
-    """Diff two corpus snapshots by doc id.
+def diff_documents(a: Corpus, b: Corpus) -> ComponentDiff:
+    """Diff two corpora by doc id.
 
     Updates are detected by comparing string lengths for documents sharing
     an id; when both sides carry a content hash, the hash comparison takes
@@ -96,24 +97,24 @@ def diff_documents(a: CorpusSnapshot, b: CorpusSnapshot) -> ComponentDiff:
     """
 
     def changed(doc_id) -> bool:
-        meta_a = a.docs[doc_id]
-        meta_b = b.docs[doc_id]
+        meta_a = a[doc_id]
+        meta_b = b[doc_id]
         if meta_a.content_hash is not None and meta_b.content_hash is not None:
             return meta_a.content_hash != meta_b.content_hash
         return meta_a.length != meta_b.length
 
-    return _diff_ids(a.docs, b.docs, changed)
+    return _diff_ids(a, b, changed)
 
 
 def diff_topics(
-    a: dict[TopicId, TopicDef], b: dict[TopicId, TopicDef]
+    a: dict[TopicId, str | None], b: dict[TopicId, str | None]
 ) -> ComponentDiff:
-    """Diff two topic maps by id; an update is a text change, detected only
-    when both sides carry text."""
+    """Diff two topic id -> text maps; an update is a text change, detected
+    only when both sides carry text."""
 
     def changed(topic_id) -> bool:
-        text_a = a[topic_id].text
-        text_b = b[topic_id].text
+        text_a = a[topic_id]
+        text_b = b[topic_id]
         return text_a is not None and text_b is not None and text_a != text_b
 
     return _diff_ids(a, b, changed)
@@ -133,7 +134,7 @@ def summarize(
 ) -> ChangeSummary:
     """Bundle the three component diffs for an ordered environment pair.
 
-    Both environments need their corpus snapshot: one loaded with
+    Both environments need their corpus: one loaded with
     ``corpus=False`` is rejected with a ``ValueError``.
     """
     for ee in (a, b):

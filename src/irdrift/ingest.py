@@ -23,6 +23,9 @@ Identifiers are checked once, where they enter. Run and qrels lines are
 split on whitespace, so every token is already a non-empty,
 whitespace-free id and needs no further check. Ids read from JSON
 (manifests, topic files) go through :func:`~irdrift.model._check_id`.
+Each id is kept once, as a map key: :func:`parse_manifest` gives the
+corpus (doc id -> :class:`DocMeta`) and :func:`parse_topics` a topic id
+-> text map.
 
 JSON-lines records are decoded by one helper that accepts exactly what
 ``json.loads`` accepts, with its error messages. A manifest parses each
@@ -50,14 +53,13 @@ from pathlib import Path
 from typing import Iterable
 
 from .model import (
-    CorpusSnapshot,
+    Corpus,
     DocId,
     DocMeta,
     EvaluationEnvironment,
     Qrels,
     Ranking,
     RunFile,
-    TopicDef,
     TopicId,
     _check_id,
     validate_environment,
@@ -299,7 +301,7 @@ def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta
             if content_hash is not None and not isinstance(content_hash, str):
                 raise ParseError(f"line {lineno}: hash must be a string")
             if keep_meta:
-                meta = DocMeta(doc_id, length, timestamp, content_hash)
+                meta = DocMeta(length, timestamp, content_hash)
             elif length < 0:
                 # the check DocMeta would make, with its message
                 raise ValueError(f"DocMeta length must be >= 0, got {length}")
@@ -313,9 +315,9 @@ def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta
     return docs
 
 
-def parse_manifest(lines: Iterable[str]) -> CorpusSnapshot:
-    """Parse a JSON-lines corpus manifest into a snapshot."""
-    return CorpusSnapshot(_read_manifest(lines, keep_meta=True))
+def parse_manifest(lines: Iterable[str]) -> Corpus:
+    """Parse a JSON-lines corpus manifest into a doc id -> DocMeta map."""
+    return _read_manifest(lines, keep_meta=True)
 
 
 def parse_manifest_ids(lines: Iterable[str]) -> set[DocId]:
@@ -328,9 +330,10 @@ def parse_manifest_ids(lines: Iterable[str]) -> set[DocId]:
     return set(_read_manifest(lines, keep_meta=False))
 
 
-def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
-    """Parse a JSON-lines topic file: ``{"topic_id": ..., "text": ...}``."""
-    topics: dict[TopicId, TopicDef] = {}
+def parse_topics(lines: Iterable[str]) -> dict[TopicId, str | None]:
+    """Parse a JSON-lines topic file, ``{"topic_id": ..., "text": ...}``,
+    into a topic id -> text map (None where a line has no text)."""
+    topics: dict[TopicId, str | None] = {}
     for lineno, raw in enumerate(lines, start=1):
         obj = _json_line(raw, lineno)
         if obj is _BLANK:
@@ -348,7 +351,7 @@ def parse_topics(lines: Iterable[str]) -> dict[TopicId, TopicDef]:
             raise ParseError(f"line {lineno}: text must be a string")
         if topic_id in topics:
             raise ParseError(f"line {lineno}: duplicate topic_id {topic_id}")
-        topics[topic_id] = TopicDef(topic_id=topic_id, text=text)
+        topics[topic_id] = text
     return topics
 
 
@@ -414,22 +417,17 @@ def load_environment(config: EEConfig, *, corpus: bool = True) -> EvaluationEnvi
     are kept, for the findings; the environment's ``corpus`` is None.
     """
     if corpus:
-        snapshot = _parse_file(parse_manifest, config.manifest_path)
+        docs = _parse_file(parse_manifest, config.manifest_path)
         doc_ids = None
     else:
-        snapshot = None
+        docs = None
         doc_ids = _parse_file(parse_manifest_ids, config.manifest_path)
     qrels = _parse_file(parse_qrels, config.qrels_path)
     if config.topics_path is not None:
         topics = _parse_file(parse_topics, config.topics_path)
     else:
-        topics = {
-            topic: TopicDef(topic_id=topic, text=None)
-            for topic in sorted(qrels.topics())
-        }
-    ee = EvaluationEnvironment(
-        label=config.label, corpus=snapshot, topics=topics, qrels=qrels
-    )
+        topics = dict.fromkeys(sorted(qrels.topics()))
+    ee = EvaluationEnvironment(label=config.label, corpus=docs, topics=topics, qrels=qrels)
     for finding in validate_environment(ee, doc_ids):
         warnings.warn(
             f"environment {config.label}: {finding.message}",
@@ -464,7 +462,7 @@ def load_qrels(path: Path | str) -> Qrels:
     return _parse_file(parse_qrels, Path(path))
 
 
-def load_manifest(path: Path | str) -> CorpusSnapshot:
+def load_manifest(path: Path | str) -> Corpus:
     """Parse a corpus manifest from disk."""
     return _parse_file(parse_manifest, Path(path))
 
@@ -495,7 +493,7 @@ def format_qrels(qrels: Qrels) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def format_manifest(corpus: CorpusSnapshot) -> str:
+def format_manifest(corpus: Corpus) -> str:
     """Canonical manifest serialization, sorted by doc id.
 
     Each line is the ``json.dumps`` of ``{"doc_id", "length", "timestamp"?,
@@ -507,9 +505,8 @@ def format_manifest(corpus: CorpusSnapshot) -> str:
     # equal instants at different UTC offsets render differently. Every
     # key stays alive in `corpus` for the whole call, so no id is reused.
     stamps: dict[int, str] = {}
-    docs = corpus.docs
-    for doc_id in sorted(docs):
-        meta = docs[doc_id]
+    for doc_id in sorted(corpus):
+        meta = corpus[doc_id]
         line = f'{{"doc_id": {_json_str(doc_id)}, "length": {int.__repr__(meta.length)}'
         timestamp = meta.timestamp
         if timestamp is not None:
@@ -523,13 +520,13 @@ def format_manifest(corpus: CorpusSnapshot) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
-def format_topics(topics: dict[TopicId, TopicDef]) -> str:
+def format_topics(topics: dict[TopicId, str | None]) -> str:
     """Canonical topic-file serialization, sorted by topic id."""
     out: list[str] = []
     for topic_id in sorted(topics):
-        topic = topics[topic_id]
         obj: dict[str, object] = {"topic_id": topic_id}
-        if topic.text is not None:
-            obj["text"] = topic.text
+        text = topics[topic_id]
+        if text is not None:
+            obj["text"] = text
         out.append(json.dumps(obj))
     return "\n".join(out) + ("\n" if out else "")

@@ -10,14 +10,17 @@ Identifiers are plain ``str``; :data:`DocId` and :data:`TopicId` name
 their role. An id is checked once, by :func:`_check_id`, where it enters
 the program from JSON or a command-line flag (manifests, topic files,
 ``--topics``). Tokens that ``str.split()`` cut from a run or qrels line
-already satisfy the check. A :class:`Ranking` stores its documents and
-scores as two parallel tuples; a document's rank is its position.
-:class:`Qrels` is one topic -> doc -> grade map holding the raw grades;
+already satisfy the check. Each id is stored once, as a key: the
+corpus is a :data:`Corpus` map (doc id -> :class:`DocMeta`) and the
+topic set a map of topic id -> text (None when a topic has no text).
+A :class:`Ranking` stores its documents and scores as two parallel
+tuples; a document's rank is its position. :class:`Qrels` is one
+topic -> doc -> grade map holding the raw grades;
 :mod:`irdrift.effectiveness` alone decides which grades count as
 relevant. The container types check their structural invariants at
 construction, so downstream code can rely on them without re-checking.
-An :class:`EvaluationEnvironment` loaded for scoring carries no corpus
-snapshot; :func:`validate_environment` then takes the corpus's doc ids.
+An :class:`EvaluationEnvironment` loaded for scoring carries no corpus;
+:func:`validate_environment` then takes the corpus's doc ids.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Collection, Iterator
+from typing import Collection
 
 DocId = str
 TopicId = str
+# the document component: doc id -> metadata
+Corpus = dict[DocId, "DocMeta"]
 
 
 def _check_id(value: str, kind: str) -> str:
@@ -149,9 +154,8 @@ class DocMeta:
     """Per-document facts a corpus manifest carries: length in characters
     (an ``int``, not a ``bool``, >= 0), optional timestamp, optional
     content hash string (used for update detection when both sides of a
-    diff have one)."""
+    diff have one). The doc id is the key it is stored under."""
 
-    doc_id: DocId
     length: int
     timestamp: datetime | None = None
     content_hash: str | None = None
@@ -170,63 +174,27 @@ class DocMeta:
 
 
 @dataclass(frozen=True)
-class CorpusSnapshot:
-    """Document component of an environment: id -> metadata."""
-
-    docs: dict[DocId, DocMeta]
-
-    def __post_init__(self) -> None:
-        for doc_id, meta in self.docs.items():
-            if meta.doc_id != doc_id:
-                raise ValueError(
-                    f"CorpusSnapshot: entry keyed {doc_id} carries doc_id {meta.doc_id}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def __contains__(self, doc_id: DocId) -> bool:
-        return doc_id in self.docs
-
-    def __iter__(self) -> Iterator[DocId]:
-        return iter(self.docs)
-
-
-@dataclass(frozen=True)
-class TopicDef:
-    topic_id: TopicId
-    text: str | None = None
-
-
-@dataclass(frozen=True)
 class EvaluationEnvironment:
     """One labelled snapshot of (documents, topics, qrels).
 
-    Labels are opaque; their temporal order comes from the sequence the
-    caller supplies, never from parsing the label text. Qrels topics
-    missing from the topic map are tolerated at construction and surfaced
-    by :func:`validate_environment` as warnings. ``corpus`` is None when
-    the environment was loaded for scoring only, which reads no document
+    ``corpus`` maps each doc id to its :class:`DocMeta`, and ``topics``
+    each topic id to its text (None when the topic has none). Labels are
+    opaque; their temporal order comes from the sequence the caller
+    supplies, never from parsing the label text. Qrels topics missing
+    from the topic map are tolerated at construction and surfaced by
+    :func:`validate_environment` as warnings. ``corpus`` is None when the
+    environment was loaded for scoring only, which reads no document
     metadata; the CRUD diff and the simulator need it.
     """
 
     label: str
-    corpus: CorpusSnapshot | None
-    topics: dict[TopicId, TopicDef]
+    corpus: Corpus | None
+    topics: dict[TopicId, str | None]
     qrels: Qrels
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("EvaluationEnvironment label must be non-empty")
-        for topic_id, topic in self.topics.items():
-            if topic.topic_id != topic_id:
-                raise ValueError(
-                    f"EvaluationEnvironment: topic keyed {topic_id} carries "
-                    f"id {topic.topic_id}"
-                )
-
-    def topic_ids(self) -> set[TopicId]:
-        return set(self.topics)
 
 
 class MeasureKind(Enum):
@@ -327,17 +295,16 @@ def validate_environment(
     reports the soft issues that are tolerated but worth surfacing: qrels
     topics missing from the topic set and judged documents absent from the
     corpus. The corpus is ``doc_ids`` when given, else the environment's
-    snapshot. Returns an empty list iff nothing was found.
+    own. Returns an empty list iff nothing was found.
     """
     if doc_ids is None:
         if ee.corpus is None:
             raise ValueError(
                 f"environment {ee.label} carries no corpus; pass its doc ids"
             )
-        doc_ids = ee.corpus.docs
+        doc_ids = ee.corpus
     findings: list[ValidationFinding] = []
-    topic_ids = ee.topic_ids()
-    for topic in sorted(ee.qrels.topics() - topic_ids):
+    for topic in sorted(ee.qrels.topics().difference(ee.topics)):
         findings.append(
             ValidationFinding(
                 severity="warning",

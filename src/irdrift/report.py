@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -202,26 +203,61 @@ def render_table(header: list[str], rows: list[list[str]], format: str) -> bytes
     raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _read(value: object, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _read_real(value: object, where: str) -> float | None:
+    # the bound rejects NaN, the infinities and ints past the float range
+    if value is None or (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        return value
+    raise ValueError(f"{where} must be a finite number or null, got {value!r}")
+
+
+def _read_flag(value: object, where: str) -> bool | None:
+    if value is None or type(value) is bool:
+        return value
+    raise ValueError(f"{where} must be true, false or null, got {value!r}")
+
+
 def matrix_from_json(data: bytes | str) -> LongitudinalMatrix:
-    """Parse :func:`render`'s json output back into a matrix."""
+    """Parse :func:`render`'s json output back into a matrix.
+
+    Every field's type is checked (labels strings, measure fields
+    objects, reals finite numbers or null, flags bools or null), so a
+    malformed document raises ``ValueError`` naming the field, or
+    ``KeyError`` for a missing one, instead of rendering wrongly.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    doc = json.loads(data)
+    doc = _read(json.loads(data), dict, "the document")
     rows = []
-    for row in doc["rows"]:
+    for i, value in enumerate(_read(doc["rows"], list, "rows")):
+        where = f"rows[{i}]"
+        row = _read(value, dict, where)
+        measure_maps = {}
+        for f in _MEASURE_FIELDS:
+            read = _read_flag if f == "significant" else _read_real
+            values = _read(row[f], dict, f"{where}.{f}")
+            measure_maps[f] = {
+                MeasureSpec.parse(k): read(v, f"{where}.{f}.{k}") for k, v in values.items()
+            }
         rows.append(
             ChangeReport(
-                system_tag=row["system"],
-                ee_label=row["ee"],
+                system_tag=_read(row["system"], str, f"{where}.system"),
+                ee_label=_read(row["ee"], str, f"{where}.ee"),
                 scenario=Scenario(row["scenario"]),
-                rbo_mean=row["rbo_mean"],
-                **{
-                    f: {MeasureSpec.parse(k): v for k, v in row[f].items()}
-                    for f in _MEASURE_FIELDS
-                },
+                rbo_mean=_read_real(row["rbo_mean"], f"{where}.rbo_mean"),
+                **measure_maps,
             )
         )
-    return LongitudinalMatrix(collection_label=doc["collection"], rows=tuple(rows))
+    collection = _read(doc["collection"], str, "collection")
+    return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
 
 
 def _summary_cells(summary: ChangeSummary, places: int) -> list[list[str]]:

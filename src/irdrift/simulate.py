@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime
 
-from .model import CorpusSnapshot, EvaluationEnvironment, TopicId
+from .model import EvaluationEnvironment, TopicId
 
 
 class SimulationWarning(UserWarning):
@@ -56,15 +56,13 @@ def split_append_only(
     qrels are the base qrels restricted to the documents present.
     """
     undated = sorted(
-        doc_id for doc_id, meta in base.corpus.docs.items() if meta.timestamp is None
+        doc_id for doc_id, meta in base.corpus.items() if meta.timestamp is None
     )
     if undated:
         raise ValueError(f"document {undated[0]} has no timestamp")
-    ordered = sorted(
-        base.corpus.docs.values(), key=lambda meta: (meta.timestamp, meta.doc_id)
-    )
+    ordered = sorted(base.corpus.items(), key=lambda item: (item[1].timestamp, item[0]))
     if plan.boundaries is None:
-        distinct = len({meta.timestamp for meta in ordered})
+        distinct = len({meta.timestamp for _, meta in ordered})
         if plan.num_slices > distinct:
             raise ValueError(
                 f"cannot cut {plan.num_slices} slices from {distinct} distinct "
@@ -74,7 +72,7 @@ def split_append_only(
     else:
         cut_counts = []
         for boundary in plan.boundaries:
-            count = sum(1 for meta in ordered if meta.timestamp <= boundary)
+            count = sum(1 for _, meta in ordered if meta.timestamp <= boundary)
             cut_counts.append(count)
     environments: list[EvaluationEnvironment] = []
     previous = 0
@@ -82,12 +80,12 @@ def split_append_only(
         if count == 0 or (i > 0 and count <= previous):
             raise ValueError(f"slice t{i} would be empty or add no documents")
         previous = count
-        docs = {meta.doc_id: meta for meta in ordered[:count]}
+        docs = dict(ordered[:count])
         qrels = base.qrels.restricted_to_docs(set(docs))
         environments.append(
             EvaluationEnvironment(
                 label=f"t{i}",
-                corpus=CorpusSnapshot(docs),
+                corpus=docs,
                 topics=dict(base.topics),
                 qrels=qrels,
             )

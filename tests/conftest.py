@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from irdrift.ingest import format_manifest, format_qrels, format_run
 from irdrift.model import (
-    CorpusSnapshot,
+    Corpus,
     DocId,
     DocMeta,
     EvaluationEnvironment,
@@ -24,7 +24,6 @@ from irdrift.model import (
     Qrels,
     Ranking,
     RunFile,
-    TopicDef,
     TopicId,
 )
 
@@ -58,19 +57,18 @@ def make_run(tag: str, label: str, rankings: dict[str, list[str]]) -> RunFile:
     )
 
 
-def synth_corpus(n_docs: int, start: date = date(2019, 1, 1)) -> CorpusSnapshot:
+def synth_corpus(n_docs: int, start: date = date(2019, 1, 1)) -> Corpus:
     """Dated corpus of n docs, one per consecutive day."""
-    docs: dict[DocId, DocMeta] = {}
+    docs: Corpus = {}
     for i in range(n_docs):
-        doc_id = DocId(f"d{i:05d}")
+        doc_id = f"d{i:05d}"
         docs[doc_id] = DocMeta(
-            doc_id=doc_id,
-            length=50 + int(unit_hash("len", str(doc_id)) * 1000),
+            length=50 + int(unit_hash("len", doc_id) * 1000),
             timestamp=datetime.combine(
                 start + timedelta(days=i), datetime.min.time(), tzinfo=timezone.utc
             ),
         )
-    return CorpusSnapshot(docs)
+    return docs
 
 
 def synth_qrels(doc_ids: list[str], topics: list[str]) -> Qrels:
@@ -109,14 +107,11 @@ def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth
 
 def make_environment(
     label: str,
-    corpus: CorpusSnapshot,
+    corpus: Corpus,
     qrels: Qrels,
     topic_ids: list[str] | None = None,
 ) -> EvaluationEnvironment:
-    if topic_ids is None:
-        topics = {t: TopicDef(topic_id=t) for t in sorted(qrels.topics())}
-    else:
-        topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topic_ids}
+    topics = dict.fromkeys(sorted(qrels.topics()) if topic_ids is None else topic_ids)
     return EvaluationEnvironment(label=label, corpus=corpus, topics=topics, qrels=qrels)
 
 
@@ -150,15 +145,16 @@ CLI_TOPICS = [f"q{i}" for i in range(1, 9)]
 def write_cli_fixture(tmp_path, n_docs=60, systems=("alpha", "beta"), labels=("t0", "t1")):
     """Two cumulative environments (half / full corpus) with runs per system."""
     corpus = synth_corpus(n_docs)
-    all_ids = sorted(str(d) for d in corpus.docs)
+    all_ids = sorted(corpus)
     slices = {labels[0]: all_ids[: n_docs // 2], labels[1]: all_ids}
     qrels = synth_qrels(all_ids, CLI_TOPICS)
     config = []
     run_paths = {}
     for label, ids in slices.items():
-        snapshot = CorpusSnapshot({d: corpus.docs[d] for d in corpus.docs if str(d) in set(ids)})
-        (tmp_path / f"{label}.manifest.jsonl").write_text(format_manifest(snapshot))
-        restricted = qrels.restricted_to_docs({d for d in corpus.docs if str(d) in set(ids)})
+        (tmp_path / f"{label}.manifest.jsonl").write_text(
+            format_manifest({d: corpus[d] for d in ids})
+        )
+        restricted = qrels.restricted_to_docs(set(ids))
         (tmp_path / f"{label}.qrels.txt").write_text(format_qrels(restricted))
         config.append(
             {

@@ -25,8 +25,6 @@ from irdrift.ingest import (
     load_run,
 )
 from irdrift.model import (
-    CorpusSnapshot,
-    DocId,
     DocMeta,
     MeasureSpec,
     PerTopicScores,
@@ -87,15 +85,9 @@ def test_criterion_3_crud_append_only_reproduction():
     start = time.monotonic()
     # append-only growth 565,737 -> 1,085,094 ids, scaled down 1000x
     n_from, n_to = 566, 1086
-    docs_a = {
-        DocId(f"d{i:05d}"): DocMeta(doc_id=DocId(f"d{i:05d}"), length=10)
-        for i in range(n_from)
-    }
-    docs_b = dict(docs_a)
-    for i in range(n_from, n_to):
-        doc = DocId(f"d{i:05d}")
-        docs_b[doc] = DocMeta(doc_id=doc, length=10)
-    d = diff_documents(CorpusSnapshot(docs_a), CorpusSnapshot(docs_b))
+    docs_a = {f"d{i:05d}": DocMeta(length=10) for i in range(n_from)}
+    docs_b = {f"d{i:05d}": DocMeta(length=10) for i in range(n_to)}
+    d = diff_documents(docs_a, docs_b)
     assert len(d.created) == d.total_to - d.total_from == 520
     assert d.updated == frozenset()
     assert d.deleted == frozenset()
@@ -205,7 +197,7 @@ def simulated(tmp_path_factory):
     for two synthetic systems over each slice."""
     root = tmp_path_factory.mktemp("endtoend")
     corpus = synth_corpus(N_DOCS)
-    ids = sorted(str(d) for d in corpus.docs)
+    ids = sorted(corpus)
     (root / "corpus.jsonl").write_text(format_manifest(corpus))
     (root / "qrels.txt").write_text(format_qrels(synth_qrels(ids, TOPICS)))
     out_dir = root / "slices"
@@ -227,9 +219,7 @@ def simulated(tmp_path_factory):
     labels = [e["label"] for e in json.loads(config_path.read_text())]
     run_paths = {}
     for label in labels:
-        slice_ids = sorted(
-            str(d) for d in load_manifest(out_dir / f"{label}.manifest.jsonl").docs
-        )
+        slice_ids = sorted(load_manifest(out_dir / f"{label}.manifest.jsonl"))
         for tag in SYSTEMS:
             run = synth_run(tag, label, slice_ids, TOPICS, depth=100)
             path = out_dir / f"{tag}.{label}.run.txt"
@@ -284,7 +274,7 @@ def test_criterion_8_end_to_end_determinism(simulated, capsysbinary):
 def test_criterion_9_mean_rbo_monotone_over_append_only_growth(simulated):
     config_path, labels, run_paths, out_dir = simulated
     corpora = {
-        label: set(load_manifest(out_dir / f"{label}.manifest.jsonl").docs)
+        label: set(load_manifest(out_dir / f"{label}.manifest.jsonl"))
         for label in labels
     }
     cfg = RboConfig(phi=0.9, depth=100, normalize=True)

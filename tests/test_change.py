@@ -400,7 +400,7 @@ def _matrix_inputs(labels=("t0", "t1"), systems=("alpha",), topic_ids=None):
     """In-memory environments over one corpus, with a run per system and
     environment and a complete zpivot run set."""
     corpus = synth_corpus(60)
-    ids = sorted(str(d) for d in corpus.docs)
+    ids = sorted(corpus)
     qrels = synth_qrels(ids, CLI_TOPICS)
     envs = [
         make_environment(label, corpus, qrels, CLI_TOPICS if topic_ids is None else topic_ids[i])

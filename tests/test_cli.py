@@ -17,7 +17,6 @@ from irdrift.ingest import (
     load_environment,
     load_manifest,
 )
-from irdrift.model import TopicDef, TopicId
 
 from conftest import (
     DATED_MANIFEST,
@@ -174,7 +173,7 @@ def test_evaluate_topic_list_ignores_spaces_around_ids(tmp_path, capsys):
 
 def test_evaluate_perfect_run_scores_one(tmp_path, capsys):
     corpus = synth_corpus(10)
-    ids = sorted(str(d) for d in corpus.docs)
+    ids = sorted(corpus)
     (tmp_path / "m.jsonl").write_text(format_manifest(corpus))
     qrels_lines = [f"q1 0 {ids[0]} 1", f"q1 0 {ids[1]} 1", f"q1 0 {ids[2]} 0"]
     (tmp_path / "q.txt").write_text("\n".join(qrels_lines) + "\n")
@@ -347,6 +346,23 @@ def test_change_rejects_bad_measures_or_rbo_flags(tmp_path, capsys, flag, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("subcommand", ["evaluate", "change"])
+def test_a_measure_named_twice_exits_2_before_any_file_is_read(tmp_path, capsys, subcommand):
+    config, runs = write_cli_fixture(tmp_path)
+    if subcommand == "evaluate":
+        argv = ["evaluate", "--config", str(config), "--ee", "t0", "--run", runs[("alpha", "t0")]]
+    else:
+        argv = change_argv(config, runs, "dtq")
+    # the same measure by canonical name, whatever its spelling
+    flag = ["--measures", "p@10,bpref,P@10"]
+    message = "error: --measures 'p@10,bpref,P@10': duplicate measure 'p@10'\n"
+    assert main(argv + flag) == 2
+    assert capsys.readouterr().err == message
+    absent = [str(tmp_path / "absent.json") if arg == str(config) else arg for arg in argv]
+    assert main(absent + flag) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -428,8 +444,7 @@ def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, m
         entries = json.loads(config.read_text())
         for entry, topic_ids in zip(entries, topic_sets):
             name = f"{entry['label']}.topics.jsonl"
-            topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topic_ids}
-            (tmp_path / name).write_text(format_topics(topics))
+            (tmp_path / name).write_text(format_topics(dict.fromkeys(topic_ids)))
             entry["topics"] = name
         config.write_text(json.dumps(entries))
     args = change_argv(config, runs, "dtq-prime")
@@ -597,7 +612,7 @@ def test_evaluate_rejects_two_runs_with_one_system_tag(tmp_path, capsys):
 
 def test_simulate_writes_slices_and_config(tmp_path, capsys):
     corpus = synth_corpus(9)
-    ids = sorted(str(d) for d in corpus.docs)
+    ids = sorted(corpus)
     (tmp_path / "m.jsonl").write_text(format_manifest(corpus))
     (tmp_path / "q.txt").write_text(format_qrels(synth_qrels(ids, ["q1", "q2"])))
     out_dir = tmp_path / "slices"
@@ -643,6 +658,82 @@ def test_simulate_too_many_slices_exits_2(tmp_path, capsys):
     ]
     assert main(args) == 2
     assert "distinct" in capsys.readouterr().err
+
+
+def test_simulate_checks_slices_before_any_file_is_read(tmp_path, capsys):
+    args = [
+        "simulate",
+        "--manifest",
+        str(tmp_path / "absent.jsonl"),
+        "--qrels",
+        str(tmp_path / "absent.txt"),
+        "--slices",
+        "1",
+        "--out-dir",
+        str(tmp_path / "out"),
+    ]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: num_slices must be >= 2, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _set(path, value):
+    """A change to the pinned dtq matrix: set the field at `path` to `value`."""
+
+    def change(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (_set(["rows", 0, "rmse"], [0.0]), "rows[0].rmse must be an object, got list"),
+        (_set(["rows", 1, "significant"], []), "rows[1].significant must be an object, got list"),
+        (_set(["rows", 0, "rbo_mean"], "0.5"),
+         "rows[0].rbo_mean must be a finite number or null, got '0.5'"),
+        (_set(["rows", 0, "rbo_mean"], True),
+         "rows[0].rbo_mean must be a finite number or null, got True"),
+        (_set(["rows", 0, "rbo_mean"], float("nan")),
+         "rows[0].rbo_mean must be a finite number or null, got nan"),
+        (_set(["rows", 1, "rmse", "ndcg"], "0.1"),
+         "rows[1].rmse.ndcg must be a finite number or null, got '0.1'"),
+        (_set(["rows", 1, "rmse", "ndcg"], float("-inf")),
+         "rows[1].rmse.ndcg must be a finite number or null, got -inf"),
+        (_set(["rows", 1, "rmse", "ndcg"], 10**400),
+         f"rows[1].rmse.ndcg must be a finite number or null, got {10**400!r}"),
+        (_set(["rows", 0, "significant"], {"p@10": "yes"}),
+         "rows[0].significant.p@10 must be true, false or null, got 'yes'"),
+        (_set(["rows", 0, "significant"], {"p@10": 1}),
+         "rows[0].significant.p@10 must be true, false or null, got 1"),
+        (_set(["rows"], {}), "rows must be a list, got dict"),
+        (_set(["rows", 2], "row"), "rows[2] must be an object, got str"),
+        (_set(["rows", 0, "system"], 7), "rows[0].system must be a string, got int"),
+        (_set(["collection"], None), "collection must be a string, got NoneType"),
+        (_set(["rows", 0, "scenario"], "dtq2"), "'dtq2' is not a valid Scenario"),
+        (lambda doc: doc.pop("rows"), "'rows'"),
+        (b"[]", "the document must be an object, got list"),
+        (b'{"rows": [}', "Expecting value: line 1 column 11 (char 10)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+)
+def test_report_rejects_a_malformed_matrix_naming_the_file(tmp_path, capsys, change, reason):
+    if isinstance(change, bytes):
+        data = change
+    else:
+        doc = json.loads((PINNED / "dtq.json").read_bytes())
+        change(doc)
+        data = json.dumps(doc).encode()
+    path = tmp_path / "matrix.json"
+    path.write_bytes(data)
+    assert main(["report", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not a rendered matrix JSON ({reason})\n"
 
 
 def test_report_rerenders_matrix_json(tmp_path, capsys):

@@ -12,41 +12,26 @@ from irdrift.diff import (
     diff_topics,
     summarize,
 )
-from irdrift.model import (
-    CorpusSnapshot,
-    DocId,
-    DocMeta,
-    TopicDef,
-    TopicId,
-)
+from irdrift.model import Corpus, DocMeta
 
 from conftest import make_environment, make_qrels, synth_corpus, synth_qrels
 
 
-def snapshot(entries: dict[str, int], hashes: dict[str, str] | None = None) -> CorpusSnapshot:
+def corpus(entries: dict[str, int], hashes: dict[str, str] | None = None) -> Corpus:
     hashes = hashes or {}
-    return CorpusSnapshot(
-        {
-            DocId(d): DocMeta(doc_id=DocId(d), length=n, content_hash=hashes.get(d))
-            for d, n in entries.items()
-        }
-    )
-
-
-def topic_map(entries: dict[str, str | None]) -> dict[TopicId, TopicDef]:
-    return {TopicId(t): TopicDef(topic_id=TopicId(t), text=x) for t, x in entries.items()}
+    return {d: DocMeta(length=n, content_hash=hashes.get(d)) for d, n in entries.items()}
 
 
 def test_diff_documents_identity():
-    a = snapshot({"d1": 10, "d2": 20})
+    a = corpus({"d1": 10, "d2": 20})
     d = diff_documents(a, a)
     assert (d.created, d.updated, d.deleted) == (frozenset(), frozenset(), frozenset())
     assert d.relative_delta == 0.0
 
 
 def test_diff_documents_create_update():
-    a = snapshot({"d1": 10})
-    b = snapshot({"d1": 12, "d2": 5})
+    a = corpus({"d1": 10})
+    b = corpus({"d1": 12, "d2": 5})
     d = diff_documents(a, b)
     assert d.created == {"d2"}
     assert d.updated == {"d1"}
@@ -56,42 +41,42 @@ def test_diff_documents_create_update():
 
 def test_diff_documents_hash_takes_precedence_over_length():
     same_length_new_hash = diff_documents(
-        snapshot({"d1": 10}, {"d1": "aa"}), snapshot({"d1": 10}, {"d1": "bb"})
+        corpus({"d1": 10}, {"d1": "aa"}), corpus({"d1": 10}, {"d1": "bb"})
     )
     assert same_length_new_hash.updated == {"d1"}
     new_length_same_hash = diff_documents(
-        snapshot({"d1": 10}, {"d1": "aa"}), snapshot({"d1": 99}, {"d1": "aa"})
+        corpus({"d1": 10}, {"d1": "aa"}), corpus({"d1": 99}, {"d1": "aa"})
     )
     assert new_length_same_hash.updated == frozenset()
     # hash on one side only: fall back to lengths
     one_sided = diff_documents(
-        snapshot({"d1": 10}, {"d1": "aa"}), snapshot({"d1": 10})
+        corpus({"d1": 10}, {"d1": "aa"}), corpus({"d1": 10})
     )
     assert one_sided.updated == frozenset()
 
 
 def test_diff_topics_pure_addition():
-    a = topic_map({str(i): None for i in range(30)})
-    b = topic_map({str(i): None for i in range(35)})
+    a = dict.fromkeys(map(str, range(30)))
+    b = dict.fromkeys(map(str, range(35)))
     d = diff_topics(a, b)
     assert len(d.created) == 5 and not d.updated and not d.deleted
     assert d.relative_delta == pytest.approx(5 / 30)
 
 
 def test_diff_topics_identity_and_text_update():
-    a = topic_map({"1": "rain"})
+    a = {"1": "rain"}
     assert diff_topics(a, a).updated == frozenset()
-    d = diff_topics(a, topic_map({"1": "acid rain"}))
+    d = diff_topics(a, {"1": "acid rain"})
     assert d.updated == {"1"}
     # missing text on either side never counts as an update
-    assert diff_topics(a, topic_map({"1": None})).updated == frozenset()
+    assert diff_topics(a, {"1": None}).updated == frozenset()
 
 
 def test_diff_qrels_update_keeps_totals():
     a = make_qrels({("1", "d1"): 1, ("1", "d2"): 0})
     b = make_qrels({("1", "d1"): 0, ("1", "d2"): 0})
     d = diff_qrels(a, b)
-    assert d.updated == {(TopicId("1"), DocId("d1"))}
+    assert d.updated == {("1", "d1")}
     assert d.total_from == d.total_to == 2
     assert d.relative_delta == 0.0
 
@@ -110,10 +95,10 @@ def test_diff_qrels_pure_addition_delta():
 
 
 def test_summarize_identity():
-    corpus = synth_corpus(10)
-    qrels = synth_qrels([str(d) for d in corpus.docs], ["1"])
-    ee = make_environment("t0", corpus, qrels)
-    other = make_environment("t0b", corpus, qrels)
+    docs = synth_corpus(10)
+    qrels = synth_qrels(list(docs), ["1"])
+    ee = make_environment("t0", docs, qrels)
+    other = make_environment("t0b", docs, qrels)
     s = summarize(ee, other)
     for diff in (s.documents, s.topics, s.qrels):
         assert not diff.created and not diff.updated and not diff.deleted
@@ -121,9 +106,9 @@ def test_summarize_identity():
 
 
 def test_summarize_rejects_an_environment_without_corpus():
-    corpus = synth_corpus(10)
-    qrels = synth_qrels([str(d) for d in corpus.docs], ["1"])
-    ee = make_environment("t0", corpus, qrels)
+    docs = synth_corpus(10)
+    qrels = synth_qrels(list(docs), ["1"])
+    ee = make_environment("t0", docs, qrels)
     lean = dataclasses.replace(ee, label="t1", corpus=None)
     for pair in ((ee, lean), (lean, ee)):
         with pytest.raises(ValueError, match="environment t1 carries no corpus snapshot"):
@@ -132,10 +117,9 @@ def test_summarize_rejects_an_environment_without_corpus():
 
 def test_summarize_append_only_has_no_deletions():
     big = synth_corpus(20)
-    small = CorpusSnapshot(dict(list(sorted(big.docs.items()))[:10]))
-    doc_ids = [str(d) for d in big.docs]
-    qrels = synth_qrels(doc_ids, ["1"])
-    a = make_environment("t0", small, qrels.restricted_to_docs(set(small.docs)))
+    small = dict(sorted(big.items())[:10])
+    qrels = synth_qrels(list(big), ["1"])
+    a = make_environment("t0", small, qrels.restricted_to_docs(set(small)))
     b = make_environment("t1", big, qrels)
     s = summarize(a, b)
     assert s.documents.deleted == frozenset()
@@ -144,7 +128,7 @@ def test_summarize_append_only_has_no_deletions():
 
 def test_summarize_shrinking_corpus_negative_delta():
     big = synth_corpus(20)
-    small = CorpusSnapshot(dict(list(sorted(big.docs.items()))[:10]))
+    small = dict(sorted(big.items())[:10])
     qrels = make_qrels({})
     s = summarize(
         make_environment("t0", big, qrels, topic_ids=["1"]),
@@ -154,8 +138,8 @@ def test_summarize_shrinking_corpus_negative_delta():
 
 
 def test_diff_swap_symmetry():
-    a = snapshot({"d1": 1, "d2": 2, "d3": 3})
-    b = snapshot({"d2": 9, "d3": 3, "d4": 4})
+    a = corpus({"d1": 1, "d2": 2, "d3": 3})
+    b = corpus({"d2": 9, "d3": 3, "d4": 4})
     forward = diff_documents(a, b)
     backward = diff_documents(b, a)
     assert forward.created == backward.deleted
@@ -164,15 +148,15 @@ def test_diff_swap_symmetry():
 
 
 def test_diff_totals_telescope_across_chain():
-    a = snapshot({"d1": 1, "d2": 2})
-    b = snapshot({"d2": 2, "d3": 3, "d4": 4})
-    c = snapshot({"d4": 4})
+    a = corpus({"d1": 1, "d2": 2})
+    b = corpus({"d2": 2, "d3": 3, "d4": 4})
+    c = corpus({"d4": 4})
     ab = diff_documents(a, b)
     bc = diff_documents(b, c)
     ac = diff_documents(a, c)
     net_ab = len(ab.created) - len(ab.deleted)
     net_bc = len(bc.created) - len(bc.deleted)
-    assert ac.total_to == len(c.docs)
+    assert ac.total_to == len(c)
     assert ab.total_from + net_ab + net_bc == ac.total_to
 
 

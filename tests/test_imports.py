@@ -1,4 +1,5 @@
-"""Import guard: no CLI call imports numpy or scipy.
+"""Import guards: no CLI call imports numpy or scipy, and the package's
+export list matches what it imports.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -9,6 +10,7 @@ interpreter, because this test process has loaded numpy and scipy
 already; one of them blocks both imports outright.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -135,3 +137,20 @@ def test_change_with_pivot_runs_without_numpy_or_scipy(tmp_path):
     blocked_out, blocked_state = _run_cli(argv, "block")
     assert blocked_state == {"code": 0, "heavy": [], "numpy_importable": False}
     assert blocked_out == out
+
+
+def test_every_exported_name_resolves_and_the_list_is_sorted():
+    assert [name for name in irdrift.__all__ if not hasattr(irdrift, name)] == []
+    assert irdrift.__all__ == sorted(set(irdrift.__all__))
+
+
+def test_every_public_name_the_package_imports_is_exported():
+    tree = ast.parse(Path(irdrift.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(public - set(irdrift.__all__)) == []

@@ -20,7 +20,7 @@ from irdrift.ingest import (
     parse_run,
     parse_topics,
 )
-from irdrift.model import DocId, TopicId
+from irdrift.model import DocMeta, TopicId
 
 
 def test_parse_run_minimal_line():
@@ -116,10 +116,8 @@ def test_parse_qrels_malformed_line():
 
 
 def test_parse_manifest_minimal():
-    snapshot = parse_manifest(['{"doc_id":"d1","length":120}'])
-    assert len(snapshot) == 1
-    assert snapshot.docs[DocId("d1")].length == 120
-    assert snapshot.docs[DocId("d1")].timestamp is None
+    corpus = parse_manifest(['{"doc_id":"d1","length":120}'])
+    assert corpus == {"d1": DocMeta(length=120)}
 
 
 def test_parse_manifest_dates():
@@ -128,8 +126,8 @@ def test_parse_manifest_dates():
         '{"doc_id":"d2","length":2,"timestamp":"2020-01-01"}',
         '{"doc_id":"d3","length":3,"timestamp":"2021-01-01T12:30:00Z"}',
     ]
-    snapshot = parse_manifest(lines)
-    stamps = [snapshot.docs[DocId(f"d{i}")].timestamp for i in (1, 2, 3)]
+    corpus = parse_manifest(lines)
+    stamps = [corpus[f"d{i}"].timestamp for i in (1, 2, 3)]
     assert all(s is not None for s in stamps)
     assert stamps == sorted(stamps)
 
@@ -151,8 +149,8 @@ def test_parse_manifest_bad_timestamp():
 
 
 def test_parse_manifest_hash_field():
-    snapshot = parse_manifest(['{"doc_id":"d1","length":1,"hash":"abc"}'])
-    assert snapshot.docs[DocId("d1")].content_hash == "abc"
+    corpus = parse_manifest(['{"doc_id":"d1","length":1,"hash":"abc"}'])
+    assert corpus["d1"].content_hash == "abc"
 
 
 def test_parse_manifest_parses_each_timestamp_text_once(monkeypatch):
@@ -169,10 +167,10 @@ def test_parse_manifest_parses_each_timestamp_text_once(monkeypatch):
         json.dumps({"doc_id": f"d{i}", "length": i, "timestamp": dates[i % 3]})
         for i in range(1000)
     ]
-    snapshot = parse_manifest(lines)
+    corpus = parse_manifest(lines)
     assert sorted(calls) == sorted(dates)
     for i in (0, 1, 2, 998, 999):
-        assert snapshot.docs[DocId(f"d{i}")].timestamp == real(dates[i % 3], 0)
+        assert corpus[f"d{i}"].timestamp == real(dates[i % 3], 0)
 
 
 def test_parse_manifest_bad_timestamp_after_good_ones_names_its_line():
@@ -251,8 +249,7 @@ def test_json_lines_skip_whitespace_only_lines(parse, record):
 
 def test_parse_topics():
     topics = parse_topics(['{"topic_id":"1","text":"rain"}', '{"topic_id":"2"}'])
-    assert topics[TopicId("1")].text == "rain"
-    assert topics[TopicId("2")].text is None
+    assert topics == {"1": "rain", "2": None}
 
 
 @pytest.mark.parametrize("value", ["0", "7", '["a"]', "null"])
@@ -279,15 +276,14 @@ def _write_env(tmp_path, with_topics=False, topic_ids=("1",)):
 def test_load_environment_infers_topics_from_qrels(tmp_path):
     config = load_config(_write_env(tmp_path))[0]
     ee = load_environment(config)
-    assert ee.topic_ids() == {"1"}
-    assert ee.topics[TopicId("1")].text is None
+    assert ee.topics == {"1": None}
 
 
 def test_load_environment_warns_on_disjoint_topics(tmp_path):
     config = load_config(_write_env(tmp_path, with_topics=True, topic_ids=("7",)))[0]
     with pytest.warns(IngestWarning, match="topic 1"):
         ee = load_environment(config)
-    assert ee.topic_ids() == {"7"}
+    assert ee.topics == {"7": None}
 
 
 def test_load_environment_without_corpus_keeps_only_the_findings(tmp_path):
@@ -395,8 +391,7 @@ def test_round_trip_manifest_is_byte_identical():
         '{"doc_id":"d1","length":1,"timestamp":"2019-01-01"}',
         '{"doc_id":"d2","length":2,"hash":"ff"}',
     ]
-    snapshot = parse_manifest(lines)
-    text = format_manifest(snapshot)
+    text = format_manifest(parse_manifest(lines))
     assert format_manifest(parse_manifest(text.splitlines())) == text
 
 

@@ -25,7 +25,7 @@ from irdrift.ingest import (
     parse_qrels,
     parse_run,
 )
-from irdrift.model import CorpusSnapshot, DocId, DocMeta, Qrels
+from irdrift.model import DocMeta, Qrels
 
 # tokens as str.split() yields them: non-empty, no whitespace
 token = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s])
@@ -160,9 +160,9 @@ def test_qrels_reject_negative_grades_and_empty_topics(pairs, negative, data):
 def reference_format_manifest(corpus):
     """The manifest writer as one ``json.dumps`` per line: the oracle."""
     out = []
-    for doc_id in sorted(corpus.docs):
-        meta = corpus.docs[doc_id]
-        obj = {"doc_id": str(doc_id), "length": meta.length}
+    for doc_id in sorted(corpus):
+        meta = corpus[doc_id]
+        obj = {"doc_id": doc_id, "length": meta.length}
         if meta.timestamp is not None:
             obj["timestamp"] = meta.timestamp.isoformat()
         if meta.content_hash is not None:
@@ -194,17 +194,14 @@ def corpora(draw, utc_only=False):
         # an equal instant at another offset renders differently
         stamps.append(stamps[0].astimezone(timezone(timedelta(hours=1))))
     ids = draw(st.lists(doc_id, max_size=8, unique=True))
-    return CorpusSnapshot(
-        {
-            DocId(i): DocMeta(
-                doc_id=DocId(i),
-                length=draw(st.integers(0, 2**70)),
-                timestamp=draw(st.sampled_from([None, *stamps])),
-                content_hash=draw(st.none() | json_text),
-            )
-            for i in ids
-        }
-    )
+    return {
+        i: DocMeta(
+            length=draw(st.integers(0, 2**70)),
+            timestamp=draw(st.sampled_from([None, *stamps])),
+            content_hash=draw(st.none() | json_text),
+        )
+        for i in ids
+    }
 
 
 @SETTINGS
@@ -280,7 +277,7 @@ def manifest_outcome(parse, lines):
 @example(['{"doc_id": "d1", "length": -1}'])
 @example(['{"doc_id": "d1", "length": 1}', "", '{"doc_id": "d1", "length": 2}\n'])
 def test_manifest_ids_check_every_line_as_the_full_parse_does(lines):
-    full = manifest_outcome(lambda ls: set(parse_manifest(ls).docs), lines)
+    full = manifest_outcome(lambda ls: set(parse_manifest(ls)), lines)
     ids = manifest_outcome(parse_manifest_ids, lines)
     assert ids == full
     if ids[0] == "ok":

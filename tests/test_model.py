@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irdrift.model import (
-    CorpusSnapshot,
     DocId,
     DocMeta,
     EvaluationEnvironment,
@@ -15,7 +14,6 @@ from irdrift.model import (
     Qrels,
     Ranking,
     RunFile,
-    TopicDef,
     TopicId,
     _check_id,
     validate_environment,
@@ -135,25 +133,20 @@ def test_qrels_topic_helpers():
 
 def test_doc_meta_rejects_negative_length():
     with pytest.raises(ValueError, match="length"):
-        DocMeta(doc_id=DocId("d1"), length=-1)
+        DocMeta(length=-1)
 
 
 @pytest.mark.parametrize("length", [True, False, 3.5, 3.0, "3", None])
 def test_doc_meta_rejects_non_integer_length(length):
     # the manifest writer would render these as lines its parser rejects
     with pytest.raises(ValueError, match="^DocMeta length must be an integer, got "):
-        DocMeta(doc_id=DocId("d1"), length=length)
+        DocMeta(length=length)
 
 
 @pytest.mark.parametrize("content_hash", [5, b"ff", ["ff"]])
 def test_doc_meta_rejects_non_string_hash(content_hash):
     with pytest.raises(ValueError, match="^DocMeta content_hash must be a string, got "):
-        DocMeta(doc_id=DocId("d1"), length=1, content_hash=content_hash)
-
-
-def test_corpus_snapshot_key_mismatch():
-    with pytest.raises(ValueError, match="keyed"):
-        CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d2"), length=0)})
+        DocMeta(length=1, content_hash=content_hash)
 
 
 @pytest.mark.parametrize(
@@ -190,8 +183,8 @@ def test_per_topic_scores_range():
 
 
 def _tiny_env(topics_order: list[str]) -> EvaluationEnvironment:
-    corpus = CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d1"), length=3)})
-    topics = {TopicId(t): TopicDef(topic_id=TopicId(t)) for t in topics_order}
+    corpus = {"d1": DocMeta(length=3)}
+    topics = dict.fromkeys(topics_order)
     qrels = make_qrels({("1", "d1"): 1})
     return EvaluationEnvironment(label="t0", corpus=corpus, topics=topics, qrels=qrels)
 
@@ -202,13 +195,13 @@ def test_environment_equality_ignores_map_order():
 
 def test_validate_empty_environment_is_clean():
     ee = EvaluationEnvironment(
-        label="t0", corpus=CorpusSnapshot({}), topics={}, qrels=Qrels({})
+        label="t0", corpus={}, topics={}, qrels=Qrels({})
     )
     assert validate_environment(ee) == []
 
 
 def test_validate_reports_qrels_topic_missing_from_topic_set():
-    corpus = CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d1"), length=3)})
+    corpus = {"d1": DocMeta(length=3)}
     ee = EvaluationEnvironment(
         label="t0", corpus=corpus, topics={}, qrels=make_qrels({("9", "d1"): 1})
     )
@@ -221,8 +214,8 @@ def test_validate_reports_qrels_topic_missing_from_topic_set():
 def test_validate_reports_judged_doc_missing_from_corpus():
     ee = EvaluationEnvironment(
         label="t0",
-        corpus=CorpusSnapshot({}),
-        topics={TopicId("1"): TopicDef(topic_id=TopicId("1"))},
+        corpus={},
+        topics={"1": None},
         qrels=make_qrels({("1", "ghost"): 1}),
     )
     findings = [f for f in validate_environment(ee) if "doc" in f.location]
@@ -232,8 +225,8 @@ def test_validate_reports_judged_doc_missing_from_corpus():
 
 def test_validate_reads_the_given_doc_ids_in_place_of_the_corpus():
     qrels = make_qrels({("1", "d1"): 1, ("1", "ghost"): 0})
-    topics = {TopicId("1"): TopicDef(topic_id=TopicId("1"))}
-    corpus = CorpusSnapshot({DocId("d1"): DocMeta(doc_id=DocId("d1"), length=3)})
+    topics = {"1": None}
+    corpus = {"d1": DocMeta(length=3)}
     full = EvaluationEnvironment(label="t0", corpus=corpus, topics=topics, qrels=qrels)
     lean = EvaluationEnvironment(label="t0", corpus=None, topics=topics, qrels=qrels)
     assert validate_environment(lean, {"d1"}) == validate_environment(full)

@@ -5,15 +5,7 @@ from datetime import datetime, timezone
 import pytest
 
 from irdrift.diff import diff_documents, summarize
-from irdrift.model import (
-    CorpusSnapshot,
-    DocId,
-    DocMeta,
-    EvaluationEnvironment,
-    Qrels,
-    TopicDef,
-    TopicId,
-)
+from irdrift.model import DocMeta, EvaluationEnvironment, Qrels
 from irdrift.simulate import (
     SimulationPlan,
     SimulationWarning,
@@ -30,7 +22,7 @@ def _utc(year, month, day):
 
 def _base_env(n_docs=9) -> EvaluationEnvironment:
     corpus = synth_corpus(n_docs)
-    qrels = synth_qrels([str(d) for d in sorted(corpus.docs)], ["1", "2"])
+    qrels = synth_qrels(sorted(corpus), ["1", "2"])
     return make_environment("base", corpus, qrels, topic_ids=["1", "2"])
 
 
@@ -50,7 +42,7 @@ def test_append_only_diffs_have_no_deletes_or_updates():
     created = set()
     for earlier, later in zip(slices, slices[1:]):
         created |= diff_documents(earlier.corpus, later.corpus).created
-    assert created == set(slices[-1].corpus.docs) - set(slices[0].corpus.docs)
+    assert created == slices[-1].corpus.keys() - slices[0].corpus.keys()
 
 
 def test_topics_are_copied_unchanged():
@@ -60,14 +52,11 @@ def test_topics_are_copied_unchanged():
 
 
 def test_qrels_restricted_to_present_docs():
-    docs = {
-        DocId(f"d{i}"): DocMeta(doc_id=DocId(f"d{i}"), length=1, timestamp=_utc(2019, 1, i + 1))
-        for i in range(9)
-    }
+    docs = {f"d{i}": DocMeta(length=1, timestamp=_utc(2019, 1, i + 1)) for i in range(9)}
     base = EvaluationEnvironment(
         label="base",
-        corpus=CorpusSnapshot(docs),
-        topics={TopicId("1"): TopicDef(topic_id=TopicId("1"))},
+        corpus=docs,
+        topics={"1": None},
         # d8 is dated in the last third: its pair may only appear in t2
         qrels=make_qrels({("1", "d0"): 1, ("1", "d8"): 1}),
     )
@@ -85,11 +74,11 @@ def test_qrels_restricted_to_present_docs():
 
 def test_missing_timestamp_names_document():
     docs = {
-        DocId("dated"): DocMeta(doc_id=DocId("dated"), length=1, timestamp=_utc(2019, 1, 1)),
-        DocId("undated"): DocMeta(doc_id=DocId("undated"), length=1),
+        "dated": DocMeta(length=1, timestamp=_utc(2019, 1, 1)),
+        "undated": DocMeta(length=1),
     }
     base = EvaluationEnvironment(
-        label="base", corpus=CorpusSnapshot(docs), topics={}, qrels=Qrels({})
+        label="base", corpus=docs, topics={}, qrels=Qrels({})
     )
     with pytest.raises(ValueError, match="undated"):
         split_append_only(base, SimulationPlan(num_slices=2))
@@ -97,12 +86,9 @@ def test_missing_timestamp_names_document():
 
 def test_more_slices_than_distinct_timestamps_is_error():
     stamp = _utc(2020, 5, 5)
-    docs = {
-        DocId(f"d{i}"): DocMeta(doc_id=DocId(f"d{i}"), length=1, timestamp=stamp)
-        for i in range(6)
-    }
+    docs = {f"d{i}": DocMeta(length=1, timestamp=stamp) for i in range(6)}
     base = EvaluationEnvironment(
-        label="base", corpus=CorpusSnapshot(docs), topics={}, qrels=Qrels({})
+        label="base", corpus=docs, topics={}, qrels=Qrels({})
     )
     with pytest.raises(ValueError, match="distinct"):
         split_append_only(base, SimulationPlan(num_slices=2))
@@ -112,13 +98,12 @@ def test_timestamp_ties_break_by_doc_id_and_sizes_stay_balanced():
     # two distinct dates, four docs sharing the earlier one
     docs = {}
     for i, day in enumerate([1, 1, 1, 1, 2]):
-        doc = DocId(f"d{i}")
-        docs[doc] = DocMeta(doc_id=doc, length=1, timestamp=_utc(2019, 1, day))
+        docs[f"d{i}"] = DocMeta(length=1, timestamp=_utc(2019, 1, day))
     base = EvaluationEnvironment(
-        label="base", corpus=CorpusSnapshot(docs), topics={}, qrels=Qrels({})
+        label="base", corpus=docs, topics={}, qrels=Qrels({})
     )
     t0, t1 = split_append_only(base, SimulationPlan(num_slices=2))
-    assert sorted(t0.corpus.docs) == ["d0", "d1", "d2"]  # earliest ids first
+    assert sorted(t0.corpus) == ["d0", "d1", "d2"]  # earliest ids first
     assert len(t1.corpus) - len(t0.corpus) <= len(t0.corpus)
     assert abs((len(t1.corpus) - len(t0.corpus)) - len(t0.corpus)) <= 1
 
@@ -126,23 +111,22 @@ def test_timestamp_ties_break_by_doc_id_and_sizes_stay_balanced():
 def test_explicit_boundaries():
     docs = {}
     for i in range(1, 7):
-        doc = DocId(f"d{i}")
-        docs[doc] = DocMeta(doc_id=doc, length=1, timestamp=_utc(2019, i, 1))
+        docs[f"d{i}"] = DocMeta(length=1, timestamp=_utc(2019, i, 1))
     base = EvaluationEnvironment(
-        label="base", corpus=CorpusSnapshot(docs), topics={}, qrels=Qrels({})
+        label="base", corpus=docs, topics={}, qrels=Qrels({})
     )
     plan = SimulationPlan(
         num_slices=2, boundaries=(_utc(2019, 3, 15), _utc(2019, 12, 31))
     )
     t0, t1 = split_append_only(base, plan)
-    assert sorted(t0.corpus.docs) == ["d1", "d2", "d3"]
+    assert sorted(t0.corpus) == ["d1", "d2", "d3"]
     assert len(t1.corpus) == 6
 
 
 def test_explicit_boundary_before_all_docs_is_error():
-    docs = {DocId("d1"): DocMeta(doc_id=DocId("d1"), length=1, timestamp=_utc(2019, 6, 1))}
+    docs = {"d1": DocMeta(length=1, timestamp=_utc(2019, 6, 1))}
     base = EvaluationEnvironment(
-        label="base", corpus=CorpusSnapshot(docs), topics={}, qrels=Qrels({})
+        label="base", corpus=docs, topics={}, qrels=Qrels({})
     )
     plan = SimulationPlan(num_slices=2, boundaries=(_utc(2018, 1, 1), _utc(2020, 1, 1)))
     with pytest.raises(ValueError, match="empty"):
@@ -168,7 +152,7 @@ def test_append_only_summary_shape():
 def test_common_topics_examples():
     def env(topic_ids):
         return make_environment(
-            "e" + "".join(topic_ids), CorpusSnapshot({}), Qrels({}), topic_ids=topic_ids
+            "e" + "".join(topic_ids), {}, Qrels({}), topic_ids=topic_ids
         )
 
     assert common_topics([env(["1", "2", "3"])]) == {"1", "2", "3"}
