@@ -11,48 +11,49 @@ from pathlib import Path
 
 from irdrift import EEConfig, load_environment, load_run, validate_environment
 
-work = Path(tempfile.mkdtemp(prefix="irdrift-demo-"))
-print(f"writing a toy collection under {work}\n")
+with tempfile.TemporaryDirectory(prefix="irdrift-demo-") as tmp:
+    work = Path(tmp)
+    print(f"writing a toy collection under {work}\n")
 
-(work / "corpus.jsonl").write_text(
-    '{"doc_id": "d1", "length": 120, "timestamp": "2019-03-01"}\n'
-    '{"doc_id": "d2", "length": 87, "timestamp": "2019-07-15"}\n'
-    '{"doc_id": "d3", "length": 430, "timestamp": "2020-01-20"}\n'
-)
+    (work / "corpus.jsonl").write_text(
+        '{"doc_id": "d1", "length": 120, "timestamp": "2019-03-01"}\n'
+        '{"doc_id": "d2", "length": 87, "timestamp": "2019-07-15"}\n'
+        '{"doc_id": "d3", "length": 430, "timestamp": "2020-01-20"}\n'
+    )
 
-# qrels: topic, iteration (ignored), doc, grade
-(work / "qrels.txt").write_text(
-    "1 0 d1 2\n"
-    "1 0 d2 0\n"
-    "2 0 d3 1\n"
-    "2 0 ghost 1\n"  # judged but absent from the corpus: tolerated, flagged
-)
+    # qrels: topic, iteration (ignored), doc, grade
+    (work / "qrels.txt").write_text(
+        "1 0 d1 2\n"
+        "1 0 d2 0\n"
+        "2 0 d3 1\n"
+        "2 0 ghost 1\n"  # judged but absent from the corpus: tolerated, flagged
+    )
 
-config = EEConfig(
-    label="t0", manifest_path=work / "corpus.jsonl", qrels_path=work / "qrels.txt"
-)
-ee = load_environment(config)  # emits warnings for anything suspicious
+    config = EEConfig(
+        label="t0", manifest_path=work / "corpus.jsonl", qrels_path=work / "qrels.txt"
+    )
+    ee = load_environment(config)  # emits warnings for anything suspicious
 
-print(f"environment {ee.label!r}:")
-print(f"  documents: {len(ee.corpus)}")
-print(f"  topics:    {sorted(ee.topics)} (inferred from qrels, no topics file)")
-print(f"  judgments: {len(ee.qrels)}")
+    print(f"environment {ee.label!r}:")
+    print(f"  documents: {len(ee.corpus)}")
+    print(f"  topics:    {sorted(ee.topics)} (inferred from qrels, no topics file)")
+    print(f"  judgments: {len(ee.qrels)}")
 
-print("\nvalidation findings:")
-for finding in validate_environment(ee):
-    print(f"  [{finding.severity}] {finding.location}: {finding.message}")
+    print("\nvalidation findings:")
+    for finding in validate_environment(ee):
+        print(f"  [{finding.severity}] {finding.location}: {finding.message}")
 
-# Run files are canonicalized on ingest: entries re-sorted by score
-# (descending, doc id breaking ties), whatever the file's rank column
-# claimed. A ranking keeps its docs and scores; the rank is the position.
-(work / "run.txt").write_text(
-    "1 Q0 d2 1 3.5 demo\n"
-    "1 Q0 d1 2 9.9 demo\n"  # higher score: must end up at rank 1
-    "2 Q0 d3 1 1.2 demo\n"
-)
-run = load_run(work / "run.txt", ee_label="t0")
-print(f"\nrun {run.system_tag!r} after canonicalization:")
-for topic in sorted(run.rankings):
-    ranking = run.rankings[topic]
-    for rank, (doc, score) in enumerate(zip(ranking.docs, ranking.scores), start=1):
-        print(f"  topic {topic}: rank {rank} {doc} (score {score})")
+    # Run files are canonicalized on ingest: entries re-sorted by score
+    # (descending, doc id breaking ties), whatever the file's rank column
+    # claimed. A ranking keeps its docs and scores; the rank is the position.
+    (work / "run.txt").write_text(
+        "1 Q0 d2 1 3.5 demo\n"
+        "1 Q0 d1 2 9.9 demo\n"  # higher score: must end up at rank 1
+        "2 Q0 d3 1 1.2 demo\n"
+    )
+    run = load_run(work / "run.txt", ee_label="t0")
+    print(f"\nrun {run.system_tag!r} after canonicalization:")
+    for topic in sorted(run.rankings):
+        ranking = run.rankings[topic]
+        for rank, (doc, score) in enumerate(zip(ranking.docs, ranking.scores), start=1):
+            print(f"  topic {topic}: rank {rank} {doc} (score {score})")

@@ -19,10 +19,10 @@ from irdrift import (
 )
 
 
-def ranking(topic: str, docs: list[str]) -> Ranking:
+def ranking(docs: list[str]) -> Ranking:
     """Docs best first, scored n, n-1, ..., 1."""
     scores = tuple(float(len(docs) - i) for i in range(len(docs)))
-    return Ranking(topic, tuple(docs), scores)
+    return Ranking(tuple(docs), scores)
 
 
 # topic -> doc -> grade
@@ -33,24 +33,27 @@ qrels = Qrels(
     }
 )
 
-good = ranking("1", ["a", "b", "c"])  # relevant docs first
-bad = ranking("1", ["c", "z", "b", "a"])  # non-relevant and unjudged first
+good = ranking(["a", "b", "c"])  # relevant docs first
+bad = ranking(["c", "z", "b", "a"])  # non-relevant and unjudged first
+# a ranking does not know its topic: each measure takes the topic's grades
+grades = qrels.by_topic["1"]
 
 print("topic 1, relevant-first ranking:")
-print(f"  P@3   = {precision_at_k(good, qrels, 3):.4f}")
-print(f"  nDCG  = {ndcg(good, qrels):.4f}   (ideal ordering: exactly 1)")
-print(f"  bpref = {bpref(good, qrels):.4f}")
+print(f"  P@3   = {precision_at_k(good, grades, 3):.4f}")
+print(f"  nDCG  = {ndcg(good, grades):.4f}   (ideal ordering: exactly 1)")
+print(f"  bpref = {bpref(good, grades):.4f}")
 
 print("topic 1, non-relevant-first ranking:")
-print(f"  P@3   = {precision_at_k(bad, qrels, 3):.4f}")
-print(f"  nDCG  = {ndcg(bad, qrels):.4f}")
-print(f"  bpref = {bpref(bad, qrels):.4f}   (unjudged 'z' is ignored entirely)")
+print(f"  P@3   = {precision_at_k(bad, grades, 3):.4f}")
+print(f"  nDCG  = {ndcg(bad, grades):.4f}")
+print(f"  bpref = {bpref(bad, grades):.4f}   (unjudged 'z' is ignored entirely)")
 
-# Whole-run evaluation: per-topic scores, then the average (ARP).
+# Whole-run evaluation: per-topic scores, then the average (ARP). A run
+# stores each ranking under its topic id.
 run = RunFile(
     system_tag="demo",
     ee_label="t0",
-    rankings={"1": good, "2": ranking("2", ["y", "x"])},
+    rankings={"1": good, "2": ranking(["y", "x"])},
 )
 for name in ("p@10", "ndcg", "bpref"):
     scores = evaluate_run(run, qrels, MeasureSpec.parse(name))

@@ -22,10 +22,10 @@ from irdrift import (
 
 
 def ranking(docs: str) -> Ranking:
-    """Topic 1's docs best first, scored n, n-1, ..., 1."""
+    """Docs best first, scored n, n-1, ..., 1."""
     names = tuple(docs.split())
     scores = tuple(float(len(names) - i) for i in range(len(names)))
-    return Ranking("1", names, scores)
+    return Ranking(names, scores)
 
 
 # --- rank-biased overlap -------------------------------------------------

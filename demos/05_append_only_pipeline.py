@@ -79,9 +79,7 @@ def run_over(tag: str, ee: EvaluationEnvironment, depth: int = 50) -> RunFile:
             ((pseudo("score", tag, topic, str(d)), str(d)) for d in ee.corpus),
             key=lambda pair: (-pair[0], pair[1]),
         )[:depth]
-        rankings[topic] = Ranking(
-            topic, tuple(d for _, d in scored), tuple(s for s, _ in scored)
-        )
+        rankings[topic] = Ranking(tuple(d for _, d in scored), tuple(s for s, _ in scored))
     return RunFile(system_tag=tag, ee_label=ee.label, rankings=rankings)
 
 

@@ -78,7 +78,7 @@ class ChangeScores:
 
 
 def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
-    """Rank-biased overlap between two rankings of the same topic.
+    """Rank-biased overlap between two rankings the caller pairs by topic.
 
     Computes the truncated sum (1-phi) * sum_{i=1..d} phi**(i-1) * A_i
     where A_i is the fraction of agreement between the two depth-i
@@ -88,10 +88,6 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     identical (1.0). Two rankings that share one docs tuple skip the
     prefix walk; the result has the walk's bits.
     """
-    if r.topic != r_prime.topic:
-        raise ValueError(
-            f"rbo_topic compares rankings of one topic, got {r.topic} vs {r_prime.topic}"
-        )
     longest = max(len(r), len(r_prime))
     if longest == 0:
         return 1.0

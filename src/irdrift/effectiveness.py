@@ -4,9 +4,10 @@ Three measures are provided: precision at k, nDCG with linear gain, and
 bpref. This is the one module that binarizes qrels grades: a grade >= 1
 is relevant and a grade of 0 judged non-relevant. P@k, bpref and topic
 eligibility use that rule; nDCG consumes the raw grades. Each measure
-reads its topic's grade map from ``Qrels.by_topic`` directly. Topics
-without any judged-relevant document are excluded from evaluation
-rather than scored zero, matching standard TREC evaluation behavior.
+reads its topic's grade map, ``qrels.by_topic.get(topic, {})``, which
+the public measures take as their second argument. Topics without any
+judged-relevant document are excluded from evaluation rather than scored
+zero, matching standard TREC evaluation behavior.
 
 Scoring is organised in three layers. :func:`score_runs` is the engine:
 it scores several runs under several measures against one qrels in one
@@ -56,43 +57,43 @@ class ArpResult:
             raise ValueError("evaluated_topic_count must be >= 0")
 
 
-def precision_at_k(ranking: Ranking, qrels: Qrels, k: int) -> float:
-    """Fraction of the top-k entries that are judged relevant.
+def precision_at_k(ranking: Ranking, grades: dict[DocId, int], k: int) -> float:
+    """Fraction of the top-k entries that ``grades`` judges relevant.
 
     Unjudged and grade-0 documents count as non-relevant; retrieving fewer
     than k documents keeps the denominator at k.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _precision(_gains(ranking.docs[:k], qrels.by_topic.get(ranking.topic, {})), k)
+    return _precision(_gains(ranking.docs[:k], grades), k)
 
 
-def ndcg(ranking: Ranking, qrels: Qrels, k: int | None = None) -> float:
+def ndcg(ranking: Ranking, grades: dict[DocId, int], k: int | None = None) -> float:
     """Normalized discounted cumulative gain with linear gain grade/log2(i+1).
 
     Evaluated at depth k when given, else at the ranking's length. The
-    ideal ranking is the topic's judged grades sorted descending; returns
+    ideal ranking is the values of ``grades`` sorted descending; returns
     0 when its gain is 0 (no relevant documents).
     """
-    facts = _TopicFacts(qrels.by_topic.get(ranking.topic, {}))
+    facts = _TopicFacts(grades)
     depth = k if k is not None else len(ranking)
     discounts = _discounts(max(len(ranking), len(facts.ideal)))
-    return _ndcg(_gains(ranking.docs, facts.grades), depth, facts, discounts)
+    return _ndcg(_gains(ranking.docs, grades), depth, facts, discounts)
 
 
-def bpref(ranking: Ranking, qrels: Qrels) -> float:
+def bpref(ranking: Ranking, grades: dict[DocId, int]) -> float:
     """Binary preference: how often relevant documents precede judged
     non-relevant ones, ignoring unjudged documents entirely.
 
-    With R judged-relevant and N judged non-relevant documents, each
-    retrieved relevant document r contributes
+    With R judged-relevant and N judged non-relevant documents in
+    ``grades``, each retrieved relevant document r contributes
     1 - min(nonrel_above(r), R) / min(R, N); the result is the mean over
     all R relevant documents. When N is 0 each retrieved relevant
     document contributes 1. Returns 0 when the topic has no judged
     relevant documents.
     """
-    facts = _TopicFacts(qrels.by_topic.get(ranking.topic, {}))
-    return _bpref(_gains(ranking.docs, facts.grades), facts.big_r, facts.big_n)
+    facts = _TopicFacts(grades)
+    return _bpref(_gains(ranking.docs, grades), facts.big_r, facts.big_n)
 
 
 def evaluate_run(

@@ -145,17 +145,15 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
                 )
     if system_tag is None:
         raise ParseError("empty run: no lines to take a system tag from")
-    rankings = {
-        topic: _canonical_ranking(topic, docs) for topic, docs in by_topic.items()
-    }
+    rankings = {topic: _canonical_ranking(docs) for topic, docs in by_topic.items()}
     return RunFile(system_tag=system_tag, ee_label=expected_ee_label, rankings=rankings)
 
 
-def _canonical_ranking(topic: str, docs: dict[str, float]) -> Ranking:
+def _canonical_ranking(docs: dict[str, float]) -> Ranking:
     # (-score, doc) pairs sort as the key (score descending, doc ascending);
     # the scores are read back from `docs`, so each keeps its own bits
     _, doc_ids = zip(*sorted(zip(map(neg, docs.values()), docs)))
-    return Ranking(topic, doc_ids, tuple(map(docs.__getitem__, doc_ids)))
+    return Ranking(doc_ids, tuple(map(docs.__getitem__, doc_ids)))
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:

@@ -10,21 +10,22 @@ Identifiers are plain ``str``; :data:`DocId` and :data:`TopicId` name
 their role. An id is checked once, by :func:`_check_id`, where it enters
 the program from JSON or a command-line flag (manifests, topic files,
 ``--topics``). Tokens that ``str.split()`` cut from a run or qrels line
-already satisfy the check. Each id is stored once, as a key: the
-corpus is a :data:`Corpus` map (doc id -> :class:`DocMeta`) and the
-topic set a map of topic id -> text (None when a topic has no text).
-A :class:`Ranking` stores its documents and scores as two parallel
-tuples; a document's rank is its position. :class:`Qrels` is one
-topic -> doc -> grade map holding the raw grades;
+already satisfy the check. Each id is stored once, as a key: the corpus
+is a :data:`Corpus` map (doc id -> :class:`DocMeta`), the topic set a map
+of topic id -> text (None when a topic has no text) and a run's rankings
+a map of topic id -> :class:`Ranking`, which stores its documents and
+scores as two parallel tuples; a document's rank is its position.
+:class:`Qrels` is one topic -> doc -> grade map holding the raw grades;
 :mod:`irdrift.effectiveness` alone decides which grades count as
 relevant. The container types check their structural invariants at
-construction, so downstream code can rely on them without re-checking.
-An :class:`EvaluationEnvironment` loaded for scoring carries no corpus;
+construction, so downstream code can rely on them without re-checking. An
+:class:`EvaluationEnvironment` loaded for scoring carries no corpus;
 :func:`validate_environment` then takes the corpus's doc ids.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from datetime import datetime
@@ -53,37 +54,36 @@ def _check_id(value: str, kind: str) -> str:
 
 @dataclass(frozen=True)
 class Ranking:
-    """One topic's ranked document list, best first.
+    """A ranked document list, best first; its topic is the key it is
+    stored under in :attr:`RunFile.rankings`.
 
     ``docs`` and ``scores`` are parallel tuples; the rank of ``docs[i]``
-    is ``i + 1``. Doc ids are unique and scores non-increasing; parsers
-    canonicalize raw input into this form before construction.
+    is ``i + 1``. Doc ids are unique and scores finite and non-increasing;
+    parsers canonicalize raw input into this form before construction.
     """
 
-    topic: TopicId
     docs: tuple[DocId, ...]
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
         docs, scores = self.docs, self.scores
         if len(docs) != len(scores):
-            raise ValueError(
-                f"Ranking for topic {self.topic}: {len(docs)} docs but "
-                f"{len(scores)} scores"
-            )
-        if len(set(docs)) == len(docs) and not any(map(operator.lt, scores, scores[1:])):
+            raise ValueError(f"Ranking: {len(docs)} docs but {len(scores)} scores")
+        ordered = not any(map(operator.lt, scores, scores[1:]))
+        if ordered and len(set(docs)) == len(docs) and all(map(math.isfinite, scores)):
             return
         # a fault exists; walk in order to report the first one
         seen: set[DocId] = set()
         prev_score: float | None = None
         for doc, score in zip(docs, scores):
             if doc in seen:
-                raise ValueError(f"Ranking for topic {self.topic}: duplicate doc id {doc}")
+                raise ValueError(f"Ranking: duplicate doc id {doc}")
             seen.add(doc)
+            if not math.isfinite(score):
+                raise ValueError(f"Ranking: non-finite score {score} for doc {doc}")
             if prev_score is not None and score > prev_score:
                 raise ValueError(
-                    f"Ranking for topic {self.topic}: scores must be non-increasing, "
-                    f"got {score} after {prev_score}"
+                    f"Ranking: scores must be non-increasing, got {score} after {prev_score}"
                 )
             prev_score = score
 
@@ -93,7 +93,7 @@ class Ranking:
 
 @dataclass(frozen=True)
 class RunFile:
-    """A system's rankings for every topic it answered in one environment."""
+    """A system's rankings in one environment, keyed by the topic each answers."""
 
     system_tag: str
     ee_label: str
@@ -102,14 +102,6 @@ class RunFile:
     def __post_init__(self) -> None:
         if not self.system_tag:
             raise ValueError("RunFile system_tag must be non-empty")
-        for topic, ranking in self.rankings.items():
-            if ranking.topic != topic:
-                raise ValueError(
-                    f"RunFile: ranking keyed {topic} carries topic {ranking.topic}"
-                )
-
-    def topics(self) -> set[TopicId]:
-        return set(self.rankings)
 
 
 @dataclass(frozen=True)

@@ -229,9 +229,10 @@ def matrix_from_json(data: bytes | str) -> LongitudinalMatrix:
     """Parse :func:`render`'s json output back into a matrix.
 
     Every field's type is checked (labels strings, measure fields
-    objects, reals finite numbers or null, flags bools or null), so a
-    malformed document raises ``ValueError`` naming the field, or
-    ``KeyError`` for a missing one, instead of rendering wrongly.
+    objects naming each measure once, reals finite numbers or null, flags
+    bools or null), so a malformed document raises ``ValueError`` naming
+    the field, or ``KeyError`` for a missing one, instead of rendering
+    wrongly.
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -244,9 +245,13 @@ def matrix_from_json(data: bytes | str) -> LongitudinalMatrix:
         for f in _MEASURE_FIELDS:
             read = _read_flag if f == "significant" else _read_real
             values = _read(row[f], dict, f"{where}.{f}")
-            measure_maps[f] = {
-                MeasureSpec.parse(k): read(v, f"{where}.{f}.{k}") for k, v in values.items()
-            }
+            by_measure = {}
+            for k, v in values.items():
+                measure = MeasureSpec.parse(k)
+                if measure in by_measure:
+                    raise ValueError(f"{where}.{f}: duplicate measure {measure.name!r}")
+                by_measure[measure] = read(v, f"{where}.{f}.{k}")
+            measure_maps[f] = by_measure
         rows.append(
             ChangeReport(
                 system_tag=_read(row["system"], str, f"{where}.system"),

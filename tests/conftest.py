@@ -34,11 +34,11 @@ def unit_hash(*parts: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
-def make_ranking(topic: str, docs: list[str], scores: list[float] | None = None) -> Ranking:
+def make_ranking(docs: list[str], scores: list[float] | None = None) -> Ranking:
     """Ranking with the given docs in order; scores default to n, n-1, ..."""
     if scores is None:
         scores = [float(len(docs) - i) for i in range(len(docs))]
-    return Ranking(topic, tuple(docs), tuple(scores))
+    return Ranking(tuple(docs), tuple(scores))
 
 
 def make_qrels(pairs: dict[tuple[str, str], int]) -> Qrels:
@@ -53,7 +53,7 @@ def make_run(tag: str, label: str, rankings: dict[str, list[str]]) -> RunFile:
     return RunFile(
         system_tag=tag,
         ee_label=label,
-        rankings={TopicId(t): make_ranking(t, docs) for t, docs in rankings.items()},
+        rankings={TopicId(t): make_ranking(docs) for t, docs in rankings.items()},
     )
 
 
@@ -100,7 +100,7 @@ def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth
             key=lambda pair: (-pair[0], pair[1]),
         )[:depth]
         rankings[topic] = Ranking(
-            topic, tuple(doc for _, doc in scored), tuple(score for score, _ in scored)
+            tuple(doc for _, doc in scored), tuple(score for score, _ in scored)
         )
     return RunFile(system_tag=tag, ee_label=label, rankings=rankings)
 

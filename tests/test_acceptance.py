@@ -32,7 +32,7 @@ from irdrift.model import (
 )
 from irdrift.significance import bonferroni, paired_t_test
 
-from conftest import make_qrels, make_ranking, synth_corpus, synth_qrels, synth_run
+from conftest import make_ranking, synth_corpus, synth_qrels, synth_run
 from test_change import rbo_brute
 from test_effectiveness import bpref_brute, ndcg_brute, p_at_k_brute
 from test_significance import t_two_sided_p_oracle
@@ -107,15 +107,15 @@ def test_criterion_4_rbo_brute_force_oracle():
         depth = rng.randint(1, 25)
         normalize = rng.choice([True, False])
         cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
-        got = rbo_topic(make_ranking("1", a), make_ranking("1", b), cfg)
+        got = rbo_topic(make_ranking(a), make_ranking(b), cfg)
         want = rbo_brute(a, b, phi, depth, normalize)
         assert got == pytest.approx(want, abs=1e-12)
     for phi in (0.5, 0.8, 0.9):
         cfg = RboConfig(phi=phi, depth=100, normalize=True)
-        identical = make_ranking("1", universe[:15])
+        identical = make_ranking(universe[:15])
         assert rbo_topic(identical, identical, cfg) == 1.0
         disjoint = rbo_topic(
-            make_ranking("1", universe[:10]), make_ranking("1", universe[20:30]), cfg
+            make_ranking(universe[:10]), make_ranking(universe[20:30]), cfg
         )
         assert disjoint == 0.0
     assert time.monotonic() - start < 10.0
@@ -130,22 +130,21 @@ def test_criterion_5_effectiveness_brute_force_oracle():
         docs = rng.sample(universe, rng.randint(0, 50))
         judged = rng.sample(universe, rng.randint(0, 10))
         grades = {d: rng.randint(0, 2) for d in judged}
-        ranking = make_ranking("1", docs)
-        qrels = make_qrels({("1", d): g for d, g in grades.items()})
+        ranking = make_ranking(docs)
         k = rng.randint(1, 20)
-        assert precision_at_k(ranking, qrels, k) == pytest.approx(
+        assert precision_at_k(ranking, grades, k) == pytest.approx(
             p_at_k_brute(docs, grades, k), abs=1e-9
         )
-        assert ndcg(ranking, qrels) == pytest.approx(ndcg_brute(docs, grades), abs=1e-9)
-        assert bpref(ranking, qrels) == pytest.approx(
+        assert ndcg(ranking, grades) == pytest.approx(ndcg_brute(docs, grades), abs=1e-9)
+        assert bpref(ranking, grades) == pytest.approx(
             bpref_brute(docs, grades), abs=1e-9
         )
         # bpref ignores unjudged docs injected at arbitrary ranks
         padded = list(docs)
         for j in range(rng.randint(1, 4)):
             padded.insert(rng.randint(0, len(padded)), f"pad{j}")
-        assert bpref(make_ranking("1", padded), qrels) == pytest.approx(
-            bpref(ranking, qrels), abs=1e-12
+        assert bpref(make_ranking(padded), grades) == pytest.approx(
+            bpref(ranking, grades), abs=1e-12
         )
     assert time.monotonic() - start < 30.0
     print("[PASS] criterion 5: effectiveness brute-force oracle")

@@ -72,16 +72,16 @@ def _arp(mean, measure="p@10", tag="s", ee="t0", n=10) -> ArpResult:
 
 
 def test_rbo_identity_is_exactly_one():
-    r = make_ranking("1", ["a", "b", "c"])
+    r = make_ranking(["a", "b", "c"])
     assert rbo_topic(r, r, RboConfig(phi=0.9, depth=100, normalize=True)) == 1.0
 
 
 @pytest.mark.parametrize("normalize", [True, False])
 def test_rbo_of_a_ranking_with_itself_has_the_bits_of_the_walk(normalize):
     docs = [f"d{i}" for i in range(40)]
-    ranking = make_ranking("1", docs)
+    ranking = make_ranking(docs)
     # equal docs in a tuple of its own, so this comparison walks the prefixes
-    copy = make_ranking("1", docs)
+    copy = make_ranking(docs)
     assert copy.docs == ranking.docs and copy.docs is not ranking.docs
     for phi in (0.1, 0.5, 0.9, 0.98):
         for depth in (1, 7, 40, 1000):
@@ -139,19 +139,19 @@ rbo_docs = st.lists(st.sampled_from([f"d{i}" for i in range(12)]), unique=True, 
 def test_rbo_walk_has_the_bits_of_the_reference_walk(docs_a, docs_b, phi, depth, normalize):
     assume(docs_a or docs_b)  # two empty rankings score 1.0 without a walk
     cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
-    got = rbo_topic(make_ranking("1", docs_a), make_ranking("1", docs_b), cfg)
+    got = rbo_topic(make_ranking(docs_a), make_ranking(docs_b), cfg)
     assert got.hex() == reference_rbo_walk(docs_a, docs_b, cfg).hex()
 
 
 def test_rbo_disjoint_is_zero():
-    a = make_ranking("1", ["a", "b", "c"])
-    b = make_ranking("1", ["x", "y", "z"])
+    a = make_ranking(["a", "b", "c"])
+    b = make_ranking(["x", "y", "z"])
     assert rbo_topic(a, b, RboConfig()) == 0.0
 
 
 def test_rbo_hand_computed():
-    a = make_ranking("1", ["a", "b", "c"])
-    b = make_ranking("1", ["b", "a", "c"])
+    a = make_ranking(["a", "b", "c"])
+    b = make_ranking(["b", "a", "c"])
     raw = rbo_topic(a, b, RboConfig(phi=0.9, depth=3, normalize=False))
     assert raw == pytest.approx(0.171, abs=1e-12)
     normalized = rbo_topic(a, b, RboConfig(phi=0.9, depth=3, normalize=True))
@@ -159,18 +159,13 @@ def test_rbo_hand_computed():
     assert normalized == pytest.approx(0.6310, abs=5e-5)
 
 
-def test_rbo_topic_mismatch_is_error():
-    with pytest.raises(ValueError, match="one topic"):
-        rbo_topic(make_ranking("1", ["a"]), make_ranking("2", ["a"]), RboConfig())
-
-
 def test_rbo_both_empty_is_one():
-    assert rbo_topic(make_ranking("1", []), make_ranking("1", []), RboConfig()) == 1.0
+    assert rbo_topic(make_ranking([]), make_ranking([]), RboConfig()) == 1.0
 
 
 def test_rbo_one_empty_is_zero():
     assert (
-        rbo_topic(make_ranking("1", ["a"]), make_ranking("1", []), RboConfig()) == 0.0
+        rbo_topic(make_ranking(["a"]), make_ranking([]), RboConfig()) == 0.0
     )
 
 
@@ -178,8 +173,8 @@ def test_rbo_symmetry():
     rng = random.Random(21)
     universe = [f"d{i}" for i in range(12)]
     for _ in range(100):
-        a = make_ranking("1", rng.sample(universe, rng.randint(0, 8)))
-        b = make_ranking("1", rng.sample(universe, rng.randint(0, 8)))
+        a = make_ranking(rng.sample(universe, rng.randint(0, 8)))
+        b = make_ranking(rng.sample(universe, rng.randint(0, 8)))
         cfg = RboConfig(phi=rng.choice([0.5, 0.9]), depth=rng.randint(1, 10))
         assert rbo_topic(a, b, cfg) == rbo_topic(b, a, cfg)
 
@@ -187,13 +182,13 @@ def test_rbo_symmetry():
 def test_rbo_normalized_one_iff_prefixes_agree():
     cfg = RboConfig(phi=0.8, depth=3, normalize=True)
     same_prefix = rbo_topic(
-        make_ranking("1", ["a", "b", "c", "x"]),
-        make_ranking("1", ["a", "b", "c", "y"]),
+        make_ranking(["a", "b", "c", "x"]),
+        make_ranking(["a", "b", "c", "y"]),
         cfg,
     )
     assert same_prefix == 1.0  # disagreement sits below the evaluation depth
     differs = rbo_topic(
-        make_ranking("1", ["a", "b", "c"]), make_ranking("1", ["a", "c", "b"]), cfg
+        make_ranking(["a", "b", "c"]), make_ranking(["a", "c", "b"]), cfg
     )
     assert differs < 1.0
 
@@ -208,14 +203,14 @@ def test_rbo_monotone_in_agreement():
         for candidate in itertools.permutations(universe, length):
             candidate = list(candidate)
             base = rbo_topic(
-                make_ranking("1", reference), make_ranking("1", candidate), cfg
+                make_ranking(reference), make_ranking(candidate), cfg
             )
             for i in range(length):
                 if candidate[i] != reference[i] and reference[i] not in candidate:
                     improved = candidate.copy()
                     improved[i] = reference[i]
                     better = rbo_topic(
-                        make_ranking("1", reference), make_ranking("1", improved), cfg
+                        make_ranking(reference), make_ranking(improved), cfg
                     )
                     assert better >= base - 1e-12
 
@@ -230,7 +225,7 @@ def test_rbo_brute_force_agreement():
         depth = rng.randint(1, 25)
         normalize = rng.choice([True, False])
         cfg = RboConfig(phi=phi, depth=depth, normalize=normalize)
-        got = rbo_topic(make_ranking("1", a), make_ranking("1", b), cfg)
+        got = rbo_topic(make_ranking(a), make_ranking(b), cfg)
         assert got == pytest.approx(rbo_brute(a, b, phi, depth, normalize), abs=1e-12)
 
 

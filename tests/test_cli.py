@@ -706,6 +706,8 @@ def _set(path, value):
          "rows[1].rmse.ndcg must be a finite number or null, got -inf"),
         (_set(["rows", 1, "rmse", "ndcg"], 10**400),
          f"rows[1].rmse.ndcg must be a finite number or null, got {10**400!r}"),
+        # "P@10" beside "p@10" names one measure twice
+        (_set(["rows", 0, "rmse", "P@10"], 0.5), "rows[0].rmse: duplicate measure 'p@10'"),
         (_set(["rows", 0, "significant"], {"p@10": "yes"}),
          "rows[0].significant.p@10 must be true, false or null, got 'yes'"),
         (_set(["rows", 0, "significant"], {"p@10": 1}),

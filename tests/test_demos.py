@@ -1,7 +1,7 @@
 """Every narrative demo runs to completion in a fresh interpreter.
 
 Demos with a file under ``tests/demo_stdout/`` must print exactly its
-contents.
+contents. A demo leaves nothing in its temporary directory.
 """
 
 import os
@@ -17,15 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
 )
-def test_demo_exits_0(demo):
+def test_demo_exits_0(demo, tmp_path):
     done = subprocess.run(
         [sys.executable, str(demo)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    # a demo's scratch files are gone once it exits
+    assert list(tmp_path.iterdir()) == []
     if demo.name == "01_parse_and_validate.py":
         # re-sorted by score, ranked by position
         assert done.stdout.endswith(

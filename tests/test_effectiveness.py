@@ -60,55 +60,50 @@ def bpref_brute(docs: list[str], grades: dict[str, int]) -> float:
 
 def test_p_at_10_counting():
     docs = [f"d{i}" for i in range(10)]
-    q = make_qrels({("1", d): 1 for d in docs[:3]})
-    assert precision_at_k(make_ranking("1", docs), q, 10) == pytest.approx(0.3)
+    grades = {d: 1 for d in docs[:3]}
+    assert precision_at_k(make_ranking(docs), grades, 10) == pytest.approx(0.3)
 
 
 def test_p_at_k_empty_ranking():
-    q = make_qrels({("1", "d1"): 1})
-    assert precision_at_k(make_ranking("1", []), q, 10) == 0.0
+    assert precision_at_k(make_ranking([]), {"d1": 1}, 10) == 0.0
 
 
 def test_p_at_k_denominator_stays_k():
     docs = [f"d{i}" for i in range(5)]
-    q = make_qrels({("1", d): 1 for d in docs})
-    assert precision_at_k(make_ranking("1", docs), q, 10) == pytest.approx(0.5)
+    grades = {d: 1 for d in docs}
+    assert precision_at_k(make_ranking(docs), grades, 10) == pytest.approx(0.5)
 
 
 def test_ndcg_ideal_ordering_is_one():
-    q = make_qrels({("1", "a"): 3, ("1", "b"): 2, ("1", "c"): 1})
-    assert ndcg(make_ranking("1", ["a", "b", "c"]), q) == 1.0
+    grades = {"a": 3, "b": 2, "c": 1}
+    assert ndcg(make_ranking(["a", "b", "c"]), grades) == 1.0
 
 
 def test_ndcg_no_relevant_is_zero():
-    q = make_qrels({("1", "a"): 0})
-    assert ndcg(make_ranking("1", ["a", "b"]), q) == 0.0
+    assert ndcg(make_ranking(["a", "b"]), {"a": 0}) == 0.0
 
 
 def test_ndcg_hand_computed():
     # grades at ranks 1..3 are (0, 2, 1); judged grades are {2, 1}
-    q = make_qrels({("1", "b"): 2, ("1", "c"): 1})
-    value = ndcg(make_ranking("1", ["a", "b", "c"]), q)
+    grades = {"b": 2, "c": 1}
+    value = ndcg(make_ranking(["a", "b", "c"]), grades)
     assert value == pytest.approx(0.6697, abs=5e-5)
-    assert value == pytest.approx(
-        ndcg_brute(["a", "b", "c"], {"b": 2, "c": 1}), abs=1e-12
-    )
+    assert value == pytest.approx(ndcg_brute(["a", "b", "c"], grades), abs=1e-12)
 
 
 def test_bpref_all_relevant_above_nonrelevant():
-    q = make_qrels({("1", "r1"): 1, ("1", "r2"): 1, ("1", "n1"): 0})
-    assert bpref(make_ranking("1", ["r1", "r2", "n1"]), q) == 1.0
+    grades = {"r1": 1, "r2": 1, "n1": 0}
+    assert bpref(make_ranking(["r1", "r2", "n1"]), grades) == 1.0
 
 
 def test_bpref_no_relevant_retrieved():
-    q = make_qrels({("1", "r1"): 1})
-    assert bpref(make_ranking("1", ["x", "y"]), q) == 0.0
+    assert bpref(make_ranking(["x", "y"]), {"r1": 1}) == 0.0
 
 
 def test_bpref_hand_computed():
     # R=2, N=2; ranking [nonrel, rel1, rel2]; second nonrel not retrieved
-    q = make_qrels({("1", "n1"): 0, ("1", "n2"): 0, ("1", "r1"): 1, ("1", "r2"): 1})
-    assert bpref(make_ranking("1", ["n1", "r1", "r2"]), q) == pytest.approx(0.5)
+    grades = {"n1": 0, "n2": 0, "r1": 1, "r2": 1}
+    assert bpref(make_ranking(["n1", "r1", "r2"]), grades) == pytest.approx(0.5)
 
 
 def test_evaluate_run_covers_run_and_qrels_topics():
@@ -166,24 +161,19 @@ def _random_instance(rng: random.Random, max_docs: int = 50, max_judged: int = 1
     return docs, grades
 
 
-def _as_model(topic: str, docs: list[str], grades: dict[str, int]):
-    ranking = make_ranking(topic, docs)
-    qrels = make_qrels({(topic, d): g for d, g in grades.items()})
-    return ranking, qrels
-
-
 def test_measures_invariant_under_doc_relabeling():
     rng = random.Random(11)
     for _ in range(50):
         docs, grades = _random_instance(rng)
         rename = {d: f"x{d}" for d in set(docs) | set(grades)}
-        renamed_docs = [rename[d] for d in docs]
+        r1 = make_ranking(docs)
+        r2 = make_ranking([rename[d] for d in docs])
         renamed_grades = {rename[d]: g for d, g in grades.items()}
-        r1, q1 = _as_model("1", docs, grades)
-        r2, q2 = _as_model("1", renamed_docs, renamed_grades)
-        assert precision_at_k(r1, q1, 10) == pytest.approx(precision_at_k(r2, q2, 10))
-        assert ndcg(r1, q1) == pytest.approx(ndcg(r2, q2))
-        assert bpref(r1, q1) == pytest.approx(bpref(r2, q2))
+        assert precision_at_k(r1, grades, 10) == pytest.approx(
+            precision_at_k(r2, renamed_grades, 10)
+        )
+        assert ndcg(r1, grades) == pytest.approx(ndcg(r2, renamed_grades))
+        assert bpref(r1, grades) == pytest.approx(bpref(r2, renamed_grades))
 
 
 def test_p_and_ndcg_depend_only_on_top_k():
@@ -194,49 +184,45 @@ def test_p_and_ndcg_depend_only_on_top_k():
             continue
         k = 5
         altered = docs[:k] + list(reversed(docs[k:]))
-        r1, q = _as_model("1", docs, grades)
-        r2, _ = _as_model("1", altered, grades)
-        assert precision_at_k(r1, q, k) == precision_at_k(r2, q, k)
-        assert ndcg(r1, q, k) == ndcg(r2, q, k)
+        r1 = make_ranking(docs)
+        r2 = make_ranking(altered)
+        assert precision_at_k(r1, grades, k) == precision_at_k(r2, grades, k)
+        assert ndcg(r1, grades, k) == ndcg(r2, grades, k)
 
 
 def test_bpref_ignores_unjudged_documents():
     rng = random.Random(13)
     for _ in range(50):
         docs, grades = _random_instance(rng, max_docs=20)
-        r1, q = _as_model("1", docs, grades)
-        base = bpref(r1, q)
+        base = bpref(make_ranking(docs), grades)
         padded = list(docs)
         for j in range(rng.randint(1, 5)):
             padded.insert(rng.randint(0, len(padded)), f"pad{j}")
-        r2, _ = _as_model("1", padded, grades)
-        assert bpref(r2, q) == pytest.approx(base, abs=1e-12)
+        assert bpref(make_ranking(padded), grades) == pytest.approx(base, abs=1e-12)
 
 
 def test_perfect_separation_scores_one_for_ndcg_and_bpref():
-    q = make_qrels(
-        {("1", "r1"): 1, ("1", "r2"): 1, ("1", "n1"): 0, ("1", "n2"): 0}
-    )
-    r = make_ranking("1", ["r1", "r2", "n1", "n2"])
-    assert ndcg(r, q) == 1.0
-    assert bpref(r, q) == 1.0
+    grades = {"r1": 1, "r2": 1, "n1": 0, "n2": 0}
+    r = make_ranking(["r1", "r2", "n1", "n2"])
+    assert ndcg(r, grades) == 1.0
+    assert bpref(r, grades) == 1.0
 
 
 def test_brute_force_oracle_equivalence():
     rng = random.Random(14)
     for _ in range(200):
         docs, grades = _random_instance(rng)
-        ranking, qrels = _as_model("1", docs, grades)
+        ranking = make_ranking(docs)
         k = rng.randint(1, 20)
-        assert precision_at_k(ranking, qrels, k) == pytest.approx(
+        assert precision_at_k(ranking, grades, k) == pytest.approx(
             p_at_k_brute(docs, grades, k), abs=1e-9
         )
-        assert ndcg(ranking, qrels) == pytest.approx(
+        assert ndcg(ranking, grades) == pytest.approx(
             ndcg_brute(docs, grades), abs=1e-9
         )
-        assert ndcg(ranking, qrels, k) == pytest.approx(
+        assert ndcg(ranking, grades, k) == pytest.approx(
             ndcg_brute(docs, grades, k), abs=1e-9
         )
-        assert bpref(ranking, qrels) == pytest.approx(
+        assert bpref(ranking, grades) == pytest.approx(
             bpref_brute(docs, grades), abs=1e-9
         )
