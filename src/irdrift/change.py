@@ -33,8 +33,16 @@ from . import simulate as sim
 from ._numeric import pairwise_sum
 from .effectiveness import ArpResult
 from .ingest import IngestWarning
-from .model import EvaluationEnvironment, MeasureSpec, PerTopicScores, Ranking, RunFile, TopicId
-from .report import ChangeReport, LongitudinalMatrix, Scenario
+from .model import (
+    EvaluationEnvironment,
+    MeasureSpec,
+    PerTopicScores,
+    Ranking,
+    RunFile,
+    Scenario,
+    TopicId,
+)
+from .report import ChangeReport, LongitudinalMatrix
 
 
 class ChangeWarning(UserWarning):

@@ -9,6 +9,11 @@ Subcommands:
   sequence and write the resulting files plus a config.
 * ``report`` — re-render a saved change-matrix JSON as CSV or Markdown.
 
+Each subcommand imports the library modules it uses when it runs, so
+``diff`` and ``simulate`` never load the scoring, change and
+significance modules. The ingest loaders and writers stay module
+globals, where a caller can replace them.
+
 Exit codes are stable: 0 success, 1 internal error, 2 usage or
 validation error. All output is deterministic; given identical inputs,
 repeated invocations write identical bytes.
@@ -22,12 +27,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import change as cm
-from . import diff as crud
-from . import effectiveness as eff
-from . import report as rep
-from . import significance as sig
-from . import simulate as sim
 from .ingest import (
     ParseError,
     format_manifest,
@@ -39,7 +38,7 @@ from .ingest import (
     load_qrels,
     load_run,
 )
-from .model import EvaluationEnvironment, MeasureSpec, TopicId, _check_id
+from .model import EvaluationEnvironment, MeasureSpec, Scenario, TopicId, _check_id
 
 
 class CliError(ValueError):
@@ -104,6 +103,8 @@ def _resolve_topic_filter(
     if spec is None:
         return None
     if spec == "common":
+        from . import simulate as sim
+
         return sim.common_topics([envs[label] for label in labels])
     parts = [part.strip() for part in spec.split(",")]
     return {_check_id(part, "TopicId") for part in parts if part}
@@ -113,6 +114,9 @@ def _resolve_topic_filter(
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
+    from . import diff as crud
+    from . import report as rep
+
     _, envs = _load_environments(args.config, only=(args.from_label, args.to_label))
     summary = crud.summarize(envs[args.from_label], envs[args.to_label])
     _write_output(
@@ -125,6 +129,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import effectiveness as eff
+    from . import report as rep
+
     measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
     # the other environments matter only for their common topics
     labels, envs = _load_environments(
@@ -206,6 +213,10 @@ def _parse_label_paths(flags: list[str], labels: list[str], option: str) -> dict
 
 
 def cmd_change(args: argparse.Namespace) -> int:
+    from . import change as cm
+    from . import report as rep
+    from . import significance as sig
+
     # the default family size is at least 1, so 1 stands in for it here
     try:
         sig.bonferroni(args.alpha, 1 if args.family_size is None else args.family_size)
@@ -214,10 +225,10 @@ def cmd_change(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     rbo = cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize)
     labels, envs = _load_environments(args.config, corpus=False)
-    scenario = rep.Scenario(args.scenario)
+    scenario = Scenario(args.scenario)
 
     qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")
-    if scenario is rep.Scenario.DTQ and qrels_paths:
+    if scenario is Scenario.DTQ and qrels_paths:
         raise CliError(
             "--qrels conflicts with --scenario dtq: the document-only scenario "
             "pins the recall base to the first environment's qrels"
@@ -254,6 +265,8 @@ def cmd_change(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate as sim
+
     plan = sim.SimulationPlan(num_slices=args.slices)  # before any file is read
     corpus = load_manifest(args.manifest)
     qrels = load_qrels(args.qrels)
@@ -294,6 +307,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import report as rep
+
     data = Path(args.matrix).read_bytes()
     try:
         matrix = rep.matrix_from_json(data)
@@ -357,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_change = sub.add_parser("change", help="longitudinal change matrix")
     p_change.add_argument("--config", required=True)
     p_change.add_argument(
-        "--scenario", choices=[s.value for s in rep.Scenario], required=True
+        "--scenario", choices=[s.value for s in Scenario], required=True
     )
     p_change.add_argument(
         "--run",

@@ -2,9 +2,11 @@
 
 Each of the three components diffs by identifier: documents by doc id,
 topics by topic id, qrels by (topic, doc) pair. Each component is an
-id-keyed map, read directly. An identifier present in both snapshots
-counts as updated when its payload changed — document length (or
-content hash when both sides carry one), topic text, or grade.
+id-keyed map, read directly; qrels are compared one topic's grade map
+at a time, so an unchanged topic costs one map comparison. An
+identifier present in both snapshots counts as updated when its payload
+changed — document length (or content hash when both sides carry one),
+topic text, or grade.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .model import Corpus, EvaluationEnvironment, Qrels, TopicId
+from .model import Corpus, DocId, EvaluationEnvironment, Qrels, TopicId
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,26 @@ def diff_topics(
 
 
 def diff_qrels(a: Qrels, b: Qrels) -> ComponentDiff:
-    """Diff two qrels sets by (topic, doc) pair; an update is a changed grade."""
-    pairs_a, pairs_b = (
-        {(t, d): g for t, grades in q.by_topic.items() for d, g in grades.items()}
-        for q in (a, b)
-    )
-    return _diff_ids(pairs_a, pairs_b, lambda pair: pairs_a[pair] != pairs_b[pair])
+    """Diff two qrels sets by (topic, doc) pair; an update is a changed grade.
+
+    Walks one topic at a time: a topic whose grade maps are equal adds
+    nothing, and the others compare their doc-id key views.
+    """
+    by_a, by_b = a.by_topic, b.by_topic
+    created: set[tuple[TopicId, DocId]] = set()
+    updated: set[tuple[TopicId, DocId]] = set()
+    deleted: set[tuple[TopicId, DocId]] = set()
+    empty: dict[DocId, int] = {}
+    for topic in by_a.keys() | by_b.keys():
+        grades_a = by_a.get(topic, empty)
+        grades_b = by_b.get(topic, empty)
+        if grades_a == grades_b:
+            continue
+        created.update([(topic, doc) for doc in grades_b.keys() - grades_a.keys()])
+        deleted.update([(topic, doc) for doc in grades_a.keys() - grades_b.keys()])
+        common = grades_a.keys() & grades_b.keys()
+        updated.update([(topic, doc) for doc in common if grades_a[doc] != grades_b[doc]])
+    return ComponentDiff.build(created, updated, deleted, len(a), len(b))
 
 
 def summarize(

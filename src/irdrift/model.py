@@ -21,6 +21,11 @@ relevant. The container types check their structural invariants at
 construction, so downstream code can rely on them without re-checking. An
 :class:`EvaluationEnvironment` loaded for scoring carries no corpus;
 :func:`validate_environment` then takes the corpus's doc ids.
+
+:class:`DocMeta`, built once per manifest line, is a named tuple rather
+than a dataclass: the same fields and checks at a lower cost per
+document. :class:`Scenario` lives here, beside the measures, so that the
+CLI can list its values without importing the report writers.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Collection
+from typing import Collection, NamedTuple
 
 DocId = str
 TopicId = str
@@ -141,28 +146,46 @@ class Qrels:
         return Qrels(by_topic)
 
 
-@dataclass(frozen=True, slots=True)
-class DocMeta:
-    """Per-document facts a corpus manifest carries: length in characters
-    (an ``int``, not a ``bool``, >= 0), optional timestamp, optional
-    content hash string (used for update detection when both sides of a
-    diff have one). The doc id is the key it is stored under."""
-
+class _DocMetaFields(NamedTuple):
     length: int
     timestamp: datetime | None = None
     content_hash: str | None = None
 
-    def __post_init__(self) -> None:
+
+class DocMeta(_DocMetaFields):
+    """Per-document facts a corpus manifest carries: length in characters
+    (an ``int``, not a ``bool``, >= 0), optional timestamp, optional
+    content hash string (used for update detection when both sides of a
+    diff have one). The doc id is the key it is stored under.
+
+    An immutable named tuple, so it compares equal to the plain tuple
+    ``(length, timestamp, content_hash)``. Every way to build one
+    (``DocMeta(...)``, :meth:`_make`, :meth:`_replace`, unpickling) makes
+    the checks of :meth:`__new__`.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        length: int,
+        timestamp: datetime | None = None,
+        content_hash: str | None = None,
+    ) -> "DocMeta":
         # the manifest writer renders the length as an integer literal and
         # the hash as a string; anything else would not parse back
-        if not isinstance(self.length, int) or isinstance(self.length, bool):
-            raise ValueError(f"DocMeta length must be an integer, got {self.length!r}")
-        if self.length < 0:
-            raise ValueError(f"DocMeta length must be >= 0, got {self.length}")
-        if self.content_hash is not None and not isinstance(self.content_hash, str):
-            raise ValueError(
-                f"DocMeta content_hash must be a string, got {self.content_hash!r}"
-            )
+        if not isinstance(length, int) or isinstance(length, bool):
+            raise ValueError(f"DocMeta length must be an integer, got {length!r}")
+        if length < 0:
+            raise ValueError(f"DocMeta length must be >= 0, got {length}")
+        if content_hash is not None and not isinstance(content_hash, str):
+            raise ValueError(f"DocMeta content_hash must be a string, got {content_hash!r}")
+        return tuple.__new__(cls, (length, timestamp, content_hash))
+
+    @classmethod
+    def _make(cls, iterable) -> "DocMeta":
+        # _replace builds through _make, so it cannot skip the checks either
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -187,6 +210,15 @@ class EvaluationEnvironment:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("EvaluationEnvironment label must be non-empty")
+
+
+class Scenario(Enum):
+    """Which components changed between the compared environments: only the
+    documents (rank- and score-drift measures apply, one shared recall
+    base), or documents and qrels together (ARP-level measures apply)."""
+
+    DTQ = "dtq"
+    DTQ_PRIME = "dtq-prime"
 
 
 class MeasureKind(Enum):

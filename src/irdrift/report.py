@@ -11,21 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .diff import ChangeSummary, ComponentDiff
-from .model import MeasureSpec
-
-
-class Scenario(Enum):
-    """Which components changed between the compared environments: only the
-    documents (rank- and score-drift measures apply, one shared recall
-    base), or documents and qrels together (ARP-level measures apply)."""
-
-    DTQ = "dtq"
-    DTQ_PRIME = "dtq-prime"
+from .model import MeasureSpec, Scenario
 
 
 @dataclass(frozen=True)
@@ -298,13 +289,21 @@ _SUMMARY_HEADER = [
 def render_change_summary(
     summary: ChangeSummary, format: str, places: int = 4
 ) -> bytes:
-    """Serialize a diff summary as csv, markdown, or json bytes."""
+    """Serialize a diff summary as csv, markdown, or json bytes.
+
+    A component that grows from empty has an infinite relative delta:
+    json writes it as ``null``, csv and markdown as ``inf``.
+    """
     if format == "json":
         def component(diff: ComponentDiff) -> dict[str, object]:
             return {
                 "total_from": diff.total_from,
                 "total_to": diff.total_to,
-                "relative_delta": diff.relative_delta,
+                # +inf (growth from empty) is not JSON; null, as for an
+                # undefined real in the matrix JSON
+                "relative_delta": (
+                    diff.relative_delta if math.isfinite(diff.relative_delta) else None
+                ),
                 "created": len(diff.created),
                 "updated": len(diff.updated),
                 "deleted": len(diff.deleted),

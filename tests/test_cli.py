@@ -42,6 +42,34 @@ def test_diff_reports_create_only_growth(tmp_path, capsys):
     assert cells[5] == cells[6] == "0"  # updated, deleted
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_diff_json_writes_null_for_growth_from_empty(tmp_path, capsysbinary):
+    # t0 is empty; t1 holds one document, one topic and one judgment
+    (tmp_path / "t0.manifest.jsonl").write_text("")
+    (tmp_path / "t0.qrels.txt").write_text("")
+    (tmp_path / "t1.manifest.jsonl").write_text('{"doc_id": "d1", "length": 5}\n')
+    (tmp_path / "t1.qrels.txt").write_text("q1 0 d1 1\n")
+    config = tmp_path / "ees.json"
+    config.write_text(json.dumps([
+        {"label": t, "manifest": f"{t}.manifest.jsonl", "qrels": f"{t}.qrels.txt"}
+        for t in ("t0", "t1")
+    ]))
+    argv = ["diff", "--config", str(config), "--from", "t0", "--to", "t1", "--format"]
+    assert main(argv + ["json"]) == 0
+    doc = json.loads(capsysbinary.readouterr().out, parse_constant=_reject_constant)
+    grown = {"total_from": 0, "total_to": 1, "relative_delta": None,
+             "created": 1, "updated": 0, "deleted": 0}
+    assert [doc[c] for c in ("documents", "topics", "qrels")] == [grown] * 3
+    # csv and markdown keep their inf cell
+    assert main(argv + ["csv"]) == 0
+    assert capsysbinary.readouterr().out.splitlines()[1] == b"documents,0,1,inf,1,0,0"
+    assert main(argv + ["markdown"]) == 0
+    assert b"| documents | 0 | 1 | inf% | 1 | 0 | 0 |" in capsysbinary.readouterr().out
+
+
 def test_diff_self_is_identity(tmp_path, capsys):
     config, _ = write_cli_fixture(tmp_path)
     assert main(["diff", "--config", str(config), "--from", "t0", "--to", "t0"]) == 0

@@ -4,6 +4,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irdrift.diff import (
     ComponentDiff,
@@ -12,7 +14,7 @@ from irdrift.diff import (
     diff_topics,
     summarize,
 )
-from irdrift.model import Corpus, DocMeta
+from irdrift.model import Corpus, DocMeta, Qrels
 
 from conftest import make_environment, make_qrels, synth_corpus, synth_qrels
 
@@ -92,6 +94,55 @@ def test_diff_qrels_pure_addition_delta():
     a = make_qrels({("1", f"d{i}"): 1 for i in range(10)})
     b = make_qrels({("1", f"d{i}"): 1 for i in range(26)})
     assert diff_qrels(a, b).relative_delta == pytest.approx(1.6)
+
+
+def flat_pair_diff(a: Qrels, b: Qrels) -> tuple:
+    """(created, updated, deleted, total_from, total_to) as the qrels diff
+    was first written: both sides flattened into (topic, doc) -> grade maps."""
+    pairs_a, pairs_b = (
+        {(t, d): g for t, grades in q.by_topic.items() for d, g in grades.items()}
+        for q in (a, b)
+    )
+    common = pairs_a.keys() & pairs_b.keys()
+    updated = {pair for pair in common if pairs_a[pair] != pairs_b[pair]}
+    return (
+        pairs_b.keys() - pairs_a.keys(), updated, pairs_a.keys() - pairs_b.keys(),
+        len(pairs_a), len(pairs_b),
+    )
+
+
+grade_maps = st.dictionaries(st.sampled_from("abcde"), st.integers(0, 3), min_size=1, max_size=5)
+qrels_maps = st.dictionaries(st.sampled_from("1234"), grade_maps, max_size=4)
+
+
+@st.composite
+def qrels_pairs(draw):
+    """Two qrels whose topics are kept equal, dropped, re-judged or added."""
+    a = draw(qrels_maps)
+    b = {}
+    for topic, grades in a.items():
+        fate = draw(st.sampled_from(["equal", "deleted", "rejudged"]))
+        if fate == "equal":
+            b[topic] = dict(grades)
+        elif fate == "rejudged":
+            # shares docs with `grades` often, so some grades change
+            b[topic] = draw(grade_maps)
+    for topic, grades in draw(qrels_maps).items():
+        b.setdefault(topic, grades)  # a created topic unless it was in `a`
+    return Qrels(a), Qrels(b)
+
+
+@settings(deadline=None, max_examples=300)
+@given(qrels_pairs())
+@example((Qrels({}), Qrels({})))
+@example((Qrels({}), Qrels({"1": {"a": 1}})))
+@example((Qrels({"1": {"a": 1}, "2": {"b": 0}}), Qrels({})))
+@example((Qrels({"1": {"a": 1, "b": 2}}), Qrels({"1": {"a": 1, "b": 0, "c": 2}})))
+@example((Qrels({"1": {"a": 1}}), Qrels({"1": {"a": 1}, "2": {"a": 3}})))
+def test_diff_qrels_matches_the_flat_pair_oracle(pair):
+    a, b = pair
+    d = diff_qrels(a, b)
+    assert (d.created, d.updated, d.deleted, d.total_from, d.total_to) == flat_pair_diff(a, b)
 
 
 def test_summarize_identity():

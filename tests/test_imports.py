@@ -1,5 +1,6 @@
-"""Import guards: no CLI call imports numpy or scipy, and the package's
-export list matches what it imports.
+"""Import guards: no CLI call imports numpy or scipy, ``diff`` and
+``simulate`` import only the irdrift modules they use, and the package's
+export map names each public object where it is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -10,18 +11,18 @@ interpreter, because this test process has loaded numpy and scipy
 already; one of them blocks both imports outright.
 """
 
-import ast
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import irdrift
 
-from conftest import pivot_argv, write_cli_fixture
+from conftest import DATED_MANIFEST, DATED_QRELS, pivot_argv, write_churn_fixture, write_cli_fixture
 
 SCRIPT = """
 import json, sys
@@ -80,6 +81,28 @@ except ImportError:
 print(json.dumps({"code": code, "heavy": heavy, "numpy_importable": numpy_importable}),
       file=sys.stderr)
 """
+
+
+# the irdrift modules loaded after `import irdrift`, after `import
+# irdrift.cli` and after cli.main ran the argv in sys.argv[1]
+MODULES_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "irdrift")
+
+import irdrift
+after_package = loaded()
+import irdrift.cli
+after_cli = loaded()
+code = irdrift.cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"after_package": after_package, "after_cli": after_cli,
+                  "code": code, "after_run": loaded()}), file=sys.stderr)
+"""
+
+# what diff and simulate need besides the package, the CLI and ingest
+LEAN = {"irdrift", "irdrift.cli", "irdrift.ingest", "irdrift.model"}
+SCORING = {"irdrift.change", "irdrift.effectiveness", "irdrift.significance", "irdrift._numeric"}
 
 
 def _env() -> dict:
@@ -144,13 +167,54 @@ def test_every_exported_name_resolves_and_the_list_is_sorted():
     assert irdrift.__all__ == sorted(set(irdrift.__all__))
 
 
-def test_every_public_name_the_package_imports_is_exported():
-    tree = ast.parse(Path(irdrift.__file__).read_text(encoding="utf-8"))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    public = {name for name in imported if not name.startswith("_")}
-    assert sorted(public - set(irdrift.__all__)) == []
+def test_the_export_map_names_each_object_where_it_is_defined():
+    assert sorted(irdrift._EXPORTS) == irdrift.__all__
+    aliases = set()
+    for name, module_name in irdrift._EXPORTS.items():
+        module = import_module(f"irdrift.{module_name}")
+        value = getattr(irdrift, name)
+        assert value is getattr(module, name), name
+        if getattr(value, "__module__", "").split(".")[0] == "irdrift":
+            assert value.__module__ == module.__name__, name
+        else:
+            aliases.add(name)
+    # type aliases of builtins carry no irdrift module
+    assert aliases == {"Corpus", "DocId", "TopicId"}
+    assert set(irdrift.__all__) <= set(dir(irdrift))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        irdrift.no_such_name
+
+
+def _loaded_modules(argv: list[str]) -> dict:
+    done = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, json.dumps(argv)],
+        env=_env(),
+        capture_output=True,
+        check=True,
+    )
+    return json.loads(done.stderr.decode().splitlines()[-1])
+
+
+def _diff_argv(tmp_path) -> list[str]:
+    config = write_churn_fixture(tmp_path)
+    return ["diff", "--config", str(config), "--from", "t0", "--to", "t1", "--format", "json"]
+
+
+def _simulate_argv(tmp_path) -> list[str]:
+    (tmp_path / "m.jsonl").write_text(DATED_MANIFEST, encoding="utf-8")
+    (tmp_path / "q.txt").write_text(DATED_QRELS, encoding="utf-8")
+    return ["simulate", "--manifest", str(tmp_path / "m.jsonl"), "--qrels",
+            str(tmp_path / "q.txt"), "--slices", "3", "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("make_argv, used", [
+    (_diff_argv, {"irdrift.diff", "irdrift.report"}),
+    (_simulate_argv, {"irdrift.simulate"}),
+])
+def test_diff_and_simulate_import_only_the_modules_they_use(tmp_path, make_argv, used):
+    state = _loaded_modules(make_argv(tmp_path))
+    assert state["code"] == 0
+    assert state["after_package"] == ["irdrift"]
+    assert state["after_cli"] == sorted(LEAN)
+    assert set(state["after_run"]) == LEAN | used
+    assert not SCORING & set(state["after_run"])

@@ -1,11 +1,13 @@
 """Domain type invariants and the environment validator."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irdrift.ingest import parse_manifest
 from irdrift.model import (
     DocId,
     DocMeta,
@@ -148,6 +150,38 @@ def test_doc_meta_rejects_non_integer_length(length):
 def test_doc_meta_rejects_non_string_hash(content_hash):
     with pytest.raises(ValueError, match="^DocMeta content_hash must be a string, got "):
         DocMeta(length=1, content_hash=content_hash)
+
+
+BAD_DOC_META = [
+    ({"length": True}, "^DocMeta length must be an integer, got True$"),
+    ({"length": 3.0}, "^DocMeta length must be an integer, got 3.0$"),
+    ({"length": -1}, "^DocMeta length must be >= 0, got -1$"),
+    ({"content_hash": b"ff"}, "^DocMeta content_hash must be a string, got b'ff'$"),
+]
+DOC_META_PATHS = {
+    "call": lambda fields: DocMeta(**fields),
+    "make": lambda fields: DocMeta._make(fields.values()),
+    "replace": lambda fields: DocMeta(7, None, "ab")._replace(**fields),
+}
+
+
+@pytest.mark.parametrize("path", DOC_META_PATHS)
+@pytest.mark.parametrize("bad, message", BAD_DOC_META)
+def test_doc_meta_checks_hold_on_every_constructor_path(path, bad, message):
+    fields = {"length": 1, "timestamp": None, "content_hash": None, **bad}
+    with pytest.raises(ValueError, match=message):
+        DOC_META_PATHS[path](fields)
+    fine = {"length": 2, "timestamp": None, "content_hash": "ff"}
+    assert DOC_META_PATHS[path](fine) == DocMeta(2, None, "ff")
+
+
+def test_doc_meta_is_an_immutable_tuple_equal_to_the_parsed_value():
+    meta = DocMeta(length=3)
+    for field in ("length", "timestamp", "content_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(meta, field, 4)
+    assert meta == (3, None, None) == parse_manifest(['{"doc_id": "d1", "length": 3}'])["d1"]
+    assert pickle.loads(pickle.dumps(meta)) == meta
 
 
 @pytest.mark.parametrize(
