@@ -7,9 +7,10 @@ loads them, and shows what validation surfaces.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
-from irdrift import EEConfig, load_environment, load_run, validate_environment
+from irdrift import EEConfig, load_environment, load_run
 
 with tempfile.TemporaryDirectory(prefix="irdrift-demo-") as tmp:
     work = Path(tmp)
@@ -32,16 +33,19 @@ with tempfile.TemporaryDirectory(prefix="irdrift-demo-") as tmp:
     config = EEConfig(
         label="t0", manifest_path=work / "corpus.jsonl", qrels_path=work / "qrels.txt"
     )
-    ee = load_environment(config)  # emits warnings for anything suspicious
+    # validation findings arrive as warnings; they never block loading
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ee = load_environment(config)
 
     print(f"environment {ee.label!r}:")
     print(f"  documents: {len(ee.corpus)}")
     print(f"  topics:    {sorted(ee.topics)} (inferred from qrels, no topics file)")
     print(f"  judgments: {len(ee.qrels)}")
 
-    print("\nvalidation findings:")
-    for finding in validate_environment(ee):
-        print(f"  [{finding.severity}] {finding.location}: {finding.message}")
+    print("\nvalidation warnings:")
+    for warning in caught:
+        print(f"  {warning.message}")
 
     # Run files are canonicalized on ingest: entries re-sorted by score
     # (descending, doc id breaking ties), whatever the file's rank column

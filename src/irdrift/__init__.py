@@ -44,7 +44,7 @@ _EXPORTS = {
         "model": (
             "Corpus", "DocId", "DocMeta", "EvaluationEnvironment", "MeasureKind",
             "MeasureSpec", "PerTopicScores", "Qrels", "Ranking", "RunFile",
-            "Scenario", "TopicId", "ValidationFinding", "validate_environment",
+            "Scenario", "TopicId", "validate_environment",
         ),
         "report": (
             "ChangeReport", "LongitudinalMatrix", "matrix_from_json", "render",

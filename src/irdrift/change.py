@@ -72,17 +72,19 @@ class RboConfig:
 
 @dataclass(frozen=True)
 class ChangeScores:
-    """Per-topic change values and their arithmetic mean."""
+    """Per-topic change values of at least one topic."""
 
     per_topic: dict[TopicId, float]
-    mean: float
 
-    @classmethod
-    def from_per_topic(cls, per_topic: dict[TopicId, float]) -> "ChangeScores":
-        if not per_topic:
+    def __post_init__(self) -> None:
+        if not self.per_topic:
             raise ValueError("ChangeScores needs at least one topic")
-        ordered = [per_topic[t] for t in sorted(per_topic)]
-        return cls(per_topic=dict(per_topic), mean=sum(ordered) / len(ordered))
+
+    @property
+    def mean(self) -> float:
+        """The arithmetic mean, summed in topic id order."""
+        per_topic = self.per_topic
+        return sum([per_topic[t] for t in sorted(per_topic)]) / len(per_topic)
 
 
 def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
@@ -176,7 +178,7 @@ def mean_rbo(
             per_topic[topic] = 0.0
             continue
         per_topic[topic] = rbo_topic(a, b, cfg)
-    return ChangeScores.from_per_topic(per_topic)
+    return ChangeScores(per_topic)
 
 
 def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 from .ingest import (
+    EEConfig,
     ParseError,
     format_manifest,
     format_qrels,
@@ -71,6 +72,14 @@ def _check_label(label: str, labels: list[str]) -> None:
         )
 
 
+def _read_config(config_path: str) -> tuple[list[EEConfig], list[str]]:
+    """The config's entries and their labels; reads no other file."""
+    configs = load_config(config_path)
+    if not configs:
+        raise CliError(f"{config_path}: config lists no environments")
+    return configs, [cfg.label for cfg in configs]
+
+
 def _load_environments(
     config_path: str,
     only: tuple[str, ...] = (),
@@ -81,10 +90,7 @@ def _load_environments(
     labels is checked before any file is read and just those environments
     are loaded, unless `load_all`. Without `corpus`, manifests are checked
     but only their doc ids are kept (see `load_environment`)."""
-    configs = load_config(config_path)
-    if not configs:
-        raise CliError(f"{config_path}: config lists no environments")
-    labels = [cfg.label for cfg in configs]
+    configs, labels = _read_config(config_path)
     for label in only:
         _check_label(label, labels)
     envs = {
@@ -95,19 +101,13 @@ def _load_environments(
     return labels, envs
 
 
-def _resolve_topic_filter(
-    spec: str | None,
-    labels: list[str],
-    envs: dict[str, EvaluationEnvironment],
-) -> set[TopicId] | None:
-    if spec is None:
-        return None
-    if spec == "common":
-        from . import simulate as sim
-
-        return sim.common_topics([envs[label] for label in labels])
+def _parse_topic_list(spec: str) -> set[TopicId]:
+    """The topic ids of an explicit ``--topics`` list."""
     parts = [part.strip() for part in spec.split(",")]
-    return {_check_id(part, "TopicId") for part in parts if part}
+    topics = {_check_id(part, "TopicId") for part in parts if part}
+    if not topics:
+        raise CliError(f"--topics {spec!r}: no topic ids given")
+    return topics
 
 
 # --- diff ---------------------------------------------------------------
@@ -133,11 +133,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import report as rep
 
     measures = sorted(_parse_measures(args.measures), key=lambda m: m.name)
+    common = args.topics == "common"
+    topic_filter = None
+    if args.topics is not None and not common:
+        topic_filter = _parse_topic_list(args.topics)  # before any file is read
     # the other environments matter only for their common topics
     labels, envs = _load_environments(
-        args.config, only=(args.ee,), load_all=args.topics == "common", corpus=False
+        args.config, only=(args.ee,), load_all=common, corpus=False
     )
-    topic_filter = _resolve_topic_filter(args.topics, labels, envs)
+    if common:
+        from . import simulate as sim
+
+        topic_filter = sim.common_topics([envs[label] for label in labels])
     runs = [load_run(path, args.ee) for path in args.run]
     tagged: dict[str, str] = {}
     for path, run in zip(args.run, runs):
@@ -190,6 +197,10 @@ def _parse_run_flags(flags: list[str], labels: list[str]) -> dict[str, dict[str,
         if len(parts) != 3:
             raise CliError(f"--run expects TAG:EE_LABEL:PATH, got {flag!r}")
         tag, label, path = parts
+        try:
+            _check_id(tag, "system tag")
+        except ValueError as exc:
+            raise CliError(f"--run {flag!r}: {exc}") from None
         if label not in labels:
             raise CliError(f"--run {flag!r}: unknown environment label {label!r}")
         if label in runs.setdefault(tag, {}):
@@ -224,7 +235,7 @@ def cmd_change(args: argparse.Namespace) -> int:
         raise CliError(f"--alpha/--family-size: {exc}") from None
     measures = _parse_measures(args.measures)
     rbo = cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize)
-    labels, envs = _load_environments(args.config, corpus=False)
+    configs, labels = _read_config(args.config)
     scenario = Scenario(args.scenario)
 
     qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")
@@ -238,8 +249,11 @@ def cmd_change(args: argparse.Namespace) -> int:
         raise CliError("at least one --run TAG:EE_LABEL:PATH is required")
     pivot_paths = _parse_label_paths(args.pivot_run or [], labels, "--pivot-run")
 
+    # a --qrels file is read in place of the config's, never beside it
     for label, path in qrels_paths.items():
-        envs[label] = dataclasses.replace(envs[label], qrels=load_qrels(path))
+        i = labels.index(label)
+        configs[i] = dataclasses.replace(configs[i], qrels_path=Path(path))
+    envs = [load_environment(cfg, corpus=False) for cfg in configs]
     runs = {
         tag: {label: load_run(path, label) for label, path in by_label.items()}
         for tag, by_label in run_paths.items()
@@ -248,7 +262,7 @@ def cmd_change(args: argparse.Namespace) -> int:
 
     matrix = cm.build_matrix(
         args.collection or Path(args.config).stem,
-        [envs[label] for label in labels],
+        envs,
         runs,
         pivot,
         scenario,

@@ -20,54 +20,36 @@ from .model import Corpus, DocId, EvaluationEnvironment, Qrels, TopicId
 
 @dataclass(frozen=True)
 class ComponentDiff:
-    """Identifier-level change sets between two snapshots of one component.
-
-    ``relative_delta`` is the signed total growth (to - from) / from; it is
-    +inf when the first snapshot was empty and the second is not, and 0
-    when both are empty.
+    """Identifier-level change sets between two snapshots of one component:
+    the paper's create, update and delete operations, and the size of the
+    first snapshot. The size of the second follows from them.
     """
 
     created: frozenset
     updated: frozenset
     deleted: frozenset
     total_from: int
-    total_to: int
-    relative_delta: float
 
     def __post_init__(self) -> None:
         if self.created & self.deleted:
             raise ValueError("created and deleted sets must be disjoint")
         if self.total_from < 0 or self.total_to < 0:
             raise ValueError("totals must be >= 0")
-        if self.total_to != self.total_from + len(self.created) - len(self.deleted):
-            raise ValueError(
-                "inconsistent totals: total_to must equal "
-                "total_from + |created| - |deleted|"
-            )
 
-    @classmethod
-    def build(
-        cls,
-        created: set,
-        updated: set,
-        deleted: set,
-        total_from: int,
-        total_to: int,
-    ) -> "ComponentDiff":
+    @property
+    def total_to(self) -> int:
+        """The size of the second snapshot."""
+        return self.total_from + len(self.created) - len(self.deleted)
+
+    @property
+    def relative_delta(self) -> float:
+        """The signed total growth (to - from) / from; +inf when the first
+        snapshot was empty and the second is not, and 0 when both are
+        empty."""
+        total_from, total_to = self.total_from, self.total_to
         if total_from > 0:
-            delta = (total_to - total_from) / total_from
-        elif total_to > 0:
-            delta = math.inf
-        else:
-            delta = 0.0
-        return cls(
-            created=frozenset(created),
-            updated=frozenset(updated),
-            deleted=frozenset(deleted),
-            total_from=total_from,
-            total_to=total_to,
-            relative_delta=delta,
-        )
+            return (total_to - total_from) / total_from
+        return math.inf if total_to > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -82,12 +64,10 @@ class ChangeSummary:
 
 
 def _diff_ids(a: dict, b: dict, changed: Callable[[Hashable], bool]) -> ComponentDiff:
-    ids_a = set(a)
-    ids_b = set(b)
-    created = ids_b - ids_a
-    deleted = ids_a - ids_b
-    updated = {key for key in ids_a & ids_b if changed(key)}
-    return ComponentDiff.build(created, updated, deleted, len(ids_a), len(ids_b))
+    ids_a = frozenset(a)
+    ids_b = frozenset(b)
+    updated = frozenset([key for key in ids_a & ids_b if changed(key)])
+    return ComponentDiff(ids_b - ids_a, updated, ids_a - ids_b, len(ids_a))
 
 
 def diff_documents(a: Corpus, b: Corpus) -> ComponentDiff:
@@ -142,7 +122,7 @@ def diff_qrels(a: Qrels, b: Qrels) -> ComponentDiff:
         deleted.update([(topic, doc) for doc in grades_a.keys() - grades_b.keys()])
         common = grades_a.keys() & grades_b.keys()
         updated.update([(topic, doc) for doc in common if grades_a[doc] != grades_b[doc]])
-    return ComponentDiff.build(created, updated, deleted, len(a), len(b))
+    return ComponentDiff(frozenset(created), frozenset(updated), frozenset(deleted), len(a))
 
 
 def summarize(

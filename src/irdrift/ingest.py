@@ -33,7 +33,10 @@ distinct timestamp text once and shares the resulting (immutable)
 datetime between its documents. Manifests have one line loop with two
 outputs: :func:`parse_manifest` keeps each document's :class:`DocMeta`,
 :func:`parse_manifest_ids` only its id. Both make the same checks in the
-same order with the same messages, so they accept the same files;
+same order with the same messages, so they accept the same files. The
+``length`` and ``hash`` checks belong to :mod:`irdrift.model`
+(:func:`~irdrift.model._check_doc_meta`, which :class:`DocMeta` makes);
+this module only prefixes their message with the line number.
 ``load_environment(config, corpus=False)`` reads manifests the second
 way, for callers that score runs and need no document metadata. The
 JSON writers emit exactly the bytes ``json.dumps`` gives for each
@@ -61,6 +64,7 @@ from .model import (
     Ranking,
     RunFile,
     TopicId,
+    _check_doc_meta,
     _check_id,
     validate_environment,
 )
@@ -283,8 +287,6 @@ def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta
             ) from None
         if not isinstance(doc_text, str):
             raise ParseError(f"line {lineno}: doc_id must be a string")
-        if not isinstance(length, int) or isinstance(length, bool):
-            raise ParseError(f"line {lineno}: length must be an integer")
         try:
             doc_id = _check_id(doc_text, "DocId")
             stamp_text = obj.get("timestamp")
@@ -296,13 +298,10 @@ def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta
                 if timestamp is None:
                     timestamp = stamps[stamp_text] = _parse_timestamp(stamp_text, lineno)
             content_hash = obj.get("hash")
-            if content_hash is not None and not isinstance(content_hash, str):
-                raise ParseError(f"line {lineno}: hash must be a string")
             if keep_meta:
                 meta = DocMeta(length, timestamp, content_hash)
-            elif length < 0:
-                # the check DocMeta would make, with its message
-                raise ValueError(f"DocMeta length must be >= 0, got {length}")
+            else:
+                _check_doc_meta(length, content_hash)
         except ParseError:
             raise
         except ValueError as exc:
@@ -428,7 +427,7 @@ def load_environment(config: EEConfig, *, corpus: bool = True) -> EvaluationEnvi
     ee = EvaluationEnvironment(label=config.label, corpus=docs, topics=topics, qrels=qrels)
     for finding in validate_environment(ee, doc_ids):
         warnings.warn(
-            f"environment {config.label}: {finding.message}",
+            f"environment {config.label}: {finding}",
             IngestWarning,
             stacklevel=2,
         )

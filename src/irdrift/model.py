@@ -22,6 +22,11 @@ construction, so downstream code can rely on them without re-checking. An
 :class:`EvaluationEnvironment` loaded for scoring carries no corpus;
 :func:`validate_environment` then takes the corpus's doc ids.
 
+This module owns the checks of a manifest's document fields:
+:func:`_check_doc_meta` is the one check of a ``length`` and a content
+hash, made by :class:`DocMeta` and by the manifest reader that keeps only
+doc ids, so both report a bad field with the same message.
+
 :class:`DocMeta`, built once per manifest line, is a named tuple rather
 than a dataclass: the same fields and checks at a lower cost per
 document. :class:`Scenario` lives here, beside the measures, so that the
@@ -146,6 +151,19 @@ class Qrels:
         return Qrels(by_topic)
 
 
+def _check_doc_meta(length: int, content_hash: str | None) -> None:
+    """Raise ``ValueError`` unless ``length`` is an ``int`` (not a
+    ``bool``) >= 0 and ``content_hash`` is None or a string."""
+    # the manifest writer renders the length as an integer literal and
+    # the hash as a string; anything else would not parse back
+    if not isinstance(length, int) or isinstance(length, bool):
+        raise ValueError(f"DocMeta length must be an integer, got {length!r}")
+    if length < 0:
+        raise ValueError(f"DocMeta length must be >= 0, got {length}")
+    if content_hash is not None and not isinstance(content_hash, str):
+        raise ValueError(f"DocMeta content_hash must be a string, got {content_hash!r}")
+
+
 class _DocMetaFields(NamedTuple):
     length: int
     timestamp: datetime | None = None
@@ -161,7 +179,7 @@ class DocMeta(_DocMetaFields):
     An immutable named tuple, so it compares equal to the plain tuple
     ``(length, timestamp, content_hash)``. Every way to build one
     (``DocMeta(...)``, :meth:`_make`, :meth:`_replace`, unpickling) makes
-    the checks of :meth:`__new__`.
+    the checks of :func:`_check_doc_meta`.
     """
 
     __slots__ = ()
@@ -172,14 +190,7 @@ class DocMeta(_DocMetaFields):
         timestamp: datetime | None = None,
         content_hash: str | None = None,
     ) -> "DocMeta":
-        # the manifest writer renders the length as an integer literal and
-        # the hash as a string; anything else would not parse back
-        if not isinstance(length, int) or isinstance(length, bool):
-            raise ValueError(f"DocMeta length must be an integer, got {length!r}")
-        if length < 0:
-            raise ValueError(f"DocMeta length must be >= 0, got {length}")
-        if content_hash is not None and not isinstance(content_hash, str):
-            raise ValueError(f"DocMeta content_hash must be a string, got {content_hash!r}")
+        _check_doc_meta(length, content_hash)
         return tuple.__new__(cls, (length, timestamp, content_hash))
 
     @classmethod
@@ -303,23 +314,17 @@ class PerTopicScores:
         return set(self.scores)
 
 
-@dataclass(frozen=True)
-class ValidationFinding:
-    severity: str  # "warning" or "error"
-    location: str
-    message: str
-
-
 def validate_environment(
     ee: EvaluationEnvironment, doc_ids: Collection[DocId] | None = None
-) -> list[ValidationFinding]:
+) -> list[str]:
     """Cross-component consistency checks over an assembled environment.
 
     Type-level invariants are already guaranteed at construction; this
     reports the soft issues that are tolerated but worth surfacing: qrels
     topics missing from the topic set and judged documents absent from the
-    corpus. The corpus is ``doc_ids`` when given, else the environment's
-    own. Returns an empty list iff nothing was found.
+    corpus, one message each, topics first, each group in id order. The
+    corpus is ``doc_ids`` when given, else the environment's own. Returns
+    an empty list iff nothing was found.
     """
     if doc_ids is None:
         if ee.corpus is None:
@@ -327,22 +332,13 @@ def validate_environment(
                 f"environment {ee.label} carries no corpus; pass its doc ids"
             )
         doc_ids = ee.corpus
-    findings: list[ValidationFinding] = []
-    for topic in sorted(ee.qrels.topics().difference(ee.topics)):
-        findings.append(
-            ValidationFinding(
-                severity="warning",
-                location=f"qrels topic {topic}",
-                message=f"qrels topic {topic} does not appear in the topic set",
-            )
-        )
+    findings = [
+        f"qrels topic {topic} does not appear in the topic set"
+        for topic in sorted(ee.qrels.topics().difference(ee.topics))
+    ]
     judged = set().union(*ee.qrels.by_topic.values())
-    for doc in sorted(judged.difference(doc_ids)):
-        findings.append(
-            ValidationFinding(
-                severity="warning",
-                location=f"qrels doc {doc}",
-                message=f"judged document {doc} is absent from the corpus snapshot",
-            )
-        )
+    findings.extend(
+        f"judged document {doc} is absent from the corpus snapshot"
+        for doc in sorted(judged.difference(doc_ids))
+    )
     return findings

@@ -31,7 +31,6 @@ class TestResult:
     t_statistic: float
     p_value: float
     adjusted_alpha: float
-    significant: bool
     n: int
 
     def __post_init__(self) -> None:
@@ -43,8 +42,10 @@ class TestResult:
             )
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.significant != (self.p_value < self.adjusted_alpha):
-            raise ValueError("significant must equal p_value < adjusted_alpha")
+
+    @property
+    def significant(self) -> bool:
+        return self.p_value < self.adjusted_alpha
 
 
 def paired_t_test(
@@ -105,10 +106,4 @@ def compare(
     """Run the paired test and decide significance at the corrected level."""
     t, p, n = paired_t_test(scores_a, scores_b)
     adjusted = bonferroni(alpha, family_size)
-    return TestResult(
-        t_statistic=t,
-        p_value=p,
-        adjusted_alpha=adjusted,
-        significant=p < adjusted,
-        n=n,
-    )
+    return TestResult(t_statistic=t, p_value=p, adjusted_alpha=adjusted, n=n)

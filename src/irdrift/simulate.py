@@ -25,8 +25,8 @@ class SimulationWarning(UserWarning):
 class SimulationPlan:
     """How to cut the corpus: into ``num_slices`` equally sized slices by
     document count (the default), or at explicit timestamp boundaries
-    (one per slice, strictly increasing; slice i keeps documents dated at
-    or before boundary i)."""
+    (one per slice, timezone-aware, strictly increasing; slice i keeps
+    documents dated at or before boundary i)."""
 
     num_slices: int
     boundaries: tuple[datetime, ...] | None = None
@@ -39,6 +39,11 @@ class SimulationPlan:
                 raise ValueError(
                     f"expected {self.num_slices} boundaries, got {len(self.boundaries)}"
                 )
+            for boundary in self.boundaries:
+                # manifest timestamps are aware, and a naive datetime
+                # cannot be compared with them
+                if boundary.utcoffset() is None:
+                    raise ValueError(f"boundaries must be timezone-aware, got {boundary}")
             for earlier, later in zip(self.boundaries, self.boundaries[1:]):
                 if earlier >= later:
                     raise ValueError("boundaries must be strictly increasing")

@@ -279,8 +279,10 @@ def test_mean_rbo_empty_filter_is_error():
 
 
 def test_change_scores_mean_invariant():
-    scores = ChangeScores.from_per_topic({TopicId("1"): 0.4, TopicId("2"): 0.6})
-    assert scores.mean == pytest.approx(0.5)
+    scores = ChangeScores({TopicId("2"): 0.6, TopicId("1"): 0.4})
+    assert scores.mean == (0.4 + 0.6) / 2  # summed in topic id order
+    with pytest.raises(ValueError, match="at least one topic"):
+        ChangeScores({})
 
 
 # --- rmse ---

@@ -199,6 +199,16 @@ def test_evaluate_topic_list_ignores_spaces_around_ids(tmp_path, capsys):
     assert "TopicId must not contain whitespace: 'q 2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [" , ", ""])
+def test_evaluate_rejects_a_topic_list_without_ids_before_any_file_is_read(
+    tmp_path, capsys, spec
+):
+    absent = str(tmp_path / "absent")
+    argv = ["evaluate", "--config", absent, "--ee", "t0", "--run", absent, "--topics", spec]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --topics {spec!r}: no topic ids given\n"
+
+
 def test_evaluate_perfect_run_scores_one(tmp_path, capsys):
     corpus = synth_corpus(10)
     ids = sorted(corpus)
@@ -440,6 +450,75 @@ def test_change_dtq_rejects_qrels_override(tmp_path, capsys):
     args += ["--qrels", f"t1={tmp_path / 't1.qrels.txt'}"]
     assert main(args) == 2
     assert "conflict" in capsys.readouterr().err
+
+
+def _drop_manifests(tmp_path):
+    """Delete every manifest, so a command that loads an environment fails."""
+    for manifest in tmp_path.glob("*.manifest.jsonl"):
+        manifest.unlink()
+
+
+@pytest.mark.parametrize(
+    "tag, message", [("", "must be non-empty"), (" alpha", "must not contain whitespace: ' alpha'")]
+)
+def test_change_rejects_a_system_tag_no_run_file_can_carry(tmp_path, capsys, tag, message):
+    config, runs = write_cli_fixture(tmp_path)
+    _drop_manifests(tmp_path)  # checked before any environment is loaded
+    flag = f"{tag}:t0:{runs[('alpha', 't0')]}"
+    argv = ["change", "--config", str(config), "--scenario", "dtq", "--run", flag]
+    assert main(argv + ["--run", f"{tag}:t1:{runs[('alpha', 't1')]}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --run {flag!r}: system tag {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--run", "alpha:t9:x.run"], "--run 'alpha:t9:x.run': unknown environment label 't9'"),
+        (["--pivot-run", "t9=x.run"], "--pivot-run 't9=x.run': unknown environment label 't9'"),
+        (["--qrels", "t9=x.txt"], "--qrels 't9=x.txt': unknown environment label 't9'"),
+        (["--qrels", "t1"], "--qrels expects EE_LABEL=PATH, got 't1'"),
+    ],
+)
+def test_change_checks_its_flags_before_loading_any_environment(tmp_path, capsys, flag, message):
+    config, runs = write_cli_fixture(tmp_path)
+    _drop_manifests(tmp_path)
+    assert main(change_argv(config, runs, "dtq-prime") + flag) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_change_dtq_prime_reads_a_qrels_override_in_place_of_the_config_qrels(
+    tmp_path, capsysbinary
+):
+    config, runs = write_cli_fixture(tmp_path)
+    argv = change_argv(config, runs, "dtq-prime")
+    assert main(argv) == 0
+    clean = capsysbinary.readouterr().out
+    # the configured t1 qrels gain a judgment that changes q1's recall base
+    configured = tmp_path / "t1.qrels.txt"
+    override = tmp_path / "t1.override.qrels.txt"
+    override.write_bytes(configured.read_bytes())
+    configured.write_text(configured.read_text() + "q1 0 ghost 1\n")
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out != clean
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--qrels", f"t1={override}"]) == 0
+    assert capsysbinary.readouterr().out == clean
+    # the replaced file is never read, so none of its findings is warned
+    assert not any("ghost" in str(w.message) for w in caught)
+
+    # the override is checked against the environment's manifest
+    override.write_text(override.read_text() + "q2 0 phantom 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--qrels", f"t1={override}"]) == 0
+    capsysbinary.readouterr()
+    assert [str(w.message) for w in caught if "phantom" in str(w.message)] == [
+        "environment t1: judged document phantom is absent from the corpus snapshot"
+    ]
 
 
 def test_change_missing_system_run_exits_2(tmp_path, capsys):

@@ -218,20 +218,16 @@ def test_component_diff_invariant_enforcement():
             updated=frozenset(),
             deleted=frozenset({"x"}),
             total_from=1,
-            total_to=1,
-            relative_delta=0.0,
         )
-    with pytest.raises(ValueError, match="inconsistent totals"):
-        ComponentDiff(
-            created=frozenset({"x"}),
-            updated=frozenset(),
-            deleted=frozenset(),
-            total_from=5,
-            total_to=5,
-            relative_delta=0.0,
-        )
+    # more deletions than the first snapshot held
+    with pytest.raises(ValueError, match="totals must be >= 0"):
+        ComponentDiff(frozenset(), frozenset(), frozenset({"x", "y"}), total_from=1)
 
 
 def test_component_diff_empty_from_delta():
-    assert ComponentDiff.build(set(), set(), set(), 0, 0).relative_delta == 0.0
-    assert ComponentDiff.build({"x"}, set(), set(), 0, 1).relative_delta == math.inf
+    none = frozenset()
+    assert ComponentDiff(none, none, none, 0).relative_delta == 0.0
+    grown = ComponentDiff(frozenset({"x"}), none, none, 0)
+    assert (grown.total_to, grown.relative_delta) == (1, math.inf)
+    shrunk = ComponentDiff(none, frozenset({"y"}), frozenset({"x"}), 3)
+    assert (shrunk.total_to, shrunk.relative_delta) == (2, (2 - 3) / 3)

@@ -16,6 +16,7 @@ from irdrift.ingest import (
     load_config,
     load_environment,
     parse_manifest,
+    parse_manifest_ids,
     parse_qrels,
     parse_run,
     parse_topics,
@@ -191,6 +192,29 @@ def test_parse_manifest_rejects_non_string_timestamp(value):
     ]
     with pytest.raises(ParseError, match="^line 2: timestamp must be a string$"):
         parse_manifest(lines)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"length": True}, {"length": 1.5}, {"length": -1}, {"length": 1, "hash": 7}]
+)
+def test_manifest_field_errors_are_doc_meta_messages(fields):
+    with pytest.raises(ValueError) as meta:
+        DocMeta(fields["length"], None, fields.get("hash"))
+    line = json.dumps({"doc_id": "d1", **fields})
+    for parse in (parse_manifest, parse_manifest_ids):
+        with pytest.raises(ParseError) as exc:
+            parse([line])
+        assert str(exc.value) == f"line 1: {meta.value}"
+
+
+def test_manifest_reports_a_bad_doc_id_or_timestamp_before_a_bad_length():
+    for line, message in [
+        ('{"doc_id": "a b", "length": 1.5}', "line 1: DocId must not contain whitespace"),
+        ('{"doc_id": "d1", "length": -1, "timestamp": 5}', "line 1: timestamp must be a string"),
+    ]:
+        for parse in (parse_manifest, parse_manifest_ids):
+            with pytest.raises(ParseError, match=f"^{message}"):
+                parse([line])
 
 
 # per parser: a valid record, and the same record with a NaN value

@@ -125,12 +125,12 @@ def test_markdown_table_shape():
     assert len(lines) == 3
 
 
-def _summary(doc_from=10, doc_to=10, created=0, updated=0, deleted=0):
+def _summary(doc_from=10, created=0, deleted=0):
     ids = [f"d{i}" for i in range(max(created, deleted))]
-    docs = ComponentDiff.build(
-        set(ids[:created]), set(), set(ids[:deleted]), doc_from, doc_to
+    docs = ComponentDiff(
+        frozenset(ids[:created]), frozenset(), frozenset(ids[:deleted]), doc_from
     )
-    empty = ComponentDiff.build(set(), set(), set(), 5, 5)
+    empty = ComponentDiff(frozenset(), frozenset(), frozenset(), 5)
     return ChangeSummary(
         from_label="t0", to_label="t1", documents=docs, topics=empty, qrels=empty
     )
@@ -144,13 +144,13 @@ def test_summary_identity_renders_zero_percent():
 
 
 def test_summary_append_only_create_equals_delta():
-    summary = _summary(doc_from=10, doc_to=13, created=3)
+    summary = _summary(doc_from=10, created=3)
     row = render_change_summary(summary, "csv").decode().splitlines()[1].split(",")
     assert int(row[4]) == int(row[2]) - int(row[1])
 
 
 def test_summary_negative_percent_has_leading_minus():
-    summary = _summary(doc_from=10, doc_to=7, deleted=3)
+    summary = _summary(doc_from=10, deleted=3)
     row = render_change_summary(summary, "csv").decode().splitlines()[1]
     assert ",-30.0000," in row
     md = render_change_summary(summary, "markdown").decode()
@@ -158,7 +158,7 @@ def test_summary_negative_percent_has_leading_minus():
 
 
 def test_summary_json_shape():
-    doc = json.loads(render_change_summary(_summary(10, 13, created=3), "json"))
+    doc = json.loads(render_change_summary(_summary(10, created=3), "json"))
     assert doc["from"] == "t0"
     assert doc["documents"]["created"] == 3
     assert doc["documents"]["relative_delta"] == pytest.approx(0.3)

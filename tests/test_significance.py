@@ -190,10 +190,11 @@ def test_compare_builds_consistent_result():
 
 
 def test_test_result_invariant_enforced():
-    with pytest.raises(ValueError, match="significant"):
-        TestResult(t_statistic=1.0, p_value=0.5, adjusted_alpha=0.05, significant=True, n=5)
     with pytest.raises(ValueError, match="n must be"):
-        TestResult(t_statistic=1.0, p_value=0.5, adjusted_alpha=0.05, significant=False, n=1)
+        TestResult(t_statistic=1.0, p_value=0.5, adjusted_alpha=0.05, n=1)
+    # significance is p < adjusted alpha, strictly
+    assert not TestResult(t_statistic=1.0, p_value=0.05, adjusted_alpha=0.05, n=5).significant
+    assert TestResult(t_statistic=1.0, p_value=0.049, adjusted_alpha=0.05, n=5).significant
 
 
 # --- the standard-library numerics ---

@@ -142,6 +142,15 @@ def test_simulation_plan_validation():
         SimulationPlan(num_slices=3, boundaries=(_utc(2019, 1, 1), _utc(2020, 1, 1)))
 
 
+def test_simulation_plan_rejects_naive_boundaries():
+    naive = (datetime(2020, 6, 1), datetime(2021, 6, 1))
+    message = "^boundaries must be timezone-aware, got 2020-06-01 00:00:00$"
+    with pytest.raises(ValueError, match=message):
+        split_append_only(_base_env(4), SimulationPlan(2, boundaries=naive))
+    with pytest.raises(ValueError, match="timezone-aware, got 2021-06-01 00:00:00$"):
+        SimulationPlan(2, boundaries=(_utc(2020, 6, 1), naive[1]))
+
+
 def test_append_only_summary_shape():
     slices = split_append_only(_base_env(12), SimulationPlan(num_slices=3))
     s = summarize(slices[0], slices[1])
