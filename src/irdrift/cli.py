@@ -12,7 +12,11 @@ Subcommands:
 Each subcommand imports the library modules it uses when it runs, so
 ``diff`` and ``simulate`` never load the scoring, change and
 significance modules. The ingest loaders and writers stay module
-globals, where a caller can replace them.
+globals, where a caller can replace them. Environments are loaded
+through ingest's private sequence loader, which lets consecutive
+snapshots share their unchanged manifest lines. ``load_environment``
+stays a module global for code that replaces it by name
+(``bench/spans.py``), though no subcommand calls it any more.
 
 Exit codes are stable: 0 success, 1 internal error, 2 usage or
 validation error. All output is deterministic; given identical inputs,
@@ -30,11 +34,12 @@ from pathlib import Path
 from .ingest import (
     EEConfig,
     ParseError,
+    _load_sequence,
     format_manifest,
     format_qrels,
     format_topics,
     load_config,
-    load_environment,
+    load_environment,  # not called here; see the module docstring
     load_manifest,
     load_qrels,
     load_run,
@@ -89,16 +94,14 @@ def _load_environments(
     """The config's labels and its environments; with `only`, each of its
     labels is checked before any file is read and just those environments
     are loaded, unless `load_all`. Without `corpus`, manifests are checked
-    but only their doc ids are kept (see `load_environment`)."""
+    but only their doc ids are kept (see `load_environment`). The chosen
+    environments load as one sequence, in config order."""
     configs, labels = _read_config(config_path)
     for label in only:
         _check_label(label, labels)
-    envs = {
-        cfg.label: load_environment(cfg, corpus=corpus)
-        for cfg in configs
-        if load_all or not only or cfg.label in only
-    }
-    return labels, envs
+    chosen = [cfg for cfg in configs if load_all or not only or cfg.label in only]
+    envs = _load_sequence(chosen, corpus=corpus)
+    return labels, {ee.label: ee for ee in envs}
 
 
 def _parse_topic_list(spec: str) -> set[TopicId]:
@@ -253,7 +256,7 @@ def cmd_change(args: argparse.Namespace) -> int:
     for label, path in qrels_paths.items():
         i = labels.index(label)
         configs[i] = dataclasses.replace(configs[i], qrels_path=Path(path))
-    envs = [load_environment(cfg, corpus=False) for cfg in configs]
+    envs = _load_sequence(configs, corpus=False)
     runs = {
         tag: {label: load_run(path, label) for label, path in by_label.items()}
         for tag, by_label in run_paths.items()

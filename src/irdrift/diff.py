@@ -75,12 +75,18 @@ def diff_documents(a: Corpus, b: Corpus) -> ComponentDiff:
 
     Updates are detected by comparing string lengths for documents sharing
     an id; when both sides carry a content hash, the hash comparison takes
-    precedence (length collisions can hide updates).
+    precedence (length collisions can hide updates). A document whose two
+    sides are the same :class:`DocMeta` object is unchanged, and its fields
+    are not read: a sequence load shares that object between snapshots
+    whose manifests hold the identical line
+    (:func:`~irdrift.ingest.load_environments`).
     """
 
     def changed(doc_id) -> bool:
         meta_a = a[doc_id]
         meta_b = b[doc_id]
+        if meta_a is meta_b:
+            return False
         if meta_a.content_hash is not None and meta_b.content_hash is not None:
             return meta_a.content_hash != meta_b.content_hash
         return meta_a.length != meta_b.length

@@ -30,16 +30,29 @@ corpus (doc id -> :class:`DocMeta`) and :func:`parse_topics` a topic id
 JSON-lines records are decoded by one helper that accepts exactly what
 ``json.loads`` accepts, with its error messages. A manifest parses each
 distinct timestamp text once and shares the resulting (immutable)
-datetime between its documents. Manifests have one line loop with two
-outputs: :func:`parse_manifest` keeps each document's :class:`DocMeta`,
-:func:`parse_manifest_ids` only its id. Both make the same checks in the
-same order with the same messages, so they accept the same files. The
-``length`` and ``hash`` checks belong to :mod:`irdrift.model`
-(:func:`~irdrift.model._check_doc_meta`, which :class:`DocMeta` makes);
-this module only prefixes their message with the line number.
-``load_environment(config, corpus=False)`` reads manifests the second
-way, for callers that score runs and need no document metadata. The
-JSON writers emit exactly the bytes ``json.dumps`` gives for each
+datetime between its documents. Manifests have one line loop
+(``_read_manifest``) with two outputs: :func:`parse_manifest` keeps each
+document's :class:`DocMeta`, :func:`parse_manifest_ids` only its id.
+Both make the same checks in the same order with the same messages, so
+they accept the same files. The ``length`` and ``hash`` checks belong to
+:mod:`irdrift.model` (:func:`~irdrift.model._check_doc_meta`, which
+:class:`DocMeta` makes); this module only prefixes their message with
+the line number. ``load_environment(config, corpus=False)`` reads
+manifests the second way, for callers that score runs and need no
+document metadata.
+
+A sequence of environments (:func:`load_environments` and the CLI) is
+loaded by one private loader, ``_load_sequence``, with a memo of the
+previous manifest's lines: a raw line, newline included, that the
+manifest loaded just before also held reuses that line's checked doc id
+and :class:`DocMeta` (None in ids-only mode) and skips its decode and
+checks. A line's checks depend on its text alone, and only lines that
+passed them are kept, so every result, message and warning is the one
+of loading each environment alone; the duplicate id check still runs on
+every line. Unchanged documents thus share one :class:`DocMeta` across
+snapshots. The memo holds one manifest's lines and lives for one call.
+
+The JSON writers emit exactly the bytes ``json.dumps`` gives for each
 record, with its default separators and ASCII escaping.
 """
 
@@ -265,50 +278,70 @@ def _json_line(raw: str, lineno: int) -> object:
         raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
 
 
-def _read_manifest(lines: Iterable[str], keep_meta: bool) -> dict[DocId, DocMeta | None]:
-    """The one manifest line loop: every line is checked in full, and each
-    doc id maps to its :class:`DocMeta` if `keep_meta`, else to None."""
+def _read_manifest(
+    lines: Iterable[str],
+    keep_meta: bool,
+    previous: dict[str, tuple[DocId, DocMeta | None]] | None = None,
+    checked: dict[str, tuple[DocId, DocMeta | None]] | None = None,
+) -> dict[DocId, DocMeta | None]:
+    """The one manifest line loop: each doc id maps to its :class:`DocMeta`
+    if `keep_meta`, else to None.
+
+    `previous` and `checked` map raw lines, as `lines` yields them, to the
+    (doc id, meta) entry they gave. A line found in `previous` reuses its
+    entry; every other line is checked in full. Each line that passes is
+    added to `checked`. A line's checks depend on its text alone, so only
+    the duplicate id check, which depends on the file, runs on every line.
+    """
+    if previous is None:
+        previous = {}
     docs: dict[DocId, DocMeta | None] = {}
     # timestamp text -> parsed instant; manifests repeat few distinct dates
     stamps: dict[str, datetime] = {}
     meta = None
     for lineno, raw in enumerate(lines, start=1):
-        obj = _json_line(raw, lineno)
-        if obj is _BLANK:
-            continue
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: manifest line must be a JSON object")
-        try:
-            doc_text = obj["doc_id"]
-            length = obj["length"]
-        except KeyError as exc:
-            raise ParseError(
-                f"line {lineno}: missing required field {exc.args[0]!r}"
-            ) from None
-        if not isinstance(doc_text, str):
-            raise ParseError(f"line {lineno}: doc_id must be a string")
-        try:
-            doc_id = _check_id(doc_text, "DocId")
-            stamp_text = obj.get("timestamp")
-            timestamp = None
-            if stamp_text is not None:
-                if not isinstance(stamp_text, str):
-                    raise ParseError(f"line {lineno}: timestamp must be a string")
-                timestamp = stamps.get(stamp_text)
-                if timestamp is None:
-                    timestamp = stamps[stamp_text] = _parse_timestamp(stamp_text, lineno)
-            content_hash = obj.get("hash")
-            if keep_meta:
-                meta = DocMeta(length, timestamp, content_hash)
-            else:
-                _check_doc_meta(length, content_hash)
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        entry = previous.get(raw)
+        if entry is None:
+            obj = _json_line(raw, lineno)
+            if obj is _BLANK:
+                continue
+            if not isinstance(obj, dict):
+                raise ParseError(f"line {lineno}: manifest line must be a JSON object")
+            try:
+                doc_text = obj["doc_id"]
+                length = obj["length"]
+            except KeyError as exc:
+                raise ParseError(
+                    f"line {lineno}: missing required field {exc.args[0]!r}"
+                ) from None
+            if not isinstance(doc_text, str):
+                raise ParseError(f"line {lineno}: doc_id must be a string")
+            try:
+                doc_id = _check_id(doc_text, "DocId")
+                stamp_text = obj.get("timestamp")
+                timestamp = None
+                if stamp_text is not None:
+                    if not isinstance(stamp_text, str):
+                        raise ParseError(f"line {lineno}: timestamp must be a string")
+                    timestamp = stamps.get(stamp_text)
+                    if timestamp is None:
+                        timestamp = stamps[stamp_text] = _parse_timestamp(stamp_text, lineno)
+                content_hash = obj.get("hash")
+                if keep_meta:
+                    meta = DocMeta(length, timestamp, content_hash)
+                else:
+                    _check_doc_meta(length, content_hash)
+            except ParseError:
+                raise
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+        else:
+            doc_id, meta = entry
         if doc_id in docs:
             raise ParseError(f"line {lineno}: duplicate doc_id {doc_id}")
         docs[doc_id] = meta
+        if checked is not None:
+            checked[raw] = (doc_id, meta) if entry is None else entry
     return docs
 
 
@@ -413,30 +446,47 @@ def load_environment(config: EEConfig, *, corpus: bool = True) -> EvaluationEnvi
     line by line as :func:`parse_manifest` checks it, but only its doc ids
     are kept, for the findings; the environment's ``corpus`` is None.
     """
-    if corpus:
-        docs = _parse_file(parse_manifest, config.manifest_path)
-        doc_ids = None
-    else:
-        docs = None
-        doc_ids = _parse_file(parse_manifest_ids, config.manifest_path)
-    qrels = _parse_file(parse_qrels, config.qrels_path)
-    if config.topics_path is not None:
-        topics = _parse_file(parse_topics, config.topics_path)
-    else:
-        topics = dict.fromkeys(sorted(qrels.topics()))
-    ee = EvaluationEnvironment(label=config.label, corpus=docs, topics=topics, qrels=qrels)
-    for finding in validate_environment(ee, doc_ids):
-        warnings.warn(
-            f"environment {config.label}: {finding}",
-            IngestWarning,
-            stacklevel=2,
-        )
-    return ee
+    return _load_sequence([config], corpus=corpus)[0]
 
 
 def load_environments(config_path: Path | str) -> list[EvaluationEnvironment]:
     """Load every environment listed in a config, in sequence order."""
-    return [load_environment(cfg) for cfg in load_config(config_path)]
+    return _load_sequence(load_config(config_path), corpus=True)
+
+
+def _load_sequence(configs: list[EEConfig], *, corpus: bool) -> list[EvaluationEnvironment]:
+    """Load environments in the given order, each as :func:`load_environment`
+    loads it, with the manifest memo the module docstring describes: each
+    manifest is read against the checked lines of the one before it. The
+    last manifest's lines are not kept, as nothing reads them.
+    """
+    envs: list[EvaluationEnvironment] = []
+    previous: dict[str, tuple[DocId, DocMeta | None]] | None = None
+    for i, config in enumerate(configs):
+        checked = {} if i + 1 < len(configs) else None
+        docs = _parse_file(
+            lambda lines: _read_manifest(lines, corpus, previous, checked),
+            config.manifest_path,
+        )
+        previous = checked
+        qrels = _parse_file(parse_qrels, config.qrels_path)
+        if config.topics_path is not None:
+            topics = _parse_file(parse_topics, config.topics_path)
+        else:
+            topics = dict.fromkeys(sorted(qrels.topics()))
+        ee = EvaluationEnvironment(
+            label=config.label, corpus=docs if corpus else None, topics=topics, qrels=qrels
+        )
+        for finding in validate_environment(ee, None if corpus else docs):
+            # reported at the line that called this loader's caller, as
+            # load_environment(...) in user code
+            warnings.warn(
+                f"environment {config.label}: {finding}",
+                IngestWarning,
+                stacklevel=3,
+            )
+        envs.append(ee)
+    return envs
 
 
 def _parse_file(parser, path: Path):

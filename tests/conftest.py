@@ -115,6 +115,13 @@ def make_environment(
     return EvaluationEnvironment(label=label, corpus=corpus, topics=topics, qrels=qrels)
 
 
+class NoDocMeta:
+    """Stand-in for ``ingest.DocMeta`` on paths that keep only doc ids."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("DocMeta built on a path that keeps only doc ids")
+
+
 class UnderflowingScores:
     """Stand-in for ``effectiveness.score_runs``: every run scores 0.5 on
     q1 and 0 on q2 under every measure, except that the pivot zpivot

@@ -21,6 +21,7 @@ from irdrift.ingest import (
 from conftest import (
     DATED_MANIFEST,
     DATED_QRELS,
+    NoDocMeta,
     UnderflowingScores,
     change_argv,
     pivot_argv,
@@ -638,11 +639,6 @@ def _full_parse_warnings(config, labels):
     return [str(w.message) for w in caught]
 
 
-class _NoDocMeta:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("DocMeta built on a path that keeps only doc ids")
-
-
 def test_change_and_evaluate_build_no_document_metadata(tmp_path, capsysbinary, monkeypatch):
     config, runs = write_cli_fixture(tmp_path)
     _drop_manifest_docs(config, "t0", 12)  # run and qrels files are untouched
@@ -654,7 +650,7 @@ def test_change_and_evaluate_build_no_document_metadata(tmp_path, capsysbinary, 
     assert main(evaluate) == 0
     evaluate_out = capsysbinary.readouterr().out
 
-    monkeypatch.setattr(ingest, "DocMeta", _NoDocMeta)
+    monkeypatch.setattr(ingest, "DocMeta", NoDocMeta)
     for argv, pin, expected_warnings in [
         (change_argv(config, runs, "dtq"), (PINNED / "dtq.csv").read_bytes(), all_warnings),
         (evaluate, evaluate_out, t0_warnings),

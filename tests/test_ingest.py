@@ -1,6 +1,7 @@
 """Parser, writer, and environment-loading behavior."""
 
 import json
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -131,6 +132,24 @@ def test_parse_manifest_dates():
     stamps = [corpus[f"d{i}"].timestamp for i in (1, 2, 3)]
     assert all(s is not None for s in stamps)
     assert stamps == sorted(stamps)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # ISO week date, basic date and basic instant: accepted by the
+        # Python 3.11 parsers that pyproject.toml's floor guarantees
+        ("2023-W01-1", datetime(2023, 1, 2, tzinfo=timezone.utc)),
+        ("20230101", datetime(2023, 1, 1, tzinfo=timezone.utc)),
+        ("20230101T000000Z", datetime(2023, 1, 1, tzinfo=timezone.utc)),
+    ],
+)
+def test_parse_manifest_accepts_the_python_3_11_iso_forms(text, expected):
+    line = json.dumps({"doc_id": "d1", "length": 1, "timestamp": text})
+    for parse in (parse_manifest, parse_manifest_ids):
+        assert parse([line])
+    timestamp = parse_manifest([line])["d1"].timestamp
+    assert timestamp == expected and timestamp.utcoffset() == timedelta(0)
 
 
 def test_parse_manifest_duplicate_doc_id_names_it():

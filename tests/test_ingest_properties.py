@@ -3,8 +3,9 @@ and qrels result does not depend on line order, canonical output
 re-parses to the same value, a repeated (topic, doc) pair is reported at
 its line, the nested qrels map agrees with the flat (topic, doc) pairs it
 was built from, the manifest writer emits the bytes of ``json.dumps``,
-and the ids-only manifest check accepts and rejects what the full parse
-does."""
+the ids-only manifest check accepts and rejects what the full parse
+does, and a sequence of environments loads each one as it loads
+alone."""
 
 import json
 import re
@@ -15,17 +16,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irdrift import ingest
 from irdrift.ingest import (
+    EEConfig,
     ParseError,
+    _load_sequence,
+    _read_manifest,
     format_manifest,
     format_qrels,
     format_run,
+    load_environment,
     parse_manifest,
     parse_manifest_ids,
     parse_qrels,
     parse_run,
 )
 from irdrift.model import DocMeta, Qrels
+
+from conftest import NoDocMeta
 
 # tokens as str.split() yields them: non-empty, no whitespace
 token = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s])
@@ -282,3 +290,148 @@ def test_manifest_ids_check_every_line_as_the_full_parse_does(lines):
     assert ids == full
     if ids[0] == "ok":
         assert type(ids[1]) is set
+
+
+# --- environment sequences --------------------------------------------------
+
+# the ids valid lines draw, among them every valid id manifest_id draws:
+# each environment's qrels judge all of them, so its "absent from the
+# corpus" warnings show which of them its manifest lists
+JUDGED_IDS = ["é", "x\x00", *(f"d{i}" for i in range(1, 21))]
+
+
+@st.composite
+def valid_manifest_line(draw):
+    obj = {"doc_id": draw(st.sampled_from(JUDGED_IDS)), "length": draw(st.integers(0, 2))}
+    if draw(st.booleans()):
+        obj["timestamp"] = draw(st.sampled_from(["2022-06-01", "2022-06-01T10:00:00Z"]))
+    if draw(st.booleans()):
+        obj["hash"] = draw(st.sampled_from(["h1", "h2"]))
+    return json.dumps(obj) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@st.composite
+def manifest_sequences(draw):
+    """Manifests m0, m1, ...: each after the first repeats lines of the
+    one before it, in any order, among new lines."""
+    line = mostly(valid_manifest_line(), manifest_line())
+    manifests = [draw(st.lists(line, max_size=5))]
+    for _ in range(draw(st.integers(1, 2))):
+        previous = manifests[-1]
+        kept = []
+        if previous:
+            # now and then a line twice
+            unique = draw(st.integers(0, 4)) > 0
+            kept = draw(st.lists(st.sampled_from(previous), max_size=5, unique=unique))
+        manifests.append(draw(st.permutations(kept + draw(st.lists(line, max_size=2)))))
+    return manifests
+
+
+def write_sequence(directory, manifests):
+    """One config entry per manifest, each with qrels judging JUDGED_IDS.
+    A line without a newline gets one unless it is its file's last."""
+    configs = []
+    for i, lines in enumerate(manifests):
+        manifest = directory / f"m{i}.jsonl"
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines[:-1])
+        manifest.write_bytes((text + (lines[-1] if lines else "")).encode("utf-8"))
+        qrels = directory / f"q{i}.txt"
+        qrels.write_text("".join(f"q1 0 {doc} 1\n" for doc in JUDGED_IDS), encoding="utf-8")
+        configs.append(EEConfig(f"t{i}", manifest, qrels))
+    return configs
+
+
+def load_outcome(load):
+    """(environments or ParseError text, warning texts in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load()
+        except ParseError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def load_each_alone(configs, corpus):
+    """What loading the environments one by one gives, up to the first error."""
+    envs, caught = [], []
+    for config in configs:
+        result, warned = load_outcome(lambda: load_environment(config, corpus=corpus))
+        caught += warned
+        if isinstance(result, str):
+            return result, caught
+        envs.append(result)
+    return envs, caught
+
+
+D1 = '{"doc_id": "d1", "length": 1}'
+D2 = '{"doc_id": "d2", "length": 2}'
+
+
+@settings(deadline=None, max_examples=200)
+@given(manifest_sequences(), st.booleans())
+# a line of m0 listed twice in m1: the duplicate is m1's line 3
+@example([[D1 + "\n"], [D1 + "\n", D2 + "\n", D1 + "\n"]], True)
+@example([[D1 + "\n"], [D1 + "\n", D2 + "\n", D1 + "\n"]], False)
+# m0's last line has no newline; m1 repeats it with one
+@example([[D1 + "\n", D2], [D2 + "\n", '{"doc_id": "d3", "length": 3}']], True)
+# blank and CRLF lines
+@example([[D1 + "\r\n", "\n", " \r\n", D2 + "\n"], ["\n", D1 + "\r\n", " \r\n", D2 + "\r\n"]], True)
+# a line invalid in m0, repeated in m1
+@example([['{"doc_id": "d1", "length": -1}\n'], ['{"doc_id": "d1", "length": -1}\n']], False)
+def test_a_sequence_loads_each_environment_as_it_loads_alone(tmp_path_factory, manifests, corpus):
+    configs = write_sequence(tmp_path_factory.mktemp("ees"), manifests)
+    expected, expected_warnings = load_each_alone(configs, corpus)
+    result, caught = load_outcome(lambda: _load_sequence(configs, corpus=corpus))
+    assert caught == expected_warnings
+    assert result == expected
+    if not isinstance(result, str):
+        for ee, alone in zip(result, expected):
+            if corpus:
+                assert list(ee.corpus.items()) == list(alone.corpus.items())
+            else:
+                assert ee.corpus is None
+
+
+def test_a_line_that_fails_its_checks_is_never_reused():
+    bad = '{"doc_id": "d2", "length": -1}\n'
+    checked = {}
+    with pytest.raises(ParseError) as first:
+        _read_manifest([D1 + "\n", bad], True, None, checked)
+    assert str(first.value).startswith("line 2: ")
+    assert list(checked) == [D1 + "\n"]
+    with pytest.raises(ParseError) as again:
+        _read_manifest([bad], True, checked, {})
+    assert str(again.value) == str(first.value).replace("line 2: ", "line 1: ")
+
+
+def test_a_repeated_line_listed_twice_is_a_duplicate_at_its_own_line(tmp_path):
+    configs = write_sequence(tmp_path, [[D1 + "\n"], [D2 + "\n", D1 + "\n", D1 + "\n"]])
+    result, _ = load_outcome(lambda: _load_sequence(configs, corpus=True))
+    assert result == f"{configs[1].manifest_path}: line 3: duplicate doc_id d1"
+
+
+def test_unchanged_lines_share_one_doc_meta_across_the_sequence(tmp_path):
+    d3 = '{"doc_id": "d3", "length": 3, "timestamp": "2022-06-01", "hash": "h"}\n'
+    manifests = [
+        [D1 + "\n", D2 + "\n", d3],
+        [d3, '{"doc_id": "d2", "length": 5}\n', D1 + "\n"],
+        [D1 + "\n", d3],
+    ]
+    with pytest.warns(UserWarning, match="absent from the corpus"):
+        t0, t1, t2 = _load_sequence(write_sequence(tmp_path, manifests), corpus=True)
+    assert t0.corpus["d1"] is t1.corpus["d1"] is t2.corpus["d1"]
+    assert t0.corpus["d3"] is t1.corpus["d3"] is t2.corpus["d3"]
+    assert t1.corpus["d2"] == DocMeta(5) and t0.corpus["d2"] == DocMeta(2)
+
+
+def test_an_ids_only_sequence_never_builds_doc_meta(tmp_path, monkeypatch):
+    configs = write_sequence(tmp_path, [[D1 + "\n", D2 + "\n"], [D2 + "\n", D1 + "\n"]])
+    monkeypatch.setattr(ingest, "DocMeta", NoDocMeta)
+    result, caught = load_outcome(lambda: _load_sequence(configs, corpus=False))
+    assert [ee.corpus for ee in result] == [None, None]
+    assert caught == [
+        f"environment {label}: judged document {doc} is absent from the corpus snapshot"
+        for label in ("t0", "t1")
+        for doc in sorted(set(JUDGED_IDS) - {"d1", "d2"})
+    ]
