@@ -279,6 +279,19 @@ def test_change_stdout_matches_its_pin(tmp_path, capsysbinary, case, fmt, ext):
     assert capsysbinary.readouterr().out == (PINNED / f"{case}.{ext}").read_bytes()
 
 
+EVALUATE_PINNED = Path(__file__).resolve().parent / "evaluate_stdout"
+
+
+@pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
+def test_evaluate_stdout_matches_its_pin(tmp_path, capsysbinary, fmt, ext):
+    config, runs = write_cli_fixture(tmp_path)
+    argv = ["evaluate", "--config", str(config), "--ee", "t1", "--per-topic"]
+    argv += ["--run", runs[("beta", "t1")], "--run", runs[("alpha", "t1")]]
+    assert main(argv + ["--format", fmt]) == 0
+    # the whole output, byte for byte, as first recorded
+    assert capsysbinary.readouterr().out == (EVALUATE_PINNED / f"per-topic.{ext}").read_bytes()
+
+
 DIFF_PINNED = Path(__file__).resolve().parent / "diff_stdout"
 
 
