@@ -55,7 +55,7 @@ with tempfile.TemporaryDirectory(prefix="irdrift-demo-") as tmp:
         "1 Q0 d1 2 9.9 demo\n"  # higher score: must end up at rank 1
         "2 Q0 d3 1 1.2 demo\n"
     )
-    run = load_run(work / "run.txt", ee_label="t0")
+    run = load_run(work / "run.txt")
     print(f"\nrun {run.system_tag!r} after canonicalization:")
     for topic in sorted(run.rankings):
         ranking = run.rankings[topic]

@@ -52,12 +52,10 @@ print(f"  bpref = {bpref(bad, grades):.4f}   (unjudged 'z' is ignored entirely)"
 # stores each ranking under its topic id.
 run = RunFile(
     system_tag="demo",
-    ee_label="t0",
     rankings={"1": good, "2": ranking(["y", "x"])},
 )
 for name in ("p@10", "ndcg", "bpref"):
     scores = evaluate_run(run, qrels, MeasureSpec.parse(name))
-    result = arp(scores)
     per_topic = {str(t): round(v, 4) for t, v in sorted(scores.scores.items())}
     print(f"\n{name}: per-topic {per_topic}")
-    print(f"{name}: ARP over {result.evaluated_topic_count} topics = {result.mean:.4f}")
+    print(f"{name}: ARP over {len(scores.scores)} topics = {arp(scores):.4f}")

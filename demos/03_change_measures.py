@@ -8,7 +8,6 @@ points in time.
 """
 
 from irdrift import (
-    ArpResult,
     MeasureSpec,
     PerTopicScores,
     Ranking,
@@ -45,7 +44,7 @@ m = MeasureSpec.parse("p@10")
 
 
 def scores(values: dict[str, float]) -> PerTopicScores:
-    return PerTopicScores(m, "sys", "t", values)
+    return PerTopicScores(m, values)
 
 
 a = scores({"1": 1.0, "2": 0.5})
@@ -53,19 +52,15 @@ b = scores({"1": 0.5, "2": 0.5})
 print(f"\nRMSE({{1.0, 0.5}} vs {{0.5, 0.5}}) = {rmse(a, b):.5f}  (= sqrt(0.25/2))")
 
 # --- ARP-level deltas ------------------------------------------------------
-# A system whose P@10 rises from 0.081 to 0.111 as the corpus grows:
-
-
-def arp_at(mean: float, tag: str, ee: str) -> ArpResult:
-    return ArpResult(m, tag, ee, mean, evaluated_topic_count=1175)
-
-
-drift = result_delta(arp_at(0.081, "sys", "t0"), arp_at(0.111, "sys", "t1"))
+# An ARP is a plain mean score. A system whose P@10 rises from 0.081 to
+# 0.111 as the corpus grows:
+drift = result_delta(0.081, 0.111)
 print(f"\nrelative ARP delta 0.081 -> 0.111: {drift:.4f}  (negative = improved)")
 
-# The same drift seen relative to a pivot system measured at both times:
-ri_before = relative_improvement(arp_at(0.096, "sys", "t0"), arp_at(0.081, "pivot", "t0"))
-ri_after = relative_improvement(arp_at(0.130, "sys", "t1"), arp_at(0.111, "pivot", "t1"))
+# The same drift seen relative to a pivot system measured at both times
+# (system ARP first, then the pivot's):
+ri_before = relative_improvement(0.096, 0.081)  # t0
+ri_after = relative_improvement(0.130, 0.111)  # t1
 shift = delta_ri(ri_before, ri_after)
 print(f"margin over pivot at t0: {ri_before:.4f}, at t1: {ri_after:.4f}")
 print(f"margin shift: {shift:.4f}  (0 would mean the margin reproduced exactly;")

@@ -80,7 +80,7 @@ def run_over(tag: str, ee: EvaluationEnvironment, depth: int = 50) -> RunFile:
             key=lambda pair: (-pair[0], pair[1]),
         )[:depth]
         rankings[topic] = Ranking(tuple(d for _, d in scored), tuple(s for s, _ in scored))
-    return RunFile(system_tag=tag, ee_label=ee.label, rankings=rankings)
+    return RunFile(system_tag=tag, rankings=rankings)
 
 
 runs = {"adv": {ee.label: run_over("adv", ee) for ee in slices}}

@@ -31,8 +31,7 @@ _EXPORTS = {
             "diff_topics", "summarize",
         ),
         "effectiveness": (
-            "ArpResult", "arp", "bpref", "evaluate_run", "ndcg", "precision_at_k",
-            "score_runs",
+            "arp", "bpref", "evaluate_run", "ndcg", "precision_at_k", "score_runs",
         ),
         "ingest": (
             "EEConfig", "IngestWarning", "ParseError", "format_manifest",

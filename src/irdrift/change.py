@@ -14,8 +14,11 @@ Four complementary views:
   over a pivot system within one environment, and how that margin shifts
   between environments.
 
-:func:`build_matrix` applies them to every system over an ordered
-environment sequence and returns the longitudinal change matrix of one
+An ARP is a plain float (:func:`irdrift.effectiveness.arp`), so the
+ratio functions only compute; pairing the right ARPs is the caller's
+job. :func:`build_matrix` applies them to every system over an ordered
+environment sequence, pairing scores by their (system, environment,
+measure) key, and returns the longitudinal change matrix of one
 scenario.
 """
 
@@ -31,7 +34,6 @@ from . import effectiveness as eff
 from . import significance as sig
 from . import simulate as sim
 from ._numeric import pairwise_sum
-from .effectiveness import ArpResult
 from .ingest import IngestWarning
 from .model import (
     EvaluationEnvironment,
@@ -201,41 +203,21 @@ def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:
     return math.sqrt(pairwise_sum([d * d for d in diffs]) / len(diffs))
 
 
-def result_delta(arp_initial: ArpResult, arp_evolved: ArpResult) -> float:
-    """Relative ARP change between an initial and an evolved environment:
-    (initial - evolved) / initial. Negative values mean the effectiveness
-    improved over time."""
-    if arp_initial.system_tag != arp_evolved.system_tag:
-        raise ValueError(
-            f"result_delta compares one system over time, got "
-            f"{arp_initial.system_tag!r} vs {arp_evolved.system_tag!r}"
-        )
-    if arp_initial.measure != arp_evolved.measure:
-        raise ValueError(
-            f"result_delta requires matching measures, got "
-            f"{arp_initial.measure.name} vs {arp_evolved.measure.name}"
-        )
-    if arp_initial.mean == 0.0:
+def result_delta(arp_initial: float, arp_evolved: float) -> float:
+    """Relative ARP change between a system's ARP in an initial and in an
+    evolved environment, under one measure: (initial - evolved) / initial.
+    Negative values mean the effectiveness improved over time."""
+    if arp_initial == 0.0:
         raise ValueError("undefined result delta (zero baseline)")
-    return (arp_initial.mean - arp_evolved.mean) / arp_initial.mean
+    return (arp_initial - arp_evolved) / arp_initial
 
 
-def relative_improvement(arp_system: ArpResult, arp_pivot: ArpResult) -> float:
-    """A system's ARP margin over the pivot system within one environment:
-    (system - pivot) / pivot."""
-    if arp_system.ee_label != arp_pivot.ee_label:
-        raise ValueError(
-            f"relative_improvement compares systems within one environment, got "
-            f"{arp_system.ee_label!r} vs {arp_pivot.ee_label!r}"
-        )
-    if arp_system.measure != arp_pivot.measure:
-        raise ValueError(
-            f"relative_improvement requires matching measures, got "
-            f"{arp_system.measure.name} vs {arp_pivot.measure.name}"
-        )
-    if arp_pivot.mean == 0.0:
+def relative_improvement(arp_system: float, arp_pivot: float) -> float:
+    """A system's ARP margin over the pivot system's ARP in the same
+    environment, under one measure: (system - pivot) / pivot."""
+    if arp_pivot == 0.0:
         raise ValueError("undefined relative improvement (zero pivot mean)")
-    return (arp_system.mean - arp_pivot.mean) / arp_pivot.mean
+    return (arp_system - arp_pivot) / arp_pivot
 
 
 def delta_ri(ri_initial: float, ri_evolved: float) -> float:
@@ -335,7 +317,7 @@ def build_matrix(
             for measure, scores in by_measure.items():
                 per_topic[tag, label, measure] = scores
 
-    def arp_of(tag: str, label: str, measure: MeasureSpec) -> ArpResult:
+    def arp_of(tag: str, label: str, measure: MeasureSpec) -> float:
         return eff.arp(per_topic[tag, label, measure])
 
     rows: list[ChangeReport] = []
@@ -366,11 +348,10 @@ def build_matrix(
             delta_ri_map: dict[MeasureSpec, float | None] = {}
             significant_map: dict[MeasureSpec, bool | None] = {}
             for measure in measures:
-                result = arp_of(tag, label, measure)
-                arp_map[measure] = result.mean
+                arp_map[measure] = arp_of(tag, label, measure)
                 try:
                     re_delta_map[measure] = result_delta(
-                        arp_of(tag, initial, measure), result
+                        arp_of(tag, initial, measure), arp_map[measure]
                     )
                 except ValueError as exc:
                     warnings.warn(
@@ -388,7 +369,7 @@ def build_matrix(
                         arp_of(pivot_tag, initial, measure),
                     )
                     ri_evolved = relative_improvement(
-                        result, arp_of(pivot_tag, label, measure)
+                        arp_map[measure], arp_of(pivot_tag, label, measure)
                     )
                     delta_ri_map[measure] = delta_ri(ri_initial, ri_evolved)
                 except ValueError as exc:

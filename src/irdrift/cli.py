@@ -107,7 +107,10 @@ def _load_environments(
 def _parse_topic_list(spec: str) -> set[TopicId]:
     """The topic ids of an explicit ``--topics`` list."""
     parts = [part.strip() for part in spec.split(",")]
-    topics = {_check_id(part, "TopicId") for part in parts if part}
+    try:
+        topics = {_check_id(part, "TopicId") for part in parts if part}
+    except ValueError as exc:
+        raise CliError(f"--topics {spec!r}: {exc}") from None
     if not topics:
         raise CliError(f"--topics {spec!r}: no topic ids given")
     return topics
@@ -148,7 +151,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         from . import simulate as sim
 
         topic_filter = sim.common_topics([envs[label] for label in labels])
-    runs = [load_run(path, args.ee) for path in args.run]
+    runs = [load_run(path) for path in args.run]
     tagged: dict[str, str] = {}
     for path, run in zip(args.run, runs):
         if run.system_tag in tagged:
@@ -165,7 +168,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for run, by_measure in zip(runs, scored):
         for measure in measures:
             scores = by_measure[measure]
-            result = eff.arp(scores)  # raises when no topic was evaluable
+            mean = eff.arp(scores)  # raises when no topic was evaluable
             if args.per_topic:
                 for topic in sorted(scores.scores):
                     rows.append(
@@ -183,7 +186,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     args.ee,
                     measure.name,
                     "all",
-                    format(result.mean, f".{args.places}f"),
+                    format(mean, f".{args.places}f"),
                 ]
             )
     _write_output(rep.render_table(header, rows, args.format), args.out)
@@ -258,10 +261,10 @@ def cmd_change(args: argparse.Namespace) -> int:
         configs[i] = dataclasses.replace(configs[i], qrels_path=Path(path))
     envs = _load_sequence(configs, corpus=False)
     runs = {
-        tag: {label: load_run(path, label) for label, path in by_label.items()}
+        tag: {label: load_run(path) for label, path in by_label.items()}
         for tag, by_label in run_paths.items()
     }
-    pivot = {label: load_run(path, label) for label, path in pivot_paths.items()}
+    pivot = {label: load_run(path) for label, path in pivot_paths.items()}
 
     matrix = cm.build_matrix(
         args.collection or Path(args.config).stem,
@@ -326,7 +329,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import report as rep
 
-    data = Path(args.matrix).read_bytes()
+    try:
+        data = Path(args.matrix).read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.matrix}: {exc.strerror}") from None
     try:
         matrix = rep.matrix_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:

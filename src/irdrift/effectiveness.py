@@ -19,13 +19,17 @@ list of gains. :func:`precision_at_k`, :func:`ndcg`, :func:`bpref` and
 :func:`evaluate_run` are thin callers of the same kernels, so every path
 gives the same bits. The facts live only for one call; nothing is cached
 between calls or stored on ``Qrels``.
+
+An ARP (:func:`arp`) is a plain float. Neither it nor a
+:class:`PerTopicScores` names its system or environment:
+:func:`score_runs` returns scores in the order of its runs, and the
+caller keys them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 
 from .model import (
@@ -38,23 +42,6 @@ from .model import (
     RunFile,
     TopicId,
 )
-
-
-@dataclass(frozen=True)
-class ArpResult:
-    """Average retrieval performance: the mean per-topic score."""
-
-    measure: MeasureSpec
-    system_tag: str
-    ee_label: str
-    mean: float
-    evaluated_topic_count: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean <= 1.0:
-            raise ValueError(f"ARP mean must lie in [0, 1], got {self.mean}")
-        if self.evaluated_topic_count < 0:
-            raise ValueError("evaluated_topic_count must be >= 0")
 
 
 def precision_at_k(ranking: Ranking, grades: dict[DocId, int], k: int) -> float:
@@ -161,15 +148,16 @@ def score_runs(
                 scores[topic] = _score(measure, gains, fact, discounts)
         results.append(
             {
-                measure: PerTopicScores(measure, run.system_tag, run.ee_label, scores)
+                measure: PerTopicScores(measure, scores)
                 for measure, scores in per_measure.items()
             }
         )
     return results
 
 
-def arp(scores: PerTopicScores) -> ArpResult:
-    """Arithmetic mean over all evaluated topics.
+def arp(scores: PerTopicScores) -> float:
+    """Average retrieval performance: the arithmetic mean over all
+    evaluated topics.
 
     Summation runs in sorted topic-id order so the result is bit-stable
     regardless of how the score map was built.
@@ -177,13 +165,7 @@ def arp(scores: PerTopicScores) -> ArpResult:
     if not scores.scores:
         raise ValueError("no evaluated topics")
     ordered = [scores.scores[t] for t in sorted(scores.scores)]
-    return ArpResult(
-        measure=scores.measure,
-        system_tag=scores.system_tag,
-        ee_label=scores.ee_label,
-        mean=sum(ordered) / len(ordered),
-        evaluated_topic_count=len(ordered),
-    )
+    return sum(ordered) / len(ordered)
 
 
 # --- one copy of each measure's arithmetic --------------------------------

@@ -105,7 +105,7 @@ class EEConfig:
             raise ValueError("EEConfig label must be non-empty")
 
 
-def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
+def parse_run(lines: Iterable[str]) -> RunFile:
     """Parse a TREC-format run, canonicalizing each topic's ranking.
 
     The system tag is taken from column 6 of the first line; later lines
@@ -163,7 +163,7 @@ def parse_run(lines: Iterable[str], expected_ee_label: str) -> RunFile:
     if system_tag is None:
         raise ParseError("empty run: no lines to take a system tag from")
     rankings = {topic: _canonical_ranking(docs) for topic, docs in by_topic.items()}
-    return RunFile(system_tag=system_tag, ee_label=expected_ee_label, rankings=rankings)
+    return RunFile(system_tag=system_tag, rankings=rankings)
 
 
 def _canonical_ranking(docs: dict[str, float]) -> Ranking:
@@ -499,9 +499,9 @@ def _parse_file(parser, path: Path):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def load_run(path: Path | str, ee_label: str) -> RunFile:
+def load_run(path: Path | str) -> RunFile:
     """Parse a run file from disk."""
-    return _parse_file(lambda lines: parse_run(lines, ee_label), Path(path))
+    return _parse_file(parse_run, Path(path))
 
 
 def load_qrels(path: Path | str) -> Qrels:

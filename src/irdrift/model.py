@@ -14,7 +14,10 @@ already satisfy the check. Each id is stored once, as a key: the corpus
 is a :data:`Corpus` map (doc id -> :class:`DocMeta`), the topic set a map
 of topic id -> text (None when a topic has no text) and a run's rankings
 a map of topic id -> :class:`Ranking`, which stores its documents and
-scores as two parallel tuples; a document's rank is its position.
+scores as two parallel tuples; a document's rank is its position. A
+:class:`RunFile` does not store its environment, and
+:class:`PerTopicScores` neither its system nor its environment: the
+caller's key (system tag, environment label) names them.
 :class:`Qrels` is one topic -> doc -> grade map holding the raw grades;
 :mod:`irdrift.effectiveness` alone decides which grades count as
 relevant. The container types check their structural invariants at
@@ -103,10 +106,10 @@ class Ranking:
 
 @dataclass(frozen=True)
 class RunFile:
-    """A system's rankings in one environment, keyed by the topic each answers."""
+    """A system's rankings, keyed by the topic each answers. The
+    environment the run answers is the key the caller stores it under."""
 
     system_tag: str
-    ee_label: str
     rankings: dict[TopicId, Ranking]
 
     def __post_init__(self) -> None:
@@ -296,11 +299,10 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class PerTopicScores:
-    """Per-topic effectiveness of one system under one measure in one EE."""
+    """Per-topic effectiveness under one measure; the system and the
+    environment scored are the key the caller stores it under."""
 
     measure: MeasureSpec
-    system_tag: str
-    ee_label: str
     scores: dict[TopicId, float]
 
     def __post_init__(self) -> None:

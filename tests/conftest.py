@@ -49,10 +49,9 @@ def make_qrels(pairs: dict[tuple[str, str], int]) -> Qrels:
     return Qrels(by_topic)
 
 
-def make_run(tag: str, label: str, rankings: dict[str, list[str]]) -> RunFile:
+def make_run(tag: str, rankings: dict[str, list[str]]) -> RunFile:
     return RunFile(
         system_tag=tag,
-        ee_label=label,
         rankings={TopicId(t): make_ranking(docs) for t, docs in rankings.items()},
     )
 
@@ -90,7 +89,7 @@ def synth_qrels(doc_ids: list[str], topics: list[str]) -> Qrels:
     return Qrels(by_topic)
 
 
-def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth: int = 100) -> RunFile:
+def synth_run(tag: str, doc_ids: list[str], topics: list[str], depth: int = 100) -> RunFile:
     """A synthetic retrieval system: per topic, docs ranked by a
     deterministic pseudo-score keyed by (system, topic, doc)."""
     rankings: dict[TopicId, Ranking] = {}
@@ -102,7 +101,7 @@ def synth_run(tag: str, label: str, doc_ids: list[str], topics: list[str], depth
         rankings[topic] = Ranking(
             tuple(doc for _, doc in scored), tuple(score for score, _ in scored)
         )
-    return RunFile(system_tag=tag, ee_label=label, rankings=rankings)
+    return RunFile(system_tag=tag, rankings=rankings)
 
 
 def make_environment(
@@ -141,7 +140,7 @@ class UnderflowingScores:
             if run.system_tag == "zpivot":
                 scores[TopicId("q2")] = 1.27e-225
             results.append(
-                {m: PerTopicScores(m, run.system_tag, run.ee_label, scores) for m in measures}
+                {m: PerTopicScores(m, scores) for m in measures}
             )
         return results
 
@@ -171,7 +170,7 @@ def write_cli_fixture(tmp_path, n_docs=60, systems=("alpha", "beta"), labels=("t
             }
         )
         for tag in systems:
-            run = synth_run(tag, label, ids, CLI_TOPICS, depth=20)
+            run = synth_run(tag, ids, CLI_TOPICS, depth=20)
             path = tmp_path / f"{tag}.{label}.run.txt"
             path.write_text(format_run(run))
             run_paths[(tag, label)] = str(path)

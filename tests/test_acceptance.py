@@ -16,7 +16,7 @@ import pytest
 from irdrift.change import RboConfig, delta_ri, mean_rbo, rbo_topic, relative_improvement, result_delta, rmse
 from irdrift.cli import main
 from irdrift.diff import diff_documents
-from irdrift.effectiveness import ArpResult, bpref, ndcg, precision_at_k
+from irdrift.effectiveness import bpref, ndcg, precision_at_k
 from irdrift.ingest import (
     format_manifest,
     format_qrels,
@@ -38,16 +38,12 @@ from test_effectiveness import bpref_brute, ndcg_brute, p_at_k_brute
 from test_significance import t_two_sided_p_oracle
 
 
-def _arp(mean, measure, tag, ee):
-    return ArpResult(MeasureSpec.parse(measure), tag, ee, mean, 1175)
-
-
 def test_criterion_1_result_delta_rederivation():
     start = time.monotonic()
     # published ARPs for one system's P@10 across three environments
     t0, t1, t2 = 0.081, 0.111, 0.123
-    d1 = result_delta(_arp(t0, "p@10", "bm25", "t0"), _arp(t1, "p@10", "bm25", "t1"))
-    d2 = result_delta(_arp(t0, "p@10", "bm25", "t0"), _arp(t2, "p@10", "bm25", "t2"))
+    d1 = result_delta(t0, t1)
+    d2 = result_delta(t0, t2)
     assert d1 == pytest.approx(-0.370, abs=5e-4)
     assert d2 == pytest.approx(-0.519, abs=5e-4)
     # printed table values, reachable within rounding of 3-decimal inputs
@@ -60,22 +56,14 @@ def test_criterion_1_result_delta_rederivation():
 def test_criterion_2_delta_ri_rederivation():
     start = time.monotonic()
     # system A's P@10: 0.096 -> 0.130; pivot's: 0.081 -> 0.111
-    ri0 = relative_improvement(
-        _arp(0.096, "p@10", "colbert", "t0"), _arp(0.081, "p@10", "bm25", "t0")
-    )
-    ri1 = relative_improvement(
-        _arp(0.130, "p@10", "colbert", "t1"), _arp(0.111, "p@10", "bm25", "t1")
-    )
+    ri0 = relative_improvement(0.096, 0.081)
+    ri1 = relative_improvement(0.130, 0.111)
     shift = delta_ri(ri0, ri1)
     assert shift == pytest.approx(0.014, abs=5e-4)
     assert abs(shift - 0.018) <= 0.01
     # second system's nDCG: 0.291 -> 0.347; pivot's: 0.280 -> 0.334
-    ri0 = relative_improvement(
-        _arp(0.291, "ndcg", "monot5", "t0"), _arp(0.280, "ndcg", "bm25", "t0")
-    )
-    ri2 = relative_improvement(
-        _arp(0.347, "ndcg", "monot5", "t2"), _arp(0.334, "ndcg", "bm25", "t2")
-    )
+    ri0 = relative_improvement(0.291, 0.280)
+    ri2 = relative_improvement(0.347, 0.334)
     assert abs(delta_ri(ri0, ri2) - 0.000) <= 0.01
     assert time.monotonic() - start < 1.0
     print("[PASS] criterion 2: pivot-relative margin shift re-derivation")
@@ -154,7 +142,7 @@ def test_criterion_6_rmse_properties():
     m = MeasureSpec.parse("p@10")
 
     def scores(values):
-        return PerTopicScores(m, "s", "t0", {TopicId(f"t{i}"): v for i, v in enumerate(values)})
+        return PerTopicScores(m, {TopicId(f"t{i}"): v for i, v in enumerate(values)})
 
     a = scores([0.3, 0.9, 0.4])
     assert rmse(a, a) == 0.0
@@ -172,8 +160,8 @@ def test_criterion_6_rmse_properties():
 def test_criterion_7_significance_oracle():
     diffs = [0.3, 0.1, -0.1, 0.2, 0.0]
     m = MeasureSpec.parse("p@10")
-    a = PerTopicScores(m, "s", "t0", {TopicId(f"t{i}"): 0.5 + d for i, d in enumerate(diffs)})
-    b = PerTopicScores(m, "s", "t0", {TopicId(f"t{i}"): 0.5 for i in range(5)})
+    a = PerTopicScores(m, {TopicId(f"t{i}"): 0.5 + d for i, d in enumerate(diffs)})
+    b = PerTopicScores(m, {TopicId(f"t{i}"): 0.5 for i in range(5)})
     t, p, n = paired_t_test(a, b)
     assert n == 5
     assert t == pytest.approx(1.4142, abs=1e-3)
@@ -220,7 +208,7 @@ def simulated(tmp_path_factory):
     for label in labels:
         slice_ids = sorted(load_manifest(out_dir / f"{label}.manifest.jsonl"))
         for tag in SYSTEMS:
-            run = synth_run(tag, label, slice_ids, TOPICS, depth=100)
+            run = synth_run(tag, slice_ids, TOPICS, depth=100)
             path = out_dir / f"{tag}.{label}.run.txt"
             path.write_text(format_run(run))
             run_paths[(tag, label)] = path
@@ -278,7 +266,7 @@ def test_criterion_9_mean_rbo_monotone_over_append_only_growth(simulated):
     }
     cfg = RboConfig(phi=0.9, depth=100, normalize=True)
     for tag in SYSTEMS:
-        runs = {label: load_run(run_paths[(tag, label)], label) for label in labels}
+        runs = {label: load_run(run_paths[(tag, label)]) for label in labels}
         # precondition: each later slice adds documents that reach the
         # evaluated prefix of at least one topic
         for earlier, later in zip(labels, labels[1:]):

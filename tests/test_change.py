@@ -24,7 +24,6 @@ from irdrift.change import (
     result_delta,
     rmse,
 )
-from irdrift.effectiveness import ArpResult
 from irdrift.ingest import IngestWarning
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
 from irdrift.report import Scenario
@@ -58,14 +57,8 @@ def rbo_brute(docs_a, docs_b, phi, depth, normalize):
     return raw
 
 
-def _scores(values: dict[str, float], measure="p@10", tag="s", ee="t0") -> PerTopicScores:
-    return PerTopicScores(
-        MeasureSpec.parse(measure), tag, ee, {TopicId(t): v for t, v in values.items()}
-    )
-
-
-def _arp(mean, measure="p@10", tag="s", ee="t0", n=10) -> ArpResult:
-    return ArpResult(MeasureSpec.parse(measure), tag, ee, mean, n)
+def _scores(values: dict[str, float], measure="p@10") -> PerTopicScores:
+    return PerTopicScores(MeasureSpec.parse(measure), {TopicId(t): v for t, v in values.items()})
 
 
 # --- rbo_topic ---
@@ -242,27 +235,27 @@ def test_rbo_config_validation():
 
 
 def test_mean_rbo_self_comparison_is_one():
-    run = make_run("s", "t0", {"1": ["a", "b"], "2": ["c"]})
+    run = make_run("s", {"1": ["a", "b"], "2": ["c"]})
     scores = mean_rbo(run, run, RboConfig(), {TopicId("1"), TopicId("2")})
     assert scores.mean == 1.0
 
 
 def test_mean_rbo_disjoint_is_zero():
-    a = make_run("s", "t0", {"1": ["a"], "2": ["b"]})
-    b = make_run("s", "t1", {"1": ["x"], "2": ["y"]})
+    a = make_run("s", {"1": ["a"], "2": ["b"]})
+    b = make_run("s", {"1": ["x"], "2": ["y"]})
     assert mean_rbo(a, b, RboConfig(), {TopicId("1"), TopicId("2")}).mean == 0.0
 
 
 def test_mean_rbo_averages_topics():
-    a = make_run("s", "t0", {"1": ["a"], "2": ["b"]})
-    b = make_run("s", "t1", {"1": ["a"], "2": ["z"]})
+    a = make_run("s", {"1": ["a"], "2": ["b"]})
+    b = make_run("s", {"1": ["a"], "2": ["z"]})
     scores = mean_rbo(a, b, RboConfig(), {TopicId("1"), TopicId("2")})
     assert scores.mean == pytest.approx(0.5)
 
 
 def test_mean_rbo_missing_topic_warns_and_scores_zero():
-    a = make_run("s", "t0", {"1": ["a"]})
-    b = make_run("s", "t1", {"1": ["a"], "2": ["b"]})
+    a = make_run("s", {"1": ["a"]})
+    b = make_run("s", {"1": ["a"], "2": ["b"]})
     with pytest.warns(ChangeWarning, match="missing"):
         scores = mean_rbo(a, b, RboConfig(), {TopicId("1"), TopicId("2")})
     assert scores.per_topic[TopicId("2")] == 0.0
@@ -273,7 +266,7 @@ def test_mean_rbo_missing_topic_warns_and_scores_zero():
 
 
 def test_mean_rbo_empty_filter_is_error():
-    run = make_run("s", "t0", {"1": ["a"]})
+    run = make_run("s", {"1": ["a"]})
     with pytest.raises(ValueError, match="non-empty"):
         mean_rbo(run, run, RboConfig(), set())
 
@@ -339,31 +332,22 @@ def test_rmse_is_bit_identical_to_numpy(pair):
 
 
 def test_result_delta_examples():
-    assert result_delta(_arp(0.4), _arp(0.4)) == 0.0
-    assert result_delta(_arp(0.4), _arp(0.2)) == pytest.approx(0.5)
+    assert result_delta(0.4, 0.4) == 0.0
+    assert result_delta(0.4, 0.2) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="zero baseline"):
-        result_delta(_arp(0.0), _arp(0.2))
+        result_delta(0.0, 0.2)
 
 
 def test_result_delta_sign_tracks_improvement():
     # rising ARP over time must yield a negative delta
-    assert result_delta(_arp(0.081), _arp(0.111)) < 0.0
-
-
-def test_result_delta_rejects_mismatches():
-    with pytest.raises(ValueError, match="system"):
-        result_delta(_arp(0.4, tag="a"), _arp(0.2, tag="b"))
-    with pytest.raises(ValueError, match="measure"):
-        result_delta(_arp(0.4), _arp(0.2, measure="bpref"))
+    assert result_delta(0.081, 0.111) < 0.0
 
 
 def test_relative_improvement_examples():
-    assert relative_improvement(_arp(0.4, tag="s"), _arp(0.4, tag="p")) == 0.0
-    assert relative_improvement(_arp(0.2, tag="s"), _arp(0.4, tag="p")) == pytest.approx(-0.5)
+    assert relative_improvement(0.4, 0.4) == 0.0
+    assert relative_improvement(0.2, 0.4) == pytest.approx(-0.5)
     with pytest.raises(ValueError, match="pivot"):
-        relative_improvement(_arp(0.2, tag="s"), _arp(0.0, tag="p"))
-    with pytest.raises(ValueError, match="environment"):
-        relative_improvement(_arp(0.2, ee="t0"), _arp(0.4, ee="t1"))
+        relative_improvement(0.2, 0.0)
 
 
 def test_delta_ri_examples():
@@ -379,8 +363,8 @@ def test_delta_ri_scale_invariance():
         scale = rng.uniform(0.1, 1.0)
 
         def dri(s0, p0, s1, p1):
-            ri0 = relative_improvement(_arp(s0, tag="s", ee="t0"), _arp(p0, tag="p", ee="t0"))
-            ri1 = relative_improvement(_arp(s1, tag="s", ee="t1"), _arp(p1, tag="p", ee="t1"))
+            ri0 = relative_improvement(s0, p0)
+            ri1 = relative_improvement(s1, p1)
             return delta_ri(ri0, ri1)
 
         base = dri(sys0, piv0, sys1, piv1)
@@ -404,10 +388,10 @@ def _matrix_inputs(labels=("t0", "t1"), systems=("alpha",), topic_ids=None):
         for i, label in enumerate(labels)
     ]
     runs = {
-        tag: {label: synth_run(tag, label, ids, CLI_TOPICS, depth=20) for label in labels}
+        tag: {label: synth_run(tag, ids, CLI_TOPICS, depth=20) for label in labels}
         for tag in systems
     }
-    pivot = {label: synth_run("zpivot", label, ids, CLI_TOPICS, depth=20) for label in labels}
+    pivot = {label: synth_run("zpivot", ids, CLI_TOPICS, depth=20) for label in labels}
     return envs, runs, pivot
 
 

@@ -197,7 +197,9 @@ def test_evaluate_topic_list_ignores_spaces_around_ids(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[1] == outputs[2] == outputs[0]
     assert main(base + ["q1,q 2"]) == 2
-    assert "TopicId must not contain whitespace: 'q 2'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --topics 'q1,q 2': TopicId must not contain whitespace: 'q 2'\n"
+    )
 
 
 @pytest.mark.parametrize("spec", [" , ", ""])
@@ -852,6 +854,17 @@ def test_report_rejects_a_malformed_matrix_naming_the_file(tmp_path, capsys, cha
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: not a rendered matrix JSON ({reason})\n"
+
+
+@pytest.mark.parametrize(
+    "name, reason", [("absent.json", "No such file or directory"), (".", "Is a directory")]
+)
+def test_report_names_an_unreadable_matrix_as_other_inputs_do(tmp_path, capsys, name, reason):
+    path = tmp_path / name
+    assert main(["report", "--matrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_report_rerenders_matrix_json(tmp_path, capsys):

@@ -107,21 +107,21 @@ def test_bpref_hand_computed():
 
 
 def test_evaluate_run_covers_run_and_qrels_topics():
-    run = make_run("s", "t0", {"1": ["a"], "2": ["b"]})
+    run = make_run("s", {"1": ["a"], "2": ["b"]})
     q = make_qrels({("1", "a"): 1, ("2", "b"): 1})
     scores = evaluate_run(run, q, MeasureSpec.parse("p@10"))
     assert set(scores.scores) == {"1", "2"}
 
 
 def test_evaluate_run_respects_filter():
-    run = make_run("s", "t0", {"1": ["a"], "2": ["b"]})
+    run = make_run("s", {"1": ["a"], "2": ["b"]})
     q = make_qrels({("1", "a"): 1, ("2", "b"): 1})
     scores = evaluate_run(run, q, MeasureSpec.parse("p@10"), {TopicId("1")})
     assert set(scores.scores) == {"1"}
 
 
 def test_evaluate_run_scores_missing_filtered_topic_zero():
-    run = make_run("s", "t0", {"1": ["a"]})
+    run = make_run("s", {"1": ["a"]})
     q = make_qrels({("1", "a"): 1, ("3", "c"): 1})
     scores = evaluate_run(
         run, q, MeasureSpec.parse("p@10"), {TopicId("1"), TopicId("3")}
@@ -130,7 +130,7 @@ def test_evaluate_run_scores_missing_filtered_topic_zero():
 
 
 def test_evaluate_run_excludes_topics_without_relevant():
-    run = make_run("s", "t0", {"1": ["a"], "2": ["b"]})
+    run = make_run("s", {"1": ["a"], "2": ["b"]})
     q = make_qrels({("1", "a"): 1, ("2", "b"): 0})
     scores = evaluate_run(run, q, MeasureSpec.parse("p@10"))
     assert set(scores.scores) == {"1"}
@@ -138,15 +138,14 @@ def test_evaluate_run_excludes_topics_without_relevant():
 
 def test_arp_examples():
     m = MeasureSpec.parse("p@10")
-    scores = PerTopicScores(m, "s", "t0", {TopicId("1"): 0.2, TopicId("2"): 0.4})
-    assert arp(scores).mean == pytest.approx(0.3)
-    assert arp(scores).evaluated_topic_count == 2
-    single = PerTopicScores(m, "s", "t0", {TopicId("1"): 0.7})
-    assert arp(single).mean == pytest.approx(0.7)
-    zeros = PerTopicScores(m, "s", "t0", {TopicId(str(i)): 0.0 for i in range(1175)})
-    assert arp(zeros).mean == 0.0
+    scores = PerTopicScores(m, {TopicId("1"): 0.2, TopicId("2"): 0.4})
+    assert arp(scores) == pytest.approx(0.3)
+    single = PerTopicScores(m, {TopicId("1"): 0.7})
+    assert arp(single) == pytest.approx(0.7)
+    zeros = PerTopicScores(m, {TopicId(str(i)): 0.0 for i in range(1175)})
+    assert arp(zeros) == 0.0
     with pytest.raises(ValueError, match="no evaluated topics"):
-        arp(PerTopicScores(m, "s", "t0", {}))
+        arp(PerTopicScores(m, {}))
 
 
 # --- invariants ---

@@ -40,8 +40,8 @@ from irdrift.model import MeasureSpec, PerTopicScores
 from irdrift.significance import compare
 
 m = MeasureSpec.parse("ndcg@10")
-a = PerTopicScores(m, "a", "t0", {f"q{i}": ((i * 7) % 11) / 11 for i in range(12)})
-b = PerTopicScores(m, "b", "t0", {f"q{i}": ((i * 5) % 13) / 13 for i in range(12)})
+a = PerTopicScores(m, {f"q{i}": ((i * 7) % 11) / 11 for i in range(12)})
+b = PerTopicScores(m, {f"q{i}": ((i * 5) % 13) / 13 for i in range(12)})
 result = compare(a, b, alpha=0.05, family_size=3)
 print(json.dumps({
     "after_package": after_package,

@@ -26,9 +26,8 @@ from irdrift.model import DocMeta, TopicId
 
 
 def test_parse_run_minimal_line():
-    run = parse_run(["1 Q0 d7 1 12.5 bm25"], "t0")
+    run = parse_run(["1 Q0 d7 1 12.5 bm25"])
     assert run.system_tag == "bm25"
-    assert run.ee_label == "t0"
     assert len(run.rankings) == 1
     ranking = run.rankings[TopicId("1")]
     assert (ranking.docs, ranking.scores) == (("d7",), (12.5,))
@@ -36,37 +35,37 @@ def test_parse_run_minimal_line():
 
 def test_parse_run_canonicalizes_by_score():
     # file order says d7 first, but d8's higher score must win rank 1
-    run = parse_run(["1 Q0 d7 1 12.5 bm25", "1 Q0 d8 2 13.0 bm25"], "t0")
+    run = parse_run(["1 Q0 d7 1 12.5 bm25", "1 Q0 d8 2 13.0 bm25"])
     assert run.rankings[TopicId("1")].docs == ("d8", "d7")
     # the ranks written back are the positions, not the file's rank column
     assert format_run(run) == "1 Q0 d8 1 13.0 bm25\n1 Q0 d7 2 12.5 bm25\n"
 
 
 def test_parse_run_breaks_score_ties_by_doc_id():
-    run = parse_run(["1 Q0 zz 1 5.0 s", "1 Q0 aa 2 5.0 s"], "t0")
+    run = parse_run(["1 Q0 zz 1 5.0 s", "1 Q0 aa 2 5.0 s"])
     assert run.rankings[TopicId("1")].docs == ("aa", "zz")
 
 
 def test_parse_run_non_numeric_rank_names_line():
     with pytest.raises(ParseError, match="line 1"):
-        parse_run(["1 Q0 d7 one 12.5 bm25"], "t0")
+        parse_run(["1 Q0 d7 one 12.5 bm25"])
 
 
 def test_parse_run_wrong_column_count():
     with pytest.raises(ParseError, match="6 columns"):
-        parse_run(["1 Q0 d7 1 12.5"], "t0")
+        parse_run(["1 Q0 d7 1 12.5"])
 
 
 def test_parse_run_rejects_bad_q0():
     with pytest.raises(ParseError, match="Q0"):
-        parse_run(["1 X0 d7 1 12.5 bm25"], "t0")
+        parse_run(["1 X0 d7 1 12.5 bm25"])
     # but accepts any case
-    assert parse_run(["1 q0 d7 1 12.5 bm25"], "t0").system_tag == "bm25"
+    assert parse_run(["1 q0 d7 1 12.5 bm25"]).system_tag == "bm25"
 
 
 def test_parse_run_duplicate_pair_is_error():
     with pytest.raises(ParseError, match="duplicate"):
-        parse_run(["1 Q0 d7 1 2.0 s", "1 Q0 d7 2 1.0 s"], "t0")
+        parse_run(["1 Q0 d7 1 2.0 s", "1 Q0 d7 2 1.0 s"])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -74,20 +73,20 @@ def test_parse_run_rejects_non_finite_scores(bad):
     # NaN once ranked [a, d, b, c] in file order and [d, b, c, a] reversed
     lines = [f"1 Q0 a 1 {bad} t", "1 Q0 b 2 2.0 t", "1 Q0 c 3 1.0 t", "1 Q0 d 4 3.0 t"]
     with pytest.raises(ParseError, match=f"line 1: non-finite score '{bad}'"):
-        parse_run(lines, "t0")
+        parse_run(lines)
     with pytest.raises(ParseError, match=f"line 4: non-finite score '{bad}'"):
-        parse_run(lines[::-1], "t0")
+        parse_run(lines[::-1])
 
 
 def test_parse_run_mixed_tags_warn_first_wins():
     with pytest.warns(IngestWarning, match="mixed"):
-        run = parse_run(["1 Q0 d7 1 2.0 first", "1 Q0 d8 2 1.0 second"], "t0")
+        run = parse_run(["1 Q0 d7 1 2.0 first", "1 Q0 d8 2 1.0 second"])
     assert run.system_tag == "first"
 
 
 def test_parse_run_empty_is_error():
     with pytest.raises(ParseError, match="empty run"):
-        parse_run([], "t0")
+        parse_run([])
 
 
 def test_parse_qrels_minimal():
@@ -418,9 +417,9 @@ def test_load_config_reads_null_topics_as_absent(tmp_path):
 
 def test_round_trip_run_is_byte_identical():
     lines = ["1 Q0 d7 1 13.0 bm25", "1 Q0 d8 2 12.5 bm25", "2 Q0 d1 1 1.0 bm25"]
-    run = parse_run(lines, "t0")
+    run = parse_run(lines)
     text = format_run(run)
-    assert format_run(parse_run(text.splitlines(), "t0")) == text
+    assert format_run(parse_run(text.splitlines())) == text
 
 
 def test_round_trip_qrels_is_byte_identical():
@@ -446,10 +445,10 @@ def test_round_trip_topics_is_byte_identical():
 
 def test_canonicalization_is_idempotent():
     lines = ["1 Q0 d7 4 1.5 s", "1 Q0 d8 9 3.0 s", "1 Q0 d9 1 2.0 s"]
-    once = format_run(parse_run(lines, "t0"))
-    twice = format_run(parse_run(once.splitlines(), "t0"))
+    once = format_run(parse_run(lines))
+    twice = format_run(parse_run(once.splitlines()))
     assert once == twice
-    assert parse_run(once.splitlines(), "t0").rankings[TopicId("1")].docs == (
+    assert parse_run(once.splitlines()).rankings[TopicId("1")].docs == (
         "d8",
         "d9",
         "d7",
@@ -457,5 +456,5 @@ def test_canonicalization_is_idempotent():
 
 
 def test_parse_run_skips_blank_lines_only():
-    run = parse_run(["", "1 Q0 d7 1 1.0 s", "   "], "t0")
+    run = parse_run(["", "1 Q0 d7 1 1.0 s", "   "])
     assert len(run.rankings) == 1

@@ -72,7 +72,7 @@ def qrels_lines(draw):
 @given(run_lines())
 def test_parse_run_ignores_line_order(case):
     lines, shuffled = case
-    assert parse_run(shuffled, "t0") == parse_run(lines, "t0")
+    assert parse_run(shuffled) == parse_run(lines)
 
 
 @SETTINGS
@@ -87,8 +87,8 @@ def test_parse_qrels_ignores_line_order(case):
 @SETTINGS
 @given(run_lines())
 def test_format_run_reparses_to_the_same_run(case):
-    run = parse_run(case[0], "t0")
-    assert parse_run(format_run(run).splitlines(), "t0") == run
+    run = parse_run(case[0])
+    assert parse_run(format_run(run).splitlines()) == run
 
 
 @SETTINGS
@@ -100,7 +100,7 @@ def test_repeated_run_pair_is_reported_at_its_line(case, data):
     topic, _, doc, *_ = lines[first].split()
     lines = [*lines[:at], f"{topic} Q0 {doc} 1 {data.draw(score)!r} x", *lines[at:]]
     with pytest.raises(ParseError, match=f"^line {at + 1}: duplicate entry"):
-        parse_run(lines, "t0")
+        parse_run(lines)
 
 
 @SETTINGS

@@ -117,7 +117,7 @@ def test_empty_ranking_is_valid():
 
 def test_run_file_invariants():
     with pytest.raises(ValueError, match="system_tag"):
-        RunFile(system_tag="", ee_label="t0", rankings={})
+        RunFile(system_tag="", rankings={})
 
 
 def test_qrels_rejects_negative_grade():
@@ -214,7 +214,7 @@ def test_measure_spec_validation():
 def test_per_topic_scores_range():
     m = MeasureSpec.parse("bpref")
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        PerTopicScores(m, "s", "t0", {TopicId("1"): 1.5})
+        PerTopicScores(m, {TopicId("1"): 1.5})
 
 
 def _tiny_env(topics_order: list[str]) -> EvaluationEnvironment:

@@ -73,7 +73,7 @@ def ref_evaluate_run(run, qrels, measure, topic_filter=None):
         scores[topic] = (
             0.0 if ranking is None else ref_score(ranking, qrels.by_topic[topic], measure)
         )
-    return PerTopicScores(measure, run.system_tag, run.ee_label, scores)
+    return PerTopicScores(measure, scores)
 
 
 # --- inputs: grades 0-3, unjudged docs, R = 0 and N = 0 topics, ties ---
@@ -108,7 +108,7 @@ def runs(draw, tag):
         scores = draw(st.lists(values, min_size=len(docs), max_size=len(docs)))
         scores.sort(reverse=True)
         rankings[topic] = Ranking(tuple(docs), tuple(scores))
-    return RunFile(tag, "t0", rankings)
+    return RunFile(tag, rankings)
 
 
 # cutoffs run past the 12-doc rankings

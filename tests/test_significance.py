@@ -21,13 +21,9 @@ from irdrift.significance import TestResult, bonferroni, compare, paired_t_test
 from conftest import NO_SHRINK, PAIRWISE_LENGTHS, score_list_pairs
 
 
-def _scores(
-    values: list[float], measure="p@10", tag="s", ee="t0", topic_format="t{}"
-) -> PerTopicScores:
+def _scores(values: list[float], measure="p@10", topic_format="t{}") -> PerTopicScores:
     return PerTopicScores(
         MeasureSpec.parse(measure),
-        tag,
-        ee,
         {TopicId(topic_format.format(i)): v for i, v in enumerate(values)},
     )
 
