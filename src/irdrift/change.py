@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import effectiveness as eff
 from . import significance as sig
@@ -43,6 +43,7 @@ from .model import (
     RunFile,
     Scenario,
     TopicId,
+    _Checked,
 )
 from .report import ChangeReport, LongitudinalMatrix
 
@@ -51,8 +52,13 @@ class ChangeWarning(UserWarning):
     """Non-fatal oddity during change measurement."""
 
 
-@dataclass(frozen=True)
-class RboConfig:
+class _RboConfigFields(NamedTuple):
+    phi: float = 0.9
+    depth: int = 100
+    normalize: bool = True
+
+
+class RboConfig(_Checked, _RboConfigFields):
     """Rank-biased overlap parameters.
 
     ``phi`` is the persistence: the weight of rank i decays as phi**(i-1),
@@ -61,24 +67,25 @@ class RboConfig:
     identical rankings score exactly 1.
     """
 
-    phi: float = 0.9
-    depth: int = 100
-    normalize: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.phi < 1.0:
             raise ValueError(f"phi must lie strictly between 0 and 1, got {self.phi}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
 
-@dataclass(frozen=True)
-class ChangeScores:
-    """Per-topic change values of at least one topic."""
-
+class _ChangeScoresFields(NamedTuple):
     per_topic: dict[TopicId, float]
 
-    def __post_init__(self) -> None:
+
+class ChangeScores(_Checked, _ChangeScoresFields):
+    """Per-topic change values of at least one topic."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.per_topic:
             raise ValueError("ChangeScores needs at least one topic")
 
@@ -317,8 +324,14 @@ def build_matrix(
             for measure, scores in by_measure.items():
                 per_topic[tag, label, measure] = scores
 
+    # each ARP is computed once, when a row first reads it
+    arps: dict[tuple[str, str, MeasureSpec], float] = {}
+
     def arp_of(tag: str, label: str, measure: MeasureSpec) -> float:
-        return eff.arp(per_topic[tag, label, measure])
+        key = tag, label, measure
+        if key not in arps:
+            arps[key] = eff.arp(per_topic[key])
+        return arps[key]
 
     rows: list[ChangeReport] = []
     # an incomplete pivot gets no rows of its own

@@ -26,7 +26,6 @@ repeated invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -168,7 +167,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for run, by_measure in zip(runs, scored):
         for measure in measures:
             scores = by_measure[measure]
-            mean = eff.arp(scores)  # raises when no topic was evaluable
+            try:
+                mean = eff.arp(scores)
+            except ValueError as exc:  # no topic was evaluable
+                where = f"{measure.name} in environment {args.ee!r}"
+                if args.topics is not None:
+                    where += f" with --topics {args.topics!r}"
+                raise CliError(f"--run {tagged[run.system_tag]!r}: {exc} for {where}") from None
             if args.per_topic:
                 for topic in sorted(scores.scores):
                     rows.append(
@@ -258,7 +263,7 @@ def cmd_change(args: argparse.Namespace) -> int:
     # a --qrels file is read in place of the config's, never beside it
     for label, path in qrels_paths.items():
         i = labels.index(label)
-        configs[i] = dataclasses.replace(configs[i], qrels_path=Path(path))
+        configs[i] = configs[i]._replace(qrels_path=Path(path))
     envs = _load_sequence(configs, corpus=False)
     runs = {
         tag: {label: load_run(path) for label, path in by_label.items()}

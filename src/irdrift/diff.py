@@ -12,25 +12,27 @@ topic text, or grade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
-from .model import Corpus, DocId, EvaluationEnvironment, Qrels, TopicId
+from .model import Corpus, DocId, EvaluationEnvironment, Qrels, TopicId, _Checked
 
 
-@dataclass(frozen=True)
-class ComponentDiff:
-    """Identifier-level change sets between two snapshots of one component:
-    the paper's create, update and delete operations, and the size of the
-    first snapshot. The size of the second follows from them.
-    """
-
+class _ComponentDiffFields(NamedTuple):
     created: frozenset
     updated: frozenset
     deleted: frozenset
     total_from: int
 
-    def __post_init__(self) -> None:
+
+class ComponentDiff(_Checked, _ComponentDiffFields):
+    """Identifier-level change sets between two snapshots of one component:
+    the paper's create, update and delete operations, and the size of the
+    first snapshot. The size of the second follows from them.
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.created & self.deleted:
             raise ValueError("created and deleted sets must be disjoint")
         if self.total_from < 0 or self.total_to < 0:
@@ -52,8 +54,7 @@ class ComponentDiff:
         return math.inf if total_to > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class ChangeSummary:
+class ChangeSummary(NamedTuple):
     """Component diffs for one ordered pair of environments."""
 
     from_label: str

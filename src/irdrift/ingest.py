@@ -60,13 +60,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from operator import neg
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     Corpus,
@@ -77,6 +76,7 @@ from .model import (
     Ranking,
     RunFile,
     TopicId,
+    _Checked,
     _check_doc_meta,
     _check_id,
     validate_environment,
@@ -91,16 +91,19 @@ class IngestWarning(UserWarning):
     """Recoverable input oddity that was repaired or ignored."""
 
 
-@dataclass(frozen=True)
-class EEConfig:
-    """One environment's file locations, as listed in a config document."""
-
+class _EEConfigFields(NamedTuple):
     label: str
     manifest_path: Path
     qrels_path: Path
     topics_path: Path | None = None
 
-    def __post_init__(self) -> None:
+
+class EEConfig(_Checked, _EEConfigFields):
+    """One environment's file locations, as listed in a config document."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.label:
             raise ValueError("EEConfig label must be non-empty")
 

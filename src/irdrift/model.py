@@ -30,17 +30,24 @@ This module owns the checks of a manifest's document fields:
 hash, made by :class:`DocMeta` and by the manifest reader that keeps only
 doc ids, so both report a bad field with the same message.
 
-:class:`DocMeta`, built once per manifest line, is a named tuple rather
-than a dataclass: the same fields and checks at a lower cost per
-document. :class:`Scenario` lives here, beside the measures, so that the
-CLI can list its values without importing the report writers.
+Every record type of the package is a checked named tuple: a
+``NamedTuple`` of its fields, subclassed with :class:`_Checked` and a
+``_check`` method that holds its invariants, so every way to build one
+(``T(...)``, ``_make``, ``_replace``, unpickling) runs the check. A
+record is immutable, compares equal to the plain tuple of its fields
+and is copied with ``_replace``. No module imports :mod:`dataclasses`,
+whose import pulls in :mod:`inspect`, :mod:`ast`, :mod:`dis` and
+:mod:`tokenize`, which every CLI process would pay for at startup.
+:class:`DocMeta`, built once per manifest line, spells out its
+``__new__`` and checks its fields before it builds the tuple.
+:class:`Scenario` lives here, beside the measures, so that the CLI can
+list its values without importing the report writers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from typing import Collection, NamedTuple
@@ -65,20 +72,49 @@ def _check_id(value: str, kind: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class Ranking:
+class _Checked:
+    """The base of every checked record type: a subclass pairs it with a
+    ``NamedTuple`` of its fields (``class T(_Checked, _TFields)``) and
+    defines :meth:`_check`, which raises ``ValueError`` for an invalid
+    value. Every way to build a record (``T(...)``, :meth:`_make`,
+    :meth:`_replace`, unpickling) runs that check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it cannot skip the checks either
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # unpickling calls the class, so it checks under every protocol;
+        # protocols 0 and 1 would otherwise call tuple.__new__ directly
+        return type(self), tuple(self)
+
+
+class _RankingFields(NamedTuple):
+    docs: tuple[DocId, ...]
+    scores: tuple[float, ...]
+
+
+class Ranking(_Checked, _RankingFields):
     """A ranked document list, best first; its topic is the key it is
     stored under in :attr:`RunFile.rankings`.
 
     ``docs`` and ``scores`` are parallel tuples; the rank of ``docs[i]``
     is ``i + 1``. Doc ids are unique and scores finite and non-increasing;
     parsers canonicalize raw input into this form before construction.
+    ``len()`` counts the documents.
     """
 
-    docs: tuple[DocId, ...]
-    scores: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         docs, scores = self.docs, self.scores
         if len(docs) != len(scores):
             raise ValueError(f"Ranking: {len(docs)} docs but {len(scores)} scores")
@@ -104,31 +140,38 @@ class Ranking:
         return len(self.docs)
 
 
-@dataclass(frozen=True)
-class RunFile:
-    """A system's rankings, keyed by the topic each answers. The
-    environment the run answers is the key the caller stores it under."""
-
+class _RunFileFields(NamedTuple):
     system_tag: str
     rankings: dict[TopicId, Ranking]
 
-    def __post_init__(self) -> None:
+
+class RunFile(_Checked, _RunFileFields):
+    """A system's rankings, keyed by the topic each answers. The
+    environment the run answers is the key the caller stores it under."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.system_tag:
             raise ValueError("RunFile system_tag must be non-empty")
 
 
-@dataclass(frozen=True)
-class Qrels:
+class _QrelsFields(NamedTuple):
+    by_topic: dict[TopicId, dict[DocId, int]]
+
+
+class Qrels(_Checked, _QrelsFields):
     """Graded relevance assessments: topic -> doc -> grade, grades >= 0.
 
     Every topic maps at least one judged doc, so :meth:`topics` is the set
     of judged topics. Grades stay raw integers here; only
     :mod:`irdrift.effectiveness` decides which grades count as relevant.
+    ``len()`` counts the judgments.
     """
 
-    by_topic: dict[TopicId, dict[DocId, int]]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for topic, grades in self.by_topic.items():
             if not grades:
                 raise ValueError(f"Qrels topic {topic} has no judged docs")
@@ -173,7 +216,7 @@ class _DocMetaFields(NamedTuple):
     content_hash: str | None = None
 
 
-class DocMeta(_DocMetaFields):
+class DocMeta(_Checked, _DocMetaFields):
     """Per-document facts a corpus manifest carries: length in characters
     (an ``int``, not a ``bool``, >= 0), optional timestamp, optional
     content hash string (used for update detection when both sides of a
@@ -182,7 +225,8 @@ class DocMeta(_DocMetaFields):
     An immutable named tuple, so it compares equal to the plain tuple
     ``(length, timestamp, content_hash)``. Every way to build one
     (``DocMeta(...)``, :meth:`_make`, :meth:`_replace`, unpickling) makes
-    the checks of :func:`_check_doc_meta`.
+    the checks of :func:`_check_doc_meta`, which its own ``__new__``
+    calls before it builds the tuple.
     """
 
     __slots__ = ()
@@ -196,14 +240,15 @@ class DocMeta(_DocMetaFields):
         _check_doc_meta(length, content_hash)
         return tuple.__new__(cls, (length, timestamp, content_hash))
 
-    @classmethod
-    def _make(cls, iterable) -> "DocMeta":
-        # _replace builds through _make, so it cannot skip the checks either
-        return cls(*iterable)
+
+class _EvaluationEnvironmentFields(NamedTuple):
+    label: str
+    corpus: Corpus | None
+    topics: dict[TopicId, str | None]
+    qrels: Qrels
 
 
-@dataclass(frozen=True)
-class EvaluationEnvironment:
+class EvaluationEnvironment(_Checked, _EvaluationEnvironmentFields):
     """One labelled snapshot of (documents, topics, qrels).
 
     ``corpus`` maps each doc id to its :class:`DocMeta`, and ``topics``
@@ -216,12 +261,9 @@ class EvaluationEnvironment:
     metadata; the CRUD diff and the simulator need it.
     """
 
-    label: str
-    corpus: Corpus | None
-    topics: dict[TopicId, str | None]
-    qrels: Qrels
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.label:
             raise ValueError("EvaluationEnvironment label must be non-empty")
 
@@ -241,18 +283,21 @@ class MeasureKind(Enum):
     BPREF = "bpref"
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class _MeasureSpecFields(NamedTuple):
+    kind: MeasureKind
+    cutoff: int | None = None
+
+
+class MeasureSpec(_Checked, _MeasureSpecFields):
     """An effectiveness measure instantiation, e.g. P@10, nDCG@20, bpref.
 
     Precision requires a cutoff; nDCG takes an optional one (none means
     full ranking depth); bpref takes none.
     """
 
-    kind: MeasureKind
-    cutoff: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind is MeasureKind.PRECISION:
             if self.cutoff is None or self.cutoff < 1:
                 raise ValueError("precision measure requires cutoff >= 1")
@@ -297,15 +342,18 @@ class MeasureSpec:
         return self.name
 
 
-@dataclass(frozen=True)
-class PerTopicScores:
-    """Per-topic effectiveness under one measure; the system and the
-    environment scored are the key the caller stores it under."""
-
+class _PerTopicScoresFields(NamedTuple):
     measure: MeasureSpec
     scores: dict[TopicId, float]
 
-    def __post_init__(self) -> None:
+
+class PerTopicScores(_Checked, _PerTopicScoresFields):
+    """Per-topic effectiveness under one measure; the system and the
+    environment scored are the key the caller stores it under."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         for topic, score in self.scores.items():
             if not 0.0 <= score <= 1.0:
                 raise ValueError(

@@ -13,34 +13,54 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diff import ChangeSummary, ComponentDiff
-from .model import MeasureSpec, Scenario
+from .model import MeasureSpec, Scenario, _Checked
 
 
-@dataclass(frozen=True)
-class ChangeReport:
+class _ChangeReportFields(NamedTuple):
+    system_tag: str
+    ee_label: str
+    scenario: Scenario
+    # the defaults are ChangeReport.__new__'s, which gives each report its own maps
+    rbo_mean: float | None
+    rmse: dict[MeasureSpec, float]
+    arp: dict[MeasureSpec, float]
+    re_delta: dict[MeasureSpec, float]
+    delta_ri: dict[MeasureSpec, float | None]
+    significant: dict[MeasureSpec, bool | None]
+
+
+class ChangeReport(_Checked, _ChangeReportFields):
     """One system x environment cell set of a longitudinal result matrix.
 
     Document-only rows carry rank overlap and score RMSE; rows that also
     track qrels changes carry ARP, the relative ARP delta, the
     pivot-relative margin shift, and significance flags. ``None`` values
     render as empty cells (e.g. the margin shift for the pivot system
-    itself, which has no pivot to compare against).
+    itself, which has no pivot to compare against). A per-measure map left
+    out is a new empty dict, never one shared with another report.
     """
 
-    system_tag: str
-    ee_label: str
-    scenario: Scenario
-    rbo_mean: float | None = None
-    rmse: dict[MeasureSpec, float] = field(default_factory=dict)
-    arp: dict[MeasureSpec, float] = field(default_factory=dict)
-    re_delta: dict[MeasureSpec, float] = field(default_factory=dict)
-    delta_ri: dict[MeasureSpec, float | None] = field(default_factory=dict)
-    significant: dict[MeasureSpec, bool | None] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        system_tag: str,
+        ee_label: str,
+        scenario: Scenario,
+        rbo_mean: float | None = None,
+        rmse: dict[MeasureSpec, float] | None = None,
+        arp: dict[MeasureSpec, float] | None = None,
+        re_delta: dict[MeasureSpec, float] | None = None,
+        delta_ri: dict[MeasureSpec, float | None] | None = None,
+        significant: dict[MeasureSpec, bool | None] | None = None,
+    ) -> "ChangeReport":
+        maps = [{} if m is None else m for m in (rmse, arp, re_delta, delta_ri, significant)]
+        return super().__new__(cls, system_tag, ee_label, scenario, rbo_mean, *maps)
+
+    def _check(self) -> None:
         if self.scenario is Scenario.DTQ_PRIME and (
             self.rbo_mean is not None or self.rmse
         ):
@@ -50,14 +70,17 @@ class ChangeReport:
             )
 
 
-@dataclass(frozen=True)
-class LongitudinalMatrix:
-    """Ordered report rows: system tags ascending, then environment order."""
-
+class _LongitudinalMatrixFields(NamedTuple):
     collection_label: str
     rows: tuple[ChangeReport, ...]
 
-    def __post_init__(self) -> None:
+
+class LongitudinalMatrix(_Checked, _LongitudinalMatrixFields):
+    """Ordered report rows: system tags ascending, then environment order."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         blocks: dict[str, list[str]] = {}
         order: list[str] = []
         for row in self.rows:

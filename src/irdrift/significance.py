@@ -18,22 +18,24 @@ is the regularised incomplete beta function's continued fraction, within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numeric import pairwise_sum, t_two_sided_p
-from .model import PerTopicScores
+from .model import PerTopicScores, _Checked
 
 
-@dataclass(frozen=True)
-class TestResult:
-    __test__ = False  # keep pytest from collecting this as a test class
-
+class _TestResultFields(NamedTuple):
     t_statistic: float
     p_value: float
     adjusted_alpha: float
     n: int
 
-    def __post_init__(self) -> None:
+
+class TestResult(_Checked, _TestResultFields):
+    __test__ = False  # keep pytest from collecting this as a test class
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value must lie in [0, 1], got {self.p_value}")
         if not 0.0 < self.adjusted_alpha <= 1.0:

@@ -11,27 +11,30 @@ document scorable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
-from .model import EvaluationEnvironment, TopicId
+from .model import EvaluationEnvironment, TopicId, _Checked
 
 
 class SimulationWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
+class _SimulationPlanFields(NamedTuple):
+    num_slices: int
+    boundaries: tuple[datetime, ...] | None = None
+
+
+class SimulationPlan(_Checked, _SimulationPlanFields):
     """How to cut the corpus: into ``num_slices`` equally sized slices by
     document count (the default), or at explicit timestamp boundaries
     (one per slice, timezone-aware, strictly increasing; slice i keeps
     documents dated at or before boundary i)."""
 
-    num_slices: int
-    boundaries: tuple[datetime, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.num_slices < 2:
             raise ValueError(f"num_slices must be >= 2, got {self.num_slices}")
         if self.boundaries is not None:

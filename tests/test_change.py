@@ -450,6 +450,22 @@ def test_build_matrix_default_family_is_systems_times_later_environments(monkeyp
     assert set(families) == {7}
 
 
+def test_build_matrix_computes_each_arp_once(monkeypatch):
+    envs, runs, pivot = _matrix_inputs(labels=("t0", "t1", "t2"), systems=("alpha", "beta"))
+    expected = _build(envs, runs, pivot)
+    averaged = []
+    original = effectiveness.arp
+
+    def recording_arp(scores):
+        averaged.append(scores)
+        return original(scores)
+
+    monkeypatch.setattr(effectiveness, "arp", recording_arp)
+    assert _build(envs, runs, pivot) == expected
+    # alpha, beta and the pivot, at each environment, under each measure
+    assert len(averaged) == len({id(scores) for scores in averaged}) == 3 * 3 * len(MEASURES)
+
+
 def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(monkeypatch):
     envs, runs, pivot = _matrix_inputs()
     stand_in = UnderflowingScores()

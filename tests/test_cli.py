@@ -261,7 +261,22 @@ def test_evaluate_run_without_judged_topics_exits_2(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "no evaluated topics" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --run {str(tmp_path / 'stray.run.txt')!r}: no evaluated topics "
+        "for bpref in environment 't0'\n"
+    )
+
+
+def test_evaluate_names_the_run_measure_environment_and_filter_when_no_topic_is_left(
+    tmp_path, capsys
+):
+    config, runs = write_cli_fixture(tmp_path)
+    argv = ["evaluate", "--config", str(config), "--ee", "t1", "--run", runs[("alpha", "t1")]]
+    assert main(argv + ["--measures", "ndcg@5", "--topics", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --run {runs[('alpha', 't1')]!r}: no evaluated topics "
+        "for ndcg@5 in environment 't1' with --topics 'nope'\n"
+    )
 
 
 PINNED = Path(__file__).resolve().parent / "change_stdout"

@@ -1,6 +1,5 @@
 """CRUD diffing of documents, topics, and qrels."""
 
-import dataclasses
 import math
 
 import pytest
@@ -160,7 +159,7 @@ def test_summarize_rejects_an_environment_without_corpus():
     docs = synth_corpus(10)
     qrels = synth_qrels(list(docs), ["1"])
     ee = make_environment("t0", docs, qrels)
-    lean = dataclasses.replace(ee, label="t1", corpus=None)
+    lean = ee._replace(label="t1", corpus=None)
     for pair in ((ee, lean), (lean, ee)):
         with pytest.raises(ValueError, match="environment t1 carries no corpus snapshot"):
             summarize(*pair)

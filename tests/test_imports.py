@@ -1,6 +1,7 @@
-"""Import guards: no CLI call imports numpy or scipy, ``diff`` and
-``simulate`` import only the irdrift modules they use, and the package's
-export map names each public object where it is defined.
+"""Import guards: no CLI call imports numpy or scipy, no subcommand
+imports ``dataclasses`` or ``inspect``, ``diff`` and ``simulate`` import
+only the irdrift modules they use, and the package's export map names
+each public object where it is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -8,7 +9,10 @@ costs more than the rest of a small call. ``change.rmse`` and
 and t tails with the standard library (``irdrift._numeric``), so the
 package needs nothing else at run time. The checks run in a fresh
 interpreter, because this test process has loaded numpy and scipy
-already; one of them blocks both imports outright.
+already; one of them blocks both imports outright. Every record type is
+a checked named tuple, so no module needs ``dataclasses``, whose import
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, which every CLI
+process would pay for at startup.
 """
 
 import json
@@ -218,3 +222,42 @@ def test_diff_and_simulate_import_only_the_modules_they_use(tmp_path, make_argv,
     assert state["after_cli"] == sorted(LEAN)
     assert set(state["after_run"]) == LEAN | used
     assert not SCORING & set(state["after_run"])
+
+
+# the irdrift modules each subcommand imports when it runs
+SUBCOMMAND_MODULES = {
+    "diff": ["diff", "report"],
+    "evaluate": ["effectiveness", "report", "simulate"],
+    "change": ["change", "report", "significance"],
+    "simulate": ["simulate"],
+    "report": ["report"],
+}
+
+# imports irdrift.cli, then each subcommand's modules in turn, and lists
+# the slow standard-library modules loaded after each step
+STDLIB_SCRIPT = """
+import json, sys
+from importlib import import_module
+
+def slow():
+    return sorted({"dataclasses", "inspect"} & set(sys.modules))
+
+import irdrift.cli
+loaded = {"cli": slow()}
+for name, modules in json.loads(sys.argv[1]).items():
+    for module in modules:
+        import_module(f"irdrift.{module}")
+    loaded[name] = slow()
+print(json.dumps(loaded))
+"""
+
+
+def test_no_subcommand_imports_dataclasses_or_inspect():
+    done = subprocess.run(
+        [sys.executable, "-c", STDLIB_SCRIPT, json.dumps(SUBCOMMAND_MODULES)],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == dict.fromkeys(["cli", *SUBCOMMAND_MODULES], [])

@@ -2,12 +2,16 @@
 
 import math
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irdrift.ingest import parse_manifest
+from irdrift.change import ChangeScores, RboConfig
+from irdrift.diff import ChangeSummary, ComponentDiff
+from irdrift.ingest import EEConfig, parse_manifest
 from irdrift.model import (
     DocId,
     DocMeta,
@@ -18,10 +22,14 @@ from irdrift.model import (
     Qrels,
     Ranking,
     RunFile,
+    Scenario,
     TopicId,
     _check_id,
     validate_environment,
 )
+from irdrift.report import ChangeReport, LongitudinalMatrix
+from irdrift.significance import TestResult
+from irdrift.simulate import SimulationPlan
 
 from conftest import make_qrels, make_ranking
 
@@ -182,6 +190,97 @@ def test_doc_meta_is_an_immutable_tuple_equal_to_the_parsed_value():
             setattr(meta, field, 4)
     assert meta == (3, None, None) == parse_manifest(['{"doc_id": "d1", "length": 3}'])["d1"]
     assert pickle.loads(pickle.dumps(meta)) == meta
+
+
+_DIFF = ComponentDiff(frozenset({"a"}), frozenset(), frozenset({"b"}), 3)
+_REPORT = ChangeReport("alpha", "t0", Scenario.DTQ_PRIME)
+
+# every record type: a valid value's fields, an invalid replacement of
+# some of them (None for a type without checks) and the message that
+# rejects it
+RECORDS = [
+    (DocMeta, {"length": 3, "timestamp": None, "content_hash": None}, {"length": -1},
+     "DocMeta length must be >= 0, got -1"),
+    (Ranking, {"docs": ("a", "b"), "scores": (2.0, 1.0)}, {"scores": (1.0, 2.0)},
+     "Ranking: scores must be non-increasing, got 2.0 after 1.0"),
+    (RunFile, {"system_tag": "alpha", "rankings": {"1": Ranking(("a",), (1.0,))}}, {"system_tag": ""},
+     "RunFile system_tag must be non-empty"),
+    (Qrels, {"by_topic": {"1": {"a": 1}}}, {"by_topic": {"1": {}}},
+     "Qrels topic 1 has no judged docs"),
+    (EvaluationEnvironment,
+     {"label": "t0", "corpus": None, "topics": {"1": None}, "qrels": Qrels({"1": {"a": 1}})},
+     {"label": ""}, "EvaluationEnvironment label must be non-empty"),
+    (MeasureSpec, {"kind": MeasureKind.PRECISION, "cutoff": 10}, {"cutoff": None},
+     "precision measure requires cutoff >= 1"),
+    (PerTopicScores, {"measure": MeasureSpec.parse("p@10"), "scores": {"1": 0.5}},
+     {"scores": {"1": 1.5}},
+     "per-topic score must lie in [0, 1], got 1.5 for 1"),
+    (EEConfig,
+     {"label": "t0", "manifest_path": Path("m"), "qrels_path": Path("q"), "topics_path": None},
+     {"label": ""}, "EEConfig label must be non-empty"),
+    (RboConfig, {"phi": 0.9, "depth": 100, "normalize": True}, {"phi": 1.0},
+     "phi must lie strictly between 0 and 1, got 1.0"),
+    (ChangeScores, {"per_topic": {"1": 0.5}}, {"per_topic": {}},
+     "ChangeScores needs at least one topic"),
+    (ComponentDiff,
+     {"created": frozenset({"a"}), "updated": frozenset(), "deleted": frozenset({"b"}),
+      "total_from": 3},
+     {"deleted": frozenset({"a"})}, "created and deleted sets must be disjoint"),
+    (ChangeSummary,
+     {"from_label": "t0", "to_label": "t1", "documents": _DIFF, "topics": _DIFF,
+      "qrels": _DIFF},
+     None, None),
+    (ChangeReport, _REPORT._asdict(), {"rbo_mean": 0.5},
+     "rank overlap and RMSE belong to document-only rows; qrels-change rows compare "
+     "against a moving recall base"),
+    (LongitudinalMatrix,
+     {"collection_label": "c", "rows": (_REPORT, _REPORT._replace(system_tag="beta"))},
+     {"rows": (_REPORT._replace(system_tag="beta"), _REPORT)},
+     "system blocks must be ordered by ascending tag"),
+    (TestResult, {"t_statistic": 1.0, "p_value": 0.5, "adjusted_alpha": 0.05, "n": 10},
+     {"p_value": 2.0}, "p_value must lie in [0, 1], got 2.0"),
+    (SimulationPlan, {"num_slices": 2, "boundaries": None}, {"num_slices": 1},
+     "num_slices must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, bad, message", RECORDS, ids=[case[0].__name__ for case in RECORDS]
+)
+def test_every_record_is_a_checked_immutable_tuple(record, fields, bad, message):
+    value = record(**fields)
+    assert value == tuple(fields.values())
+    assert record._fields == tuple(fields)
+    assert record._make(fields.values()) == value == value._replace()
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    assert all(pickle.loads(pickle.dumps(value, p)) == value for p in protocols)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    if bad is None:
+        return
+    invalid = {**fields, **bad}
+    unchecked = tuple.__new__(record, invalid.values())
+    paths = [
+        lambda: record(**invalid),
+        lambda: record._make(invalid.values()),
+        lambda: value._replace(**bad),
+        # a tuple built without the checks, pickled and read back
+        *(lambda p=p: pickle.loads(pickle.dumps(unchecked, p)) for p in protocols),
+    ]
+    for build in paths:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_record_lengths_count_their_contents_and_reports_own_their_maps():
+    assert len(Ranking(("a", "b", "c"), (3.0, 2.0, 1.0))) == 3
+    assert len(Qrels({"1": {"a": 1, "b": 0}, "2": {"c": 2}})) == 3
+    first = ChangeReport("alpha", "t0", Scenario.DTQ)
+    second = ChangeReport("alpha", "t1", Scenario.DTQ)
+    for name in ("rmse", "arp", "re_delta", "delta_ri", "significant"):
+        assert getattr(first, name) == {}
+        assert getattr(first, name) is not getattr(second, name)
 
 
 @pytest.mark.parametrize(
