@@ -19,7 +19,12 @@ ratio functions only compute; pairing the right ARPs is the caller's
 job. :func:`build_matrix` applies them to every system over an ordered
 environment sequence, pairing scores by their (system, environment,
 measure) key, and returns the longitudinal change matrix of one
-scenario.
+scenario. It works in two parts. One task per system, and one for the
+pivot, reads that system's runs (a run may be given as a path), scores
+them and computes their mean RBO against t0; the tasks run on one
+process per allowed CPU (:mod:`irdrift._workers`) and return no run.
+Row builders then read the (system, environment, measure) score table
+and the RBO means.
 """
 
 from __future__ import annotations
@@ -27,14 +32,17 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Mapping, Sequence
+from functools import partial
 from itertools import zip_longest
+from os import PathLike
 from typing import NamedTuple
 
+from . import _workers
 from . import effectiveness as eff
 from . import significance as sig
 from . import simulate as sim
 from ._numeric import pairwise_sum
-from .ingest import IngestWarning
+from .ingest import IngestWarning, load_run
 from .model import (
     EvaluationEnvironment,
     MeasureSpec,
@@ -234,11 +242,55 @@ def delta_ri(ri_initial: float, ri_evolved: float) -> float:
     return ri_initial - ri_evolved
 
 
+class _SystemScores(NamedTuple):
+    """What one system's task returns: the tag in each run file by
+    environment label, the per-topic scores by (label, measure), and the
+    mean rank overlap against t0 by label (dtq only)."""
+
+    tags: dict[str, str]
+    scores: dict[tuple[str, MeasureSpec], PerTopicScores]
+    overlap: dict[str, float]
+
+
+def _score_system(
+    by_label: Mapping[str, RunFile | str | PathLike],
+    labels: list[str],
+    facts: dict[str, dict[TopicId, object]],
+    measures: list[MeasureSpec],
+    rbo: RboConfig | None,
+    common: set[TopicId],
+) -> _SystemScores:
+    """One system's share of a change matrix: each of its runs, read from
+    disk if given as a path, in environment order, scored against the
+    judgment facts of its environment's recall base (``facts``, by label),
+    and with ``rbo`` compared with its t0 run over ``common``. Only the
+    t0 run and the run at hand are held."""
+    tags: dict[str, str] = {}
+    scores: dict[tuple[str, MeasureSpec], PerTopicScores] = {}
+    overlap: dict[str, float] = {}
+    first = None
+    for label in labels:
+        if label not in by_label:
+            continue
+        run = by_label[label]
+        if not isinstance(run, RunFile):
+            run = load_run(run)
+        tags[label] = run.system_tag
+        (scored,) = eff._score_judged([run], facts[label], measures, True)
+        for measure, per_topic in scored.items():
+            scores[label, measure] = per_topic
+        if rbo is not None:
+            if first is None:
+                first = run
+            overlap[label] = mean_rbo(first, run, rbo, common).mean
+    return _SystemScores(tags, scores, overlap)
+
+
 def build_matrix(
     collection: str,
     envs: Sequence[EvaluationEnvironment],
-    runs: Mapping[str, Mapping[str, RunFile]],
-    pivot: Mapping[str, RunFile],
+    runs: Mapping[str, Mapping[str, RunFile | str | PathLike]],
+    pivot: Mapping[str, RunFile | str | PathLike],
     scenario: Scenario,
     measures: Iterable[MeasureSpec],
     rbo: RboConfig,
@@ -251,7 +303,9 @@ def build_matrix(
     ``runs`` maps each system tag to its runs by environment label and must
     cover every environment. ``pivot`` maps labels to the pivot system's
     runs and may be partial or empty; a complete pivot also gets rows of
-    its own. Only topics common to every environment are scored.
+    its own. A run is a :class:`RunFile` or the path of a run file, read
+    when its system is scored. Only topics common to every environment
+    are scored.
 
     In the document-only scenario (:attr:`Scenario.DTQ`) every run is scored
     against t0's qrels and rows carry rank overlap and per-measure RMSE
@@ -261,28 +315,53 @@ def build_matrix(
     shift over the pivot and a paired t-test against it at
     ``alpha / family_size`` (default family: systems x (environments - 1)).
     Cells that are undefined stay empty with a :class:`ChangeWarning`.
+
+    Each system, and the pivot, is one task of ``_score_system``, and each
+    recall base's judgment facts are computed once, before the tasks
+    start. Run errors and warnings come in task order: the systems in the
+    order of ``runs``, then the pivot.
     """
     labels = [env.label for env in envs]
-    initial = labels[0]
     measures = sorted(measures, key=lambda m: m.name)
-
     for tag in sorted(runs):
         missing = [label for label in labels if label not in runs[tag]]
         if missing:
             raise ValueError(f"system {tag!r} is missing runs for: " + ", ".join(missing))
-    for tag, by_label in runs.items():
-        for run in by_label.values():
-            if run.system_tag != tag:
+    pivot_complete = bool(pivot) and all(label in pivot for label in labels)
+
+    common = sim.common_topics(envs)
+    # dtq scores every environment against t0's qrels, dtq-prime each
+    # against its own
+    if scenario is Scenario.DTQ:
+        facts = dict.fromkeys(labels, eff._judge(envs[0].qrels, common))
+    else:
+        facts = {env.label: eff._judge(env.qrels, common) for env in envs}
+    # rank overlap is a dtq cell, and an incomplete pivot gets no rows
+    overlap = rbo if scenario is Scenario.DTQ and common else None
+    tasks = [
+        partial(_score_system, by_label, labels, facts, measures, overlap, common)
+        for by_label in runs.values()
+    ]
+    if pivot:
+        pivot_overlap = overlap if pivot_complete else None
+        tasks.append(partial(_score_system, pivot, labels, facts, measures, pivot_overlap, common))
+    scored = _workers.run_tasks(tasks)
+
+    for (tag, by_label), system in zip(runs.items(), scored):
+        # in the order the runs were given; a label of no environment is
+        # never read
+        for found in [system.tags[label] for label in by_label if label in system.tags]:
+            if found != tag:
                 warnings.warn(
-                    f"run tagged {run.system_tag!r} in its file is registered "
+                    f"run tagged {found!r} in its file is registered "
                     f"as system {tag!r}",
                     IngestWarning,
                     stacklevel=2,
                 )
-
+    by_tag = dict(zip(runs, scored))
     pivot_tag: str | None = None
     if pivot:
-        tags = {run.system_tag for run in pivot.values()}
+        tags = set(scored[-1].tags.values())
         if len(tags) > 1:
             raise ValueError(
                 "pivot runs carry mixed system tags: " + ", ".join(sorted(tags))
@@ -293,7 +372,7 @@ def build_matrix(
                 f"pivot system {pivot_tag!r} also given via --run; supply it "
                 f"only as --pivot-run"
             )
-    pivot_complete = pivot and all(label in pivot for label in labels)
+        by_tag[pivot_tag] = scored[-1]
     if pivot and not pivot_complete:
         missing = [label for label in labels if label not in pivot]
         warnings.warn(
@@ -302,29 +381,70 @@ def build_matrix(
             ChangeWarning,
             stacklevel=2,
         )
-
-    common = sim.common_topics(envs)
     if not common:
         raise ValueError("no topic is common to every environment")
     if family_size is None:
         family_size = max(1, len(runs) * (len(labels) - 1))
 
-    by_tag = {**runs, pivot_tag: pivot} if pivot else runs
-    # one scoring call per recall base: dtq scores every environment
-    # against t0's qrels, dtq-prime each against its own
+    per_topic = {
+        (tag, label, measure): scores
+        for tag, system in by_tag.items()
+        for (label, measure), scores in system.scores.items()
+    }
+    # an incomplete pivot gets no rows of its own
+    row_tags = sorted(by_tag if pivot_complete else runs)
     if scenario is Scenario.DTQ:
-        batches = [(envs[0].qrels, labels)]
+        overlaps = {(tag, label): by_tag[tag].overlap[label] for tag in row_tags for label in labels}
+        rows = _dtq_rows(row_tags, labels, measures, per_topic, overlaps)
     else:
-        batches = [(env.qrels, [env.label]) for env in envs]
-    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores] = {}
-    for qrels, batch in batches:
-        keys = [(tag, label) for label in batch for tag in sorted(by_tag) if label in by_tag[tag]]
-        scored = eff.score_runs([by_tag[t][l] for t, l in keys], qrels, measures, common)
-        for (tag, label), by_measure in zip(keys, scored):
-            for measure, scores in by_measure.items():
-                per_topic[tag, label, measure] = scores
+        rows = _dtq_prime_rows(
+            row_tags, labels, measures, per_topic, pivot_tag, pivot, alpha, family_size
+        )
+    return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
 
-    # each ARP is computed once, when a row first reads it
+
+def _dtq_rows(
+    tags: list[str],
+    labels: list[str],
+    measures: list[MeasureSpec],
+    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores],
+    overlaps: dict[tuple[str, str], float],
+) -> list[ChangeReport]:
+    """Rank overlap and per-measure RMSE against t0, per system and
+    environment."""
+    initial = labels[0]
+    return [
+        ChangeReport(
+            system_tag=tag,
+            ee_label=label,
+            scenario=Scenario.DTQ,
+            rbo_mean=overlaps[tag, label],
+            rmse={
+                measure: rmse(per_topic[tag, initial, measure], per_topic[tag, label, measure])
+                for measure in measures
+            },
+        )
+        for tag in tags
+        for label in labels
+    ]
+
+
+def _dtq_prime_rows(
+    tags: list[str],
+    labels: list[str],
+    measures: list[MeasureSpec],
+    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores],
+    pivot_tag: str | None,
+    pivot: Mapping[str, object],
+    alpha: float,
+    family_size: int,
+) -> list[ChangeReport]:
+    """ARP, its delta against t0 and, where the pivot covers t0 and the
+    environment, the margin shift over the pivot and a paired t-test
+    against it, per system and environment. Each ARP is computed once,
+    when a row first reads it. The warnings are reported at the line that
+    called :func:`build_matrix`."""
+    initial = labels[0]
     arps: dict[tuple[str, str, MeasureSpec], float] = {}
 
     def arp_of(tag: str, label: str, measure: MeasureSpec) -> float:
@@ -334,28 +454,8 @@ def build_matrix(
         return arps[key]
 
     rows: list[ChangeReport] = []
-    # an incomplete pivot gets no rows of its own
-    for tag in sorted(by_tag if pivot_complete else runs):
+    for tag in tags:
         for label in labels:
-            if scenario is Scenario.DTQ:
-                overlap = mean_rbo(by_tag[tag][initial], by_tag[tag][label], rbo, common)
-                rmse_map = {
-                    measure: rmse(
-                        per_topic[tag, initial, measure],
-                        per_topic[tag, label, measure],
-                    )
-                    for measure in measures
-                }
-                rows.append(
-                    ChangeReport(
-                        system_tag=tag,
-                        ee_label=label,
-                        scenario=scenario,
-                        rbo_mean=overlap.mean,
-                        rmse=rmse_map,
-                    )
-                )
-                continue
             arp_map: dict[MeasureSpec, float] = {}
             re_delta_map: dict[MeasureSpec, float] = {}
             delta_ri_map: dict[MeasureSpec, float | None] = {}
@@ -370,7 +470,7 @@ def build_matrix(
                     warnings.warn(
                         f"{tag} {label} {measure.name}: {exc}",
                         ChangeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                 if tag == pivot_tag or label not in pivot or initial not in pivot:
                     delta_ri_map[measure] = None
@@ -389,7 +489,7 @@ def build_matrix(
                     warnings.warn(
                         f"{tag} {label} {measure.name}: {exc}",
                         ChangeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     delta_ri_map[measure] = None
                 try:
@@ -403,18 +503,18 @@ def build_matrix(
                     warnings.warn(
                         f"{tag} {label} {measure.name}: significance skipped ({exc})",
                         ChangeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     significant_map[measure] = None
             rows.append(
                 ChangeReport(
                     system_tag=tag,
                     ee_label=label,
-                    scenario=scenario,
+                    scenario=Scenario.DTQ_PRIME,
                     arp=arp_map,
                     re_delta=re_delta_map,
                     delta_ri=delta_ri_map,
                     significant=significant_map,
                 )
             )
-    return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
+    return rows

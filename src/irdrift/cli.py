@@ -18,6 +18,14 @@ snapshots share their unchanged manifest lines. ``load_environment``
 stays a module global for code that replaces it by name
 (``bench/spans.py``), though no subcommand calls it any more.
 
+``change`` passes its run paths to :func:`irdrift.change.build_matrix`,
+which reads each system's runs in that system's scoring task. The tasks
+run on one process per CPU in this process's affinity mask, up to
+systems + pivot, with workers forked after the environments are loaded
+(:mod:`irdrift._workers`); with one allowed CPU everything runs in this
+process. ``import irdrift.cli`` loads neither the worker helper nor
+:mod:`pickle`.
+
 Exit codes are stable: 0 success, 1 internal error, 2 usage or
 validation error. All output is deterministic; given identical inputs,
 repeated invocations write identical bytes.
@@ -265,17 +273,12 @@ def cmd_change(args: argparse.Namespace) -> int:
         i = labels.index(label)
         configs[i] = configs[i]._replace(qrels_path=Path(path))
     envs = _load_sequence(configs, corpus=False)
-    runs = {
-        tag: {label: load_run(path) for label, path in by_label.items()}
-        for tag, by_label in run_paths.items()
-    }
-    pivot = {label: load_run(path) for label, path in pivot_paths.items()}
-
+    # each system's runs are read by its own scoring task
     matrix = cm.build_matrix(
         args.collection or Path(args.config).stem,
         envs,
-        runs,
-        pivot,
+        run_paths,
+        pivot_paths,
         scenario,
         measures,
         rbo,

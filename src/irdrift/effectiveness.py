@@ -17,8 +17,10 @@ of each depth) and looking each ranking's docs up in the grades once.
 Each measure's arithmetic lives in one private kernel that reads that
 list of gains. :func:`precision_at_k`, :func:`ndcg`, :func:`bpref` and
 :func:`evaluate_run` are thin callers of the same kernels, so every path
-gives the same bits. The facts live only for one call; nothing is cached
-between calls or stored on ``Qrels``.
+gives the same bits. Nothing is cached between calls or stored on
+``Qrels``; a caller that scores runs one at a time against one qrels
+computes the facts once with ``_judge`` and passes them to
+``_score_judged``, the engine's own loop.
 
 An ARP (:func:`arp`) is a plain float. Neither it nor a
 :class:`PerTopicScores` names its system or environment:
@@ -113,13 +115,29 @@ def score_runs(
     facts are computed once, and each ranking's docs are looked up in the
     grades once for every measure.
     """
-    measures = list(measures)
-    by_topic = qrels.by_topic
     if topic_filter is None:
         candidates = set().union(*(run.rankings for run in runs))
     else:
         candidates = topic_filter
-    facts = {topic: _TopicFacts(by_topic[topic]) for topic in candidates if topic in by_topic}
+    return _score_judged(runs, _judge(qrels, candidates), measures, topic_filter is not None)
+
+
+def _judge(qrels: Qrels, topics: Iterable[TopicId]) -> dict[TopicId, _TopicFacts]:
+    """The judgment facts of each of ``topics`` that ``qrels`` judges."""
+    by_topic = qrels.by_topic
+    return {topic: _TopicFacts(by_topic[topic]) for topic in topics if topic in by_topic}
+
+
+def _score_judged(
+    runs: Sequence[RunFile],
+    facts: dict[TopicId, _TopicFacts],
+    measures: Iterable[MeasureSpec],
+    filtered: bool,
+) -> list[dict[MeasureSpec, PerTopicScores]]:
+    """:func:`score_runs` over judgment facts made by :func:`_judge`, which
+    several calls may share. ``filtered`` says the facts' topics are a
+    topic filter, so an eligible topic a run did not answer scores 0."""
+    measures = list(measures)
     # a topic with R >= 1 is one whose highest grade is >= 1
     eligible = sorted(topic for topic, fact in facts.items() if fact.big_r)
     # bpref and nDCG without a cutoff read the whole ranking
@@ -134,7 +152,7 @@ def score_runs(
     results: list[dict[MeasureSpec, PerTopicScores]] = []
     for run in runs:
         rankings = run.rankings
-        topics = eligible if topic_filter is not None else [t for t in eligible if t in rankings]
+        topics = eligible if filtered else [t for t in eligible if t in rankings]
         per_measure: dict[MeasureSpec, dict[TopicId, float]] = {m: {} for m in measures}
         for topic in topics:
             ranking = rankings.get(topic)

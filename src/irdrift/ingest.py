@@ -12,7 +12,8 @@ Supported formats:
   qrels, topics?}``; array order defines the temporal sequence t0..tn.
 
 Parsing is strict: every input line either contributes data or raises
-:class:`ParseError` naming its line number. Recoverable oddities (mixed
+:class:`ParseError` naming its line number, and a file that is not
+valid UTF-8 raises :class:`ParseError` naming the file. Recoverable oddities (mixed
 run tags, duplicate identical qrels, negative grades) emit
 :class:`IngestWarning` instead. Run rankings are canonicalized on ingest:
 entries are re-sorted by (score descending, doc id ascending), trusting
@@ -400,6 +401,8 @@ def load_config(path: Path | str) -> list[EEConfig]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, list):
         raise ParseError(f"{path}: config must be a JSON array of environments")
     base = path.parent
@@ -498,7 +501,7 @@ def _parse_file(parser, path: Path):
             return parser(handle)
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 

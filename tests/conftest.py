@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from datetime import date, datetime, timedelta, timezone
 
 from hypothesis import Phase, settings
@@ -122,17 +123,17 @@ class NoDocMeta:
 
 
 class UnderflowingScores:
-    """Stand-in for ``effectiveness.score_runs``: every run scores 0.5 on
-    q1 and 0 on q2 under every measure, except that the pivot zpivot
-    scores 1.27e-225 on q2. The paired differences to the pivot, 0 and
-    -1.27e-225, vary, but each squared deviation from their mean
-    underflows to 0 unless they are scaled first. ``calls`` counts the
-    calls it served."""
+    """Stand-in for ``effectiveness._score_judged``, which scores each run
+    of a change matrix: every run scores 0.5 on q1 and 0 on q2 under
+    every measure, except that the pivot zpivot scores 1.27e-225 on q2.
+    The paired differences to the pivot, 0 and -1.27e-225, vary, but each
+    squared deviation from their mean underflows to 0 unless they are
+    scaled first. ``calls`` counts the calls it served in this process."""
 
     def __init__(self) -> None:
         self.calls = 0
 
-    def __call__(self, runs, qrels, measures, topic_filter=None):
+    def __call__(self, runs, facts, measures, filtered):
         self.calls += 1
         results = []
         for run in runs:
@@ -143,6 +144,15 @@ class UnderflowingScores:
                 {m: PerTopicScores(m, scores) for m in measures}
             )
         return results
+
+
+def cpu_masks() -> list[list[int]]:
+    """Two answers for ``irdrift._workers._cpus``, the CPUs a change
+    matrix's tasks may use: one CPU, so that every task runs in the
+    calling process, and two, so that one worker process is forked. The
+    CPUs are allowed ones; where only one is allowed, it is named twice."""
+    allowed = sorted(os.sched_getaffinity(0))
+    return [allowed[:1], (allowed * 2)[:2]]
 
 
 CLI_TOPICS = [f"q{i}" for i in range(1, 9)]

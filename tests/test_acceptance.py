@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from irdrift import _workers
 from irdrift.change import RboConfig, delta_ri, mean_rbo, rbo_topic, relative_improvement, result_delta, rmse
 from irdrift.cli import main
 from irdrift.diff import diff_documents
@@ -32,7 +33,7 @@ from irdrift.model import (
 )
 from irdrift.significance import bonferroni, paired_t_test
 
-from conftest import make_ranking, synth_corpus, synth_qrels, synth_run
+from conftest import cpu_masks, make_ranking, synth_corpus, synth_qrels, synth_run
 from test_change import rbo_brute
 from test_effectiveness import bpref_brute, ndcg_brute, p_at_k_brute
 from test_significance import t_two_sided_p_oracle
@@ -223,17 +224,22 @@ def _change_argv(config_path, labels, run_paths, scenario):
     return argv
 
 
-def test_criterion_8_end_to_end_determinism(simulated, capsysbinary):
+def test_criterion_8_end_to_end_determinism(simulated, capsysbinary, monkeypatch):
     start = time.monotonic()
     config_path, labels, run_paths, _ = simulated
     outputs = {}
     for scenario in ("dtq", "dtq-prime"):
         argv = _change_argv(config_path, labels, run_paths, scenario)
+        # the system and the pivot scored in this process, then in two
+        results = []
+        for cpus in cpu_masks():
+            monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
+            assert main(argv) == 0
+            results.append(capsysbinary.readouterr().out)
         assert main(argv) == 0
-        first = capsysbinary.readouterr().out
-        assert main(argv) == 0
-        second = capsysbinary.readouterr().out
-        assert first == second  # byte-identical across repeated runs
+        results.append(capsysbinary.readouterr().out)
+        first = results[0]
+        assert results == [first] * 3  # byte-identical across repeated runs
         outputs[scenario] = first.decode("utf-8")
     # document-only scenario: t0 rows carry the ideal values
     lines = outputs["dtq"].splitlines()

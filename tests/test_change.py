@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from irdrift import effectiveness, significance
+from irdrift import _workers, effectiveness, significance
 from irdrift.change import (
     ChangeScores,
     ChangeWarning,
@@ -32,6 +32,7 @@ from conftest import (
     CLI_TOPICS,
     NO_SHRINK,
     UnderflowingScores,
+    cpu_masks,
     make_environment,
     make_ranking,
     make_run,
@@ -468,12 +469,15 @@ def test_build_matrix_computes_each_arp_once(monkeypatch):
 
 def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(monkeypatch):
     envs, runs, pivot = _matrix_inputs()
-    stand_in = UnderflowingScores()
-    monkeypatch.setattr(effectiveness, "score_runs", stand_in)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ChangeWarning)
-        matrix = _build(envs, runs, pivot)
-    assert stand_in.calls == 2  # one per environment's qrels
-    # the differences 0 and -1.27e-225 give t = -1 and p = 0.5
-    alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
-    assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES, False)] * 2
+    for cpus in cpu_masks():
+        monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
+        stand_in = UnderflowingScores()
+        monkeypatch.setattr(effectiveness, "_score_judged", stand_in)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ChangeWarning)
+            matrix = _build(envs, runs, pivot)
+        if len(cpus) == 1:
+            assert stand_in.calls == 4  # one per run: alpha and the pivot at t0 and t1
+        # the differences 0 and -1.27e-225 give t = -1 and p = 0.5
+        alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
+        assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES, False)] * 2

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from irdrift import _numeric, effectiveness, ingest
+from irdrift import _numeric, _workers, effectiveness, ingest
 from irdrift.cli import main
 from irdrift.ingest import (
     ParseError,
@@ -19,11 +19,13 @@ from irdrift.ingest import (
 )
 
 from conftest import (
+    CLI_TOPICS,
     DATED_MANIFEST,
     DATED_QRELS,
     NoDocMeta,
     UnderflowingScores,
     change_argv,
+    cpu_masks,
     pivot_argv,
     synth_corpus,
     synth_qrels,
@@ -284,16 +286,19 @@ PINNED = Path(__file__).resolve().parent / "change_stdout"
 
 @pytest.mark.parametrize("fmt, ext", [("csv", "csv"), ("markdown", "md"), ("json", "json")])
 @pytest.mark.parametrize("case", ["dtq", "dtq-prime-pivot"])
-def test_change_stdout_matches_its_pin(tmp_path, capsysbinary, case, fmt, ext):
+def test_change_stdout_matches_its_pin(tmp_path, capsysbinary, monkeypatch, case, fmt, ext):
     if case == "dtq":
         config, runs = write_cli_fixture(tmp_path)
         argv = change_argv(config, runs, "dtq")
     else:
         config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
         argv = pivot_argv(config, runs)
-    assert main(argv + ["--format", fmt]) == 0
-    # the whole output, byte for byte, as first recorded
-    assert capsysbinary.readouterr().out == (PINNED / f"{case}.{ext}").read_bytes()
+    # every task in this process, then one system in a forked worker
+    for cpus in cpu_masks():
+        monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
+        assert main(argv + ["--format", fmt]) == 0
+        # the whole output, byte for byte, as first recorded
+        assert capsysbinary.readouterr().out == (PINNED / f"{case}.{ext}").read_bytes()
 
 
 EVALUATE_PINNED = Path(__file__).resolve().parent / "evaluate_stdout"
@@ -475,6 +480,31 @@ def test_config_with_non_string_label_exits_2(tmp_path, capsys):
     assert "entry 1: 'label' must be a string, got list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["config", "manifest", "qrels", "topics", "run"])
+def test_an_input_file_that_is_not_utf8_is_named_and_exits_2(tmp_path, capsys, kind):
+    config, runs = write_cli_fixture(tmp_path)
+    entries = json.loads(config.read_text())
+    (tmp_path / "t0.topics.jsonl").write_text(format_topics(dict.fromkeys(CLI_TOPICS)))
+    entries[0]["topics"] = "t0.topics.jsonl"
+    config.write_text(json.dumps(entries))
+    path = {
+        "config": config,
+        "manifest": tmp_path / "t0.manifest.jsonl",
+        "qrels": tmp_path / "t0.qrels.txt",
+        "topics": tmp_path / "t0.topics.jsonl",
+        "run": Path(runs[("alpha", "t0")]),
+    }[kind]
+    size = path.stat().st_size
+    with open(path, "ab") as handle:
+        handle.write(b"\xff\n")
+    argv = ["evaluate", "--config", str(config), "--ee", "t0", "--run", runs[("alpha", "t0")]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {size}: "
+        f"invalid start byte\n"
+    )
+
+
 def test_change_dtq_rejects_qrels_override(tmp_path, capsys):
     config, runs = write_cli_fixture(tmp_path)
     args = change_argv(config, runs, "dtq")
@@ -596,21 +626,24 @@ def test_change_squared_deviation_underflow_gives_false_significance(
     tmp_path, capsys, monkeypatch
 ):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
-    stand_in = UnderflowingScores()
-    monkeypatch.setattr(effectiveness, "score_runs", stand_in)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)
-        assert main(pivot_argv(config, runs)) == 0
-    assert stand_in.calls == 2  # one per environment's qrels
-    lines = capsys.readouterr().out.splitlines()
-    header = lines[0].split(",")
-    cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
-    # the pivot rows are not tested against themselves
-    assert {c["system"]: c["significant_p@10"] for c in cells} == {
-        "alpha": "false",
-        "beta": "false",
-        "zpivot": "",
-    }
+    for cpus in cpu_masks():
+        monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
+        stand_in = UnderflowingScores()
+        monkeypatch.setattr(effectiveness, "_score_judged", stand_in)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main(pivot_argv(config, runs)) == 0
+        if len(cpus) == 1:
+            assert stand_in.calls == 6  # one per run: alpha, beta and the pivot at t0 and t1
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        # the pivot rows are not tested against themselves
+        assert {c["system"]: c["significant_p@10"] for c in cells} == {
+            "alpha": "false",
+            "beta": "false",
+            "zpivot": "",
+        }
 
 
 def test_change_missing_pivot_ee_warns_and_continues(tmp_path, capsys):

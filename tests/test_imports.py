@@ -1,7 +1,8 @@
 """Import guards: no CLI call imports numpy or scipy, no subcommand
 imports ``dataclasses`` or ``inspect``, ``diff`` and ``simulate`` import
-only the irdrift modules they use, and the package's export map names
-each public object where it is defined.
+only the irdrift modules they use, only ``change`` imports the worker
+helper, and the package's export map names each public object where it
+is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -26,7 +27,13 @@ import pytest
 
 import irdrift
 
-from conftest import DATED_MANIFEST, DATED_QRELS, pivot_argv, write_churn_fixture, write_cli_fixture
+from conftest import (
+    DATED_MANIFEST,
+    DATED_QRELS,
+    pivot_argv,
+    write_churn_fixture,
+    write_cli_fixture,
+)
 
 SCRIPT = """
 import json, sys
@@ -261,3 +268,34 @@ def test_no_subcommand_imports_dataclasses_or_inspect():
         check=True,
     )
     assert json.loads(done.stdout) == dict.fromkeys(["cli", *SUBCOMMAND_MODULES], [])
+
+
+def _evaluate_argv(tmp_path) -> list[str]:
+    config, runs = write_cli_fixture(tmp_path)
+    return ["evaluate", "--config", str(config), "--ee", "t1", "--topics", "common",
+            "--run", runs[("alpha", "t1")], "--run", runs[("beta", "t1")]]
+
+
+PICKLE_SCRIPT = """
+import json, sys
+import irdrift.cli
+print(json.dumps(sorted({"pickle", "irdrift._workers"} & set(sys.modules))))
+"""
+
+
+def test_importing_the_cli_loads_neither_pickle_nor_the_worker_helper():
+    done = subprocess.run(
+        [sys.executable, "-c", PICKLE_SCRIPT],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == []
+
+
+@pytest.mark.parametrize("make_argv", [_diff_argv, _simulate_argv, _evaluate_argv])
+def test_only_change_imports_the_worker_helper(tmp_path, make_argv):
+    state = _loaded_modules(make_argv(tmp_path))
+    assert state["code"] == 0
+    assert "irdrift._workers" not in state["after_run"]
