@@ -337,14 +337,14 @@ def build_matrix(
     else:
         facts = {env.label: eff._judge(env.qrels, common) for env in envs}
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
-    overlap = rbo if scenario is Scenario.DTQ and common else None
+    rbo_cfg = rbo if scenario is Scenario.DTQ and common else None
     tasks = [
-        partial(_score_system, by_label, labels, facts, measures, overlap, common)
+        partial(_score_system, by_label, labels, facts, measures, rbo_cfg, common)
         for by_label in runs.values()
     ]
     if pivot:
-        pivot_overlap = overlap if pivot_complete else None
-        tasks.append(partial(_score_system, pivot, labels, facts, measures, pivot_overlap, common))
+        pivot_cfg = rbo_cfg if pivot_complete else None
+        tasks.append(partial(_score_system, pivot, labels, facts, measures, pivot_cfg, common))
     scored = _workers.run_tasks(tasks)
 
     for (tag, by_label), system in zip(runs.items(), scored):

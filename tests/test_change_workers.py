@@ -67,7 +67,8 @@ def test_a_malformed_run_gives_one_error_line_in_both_paths(
     for key in broken:
         with open(runs[key], "a") as handle:
             handle.write("q1 Q0 extra 1\n")
-    lines = sum(1 for _ in open(runs[reported]))
+    with open(runs[reported]) as handle:
+        lines = sum(1 for _ in handle)
     expected = (
         f"error: {runs[reported]}: line {lines}: expected 6 columns "
         f"(topic Q0 doc rank score tag), got 4\n"
