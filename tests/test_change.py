@@ -1,7 +1,9 @@
 """Temporal change measures: hand-computed cases, brute-force oracle
 agreement, and structural properties."""
 
+import inspect
 import itertools
+import json
 import random
 import re
 import warnings
@@ -26,7 +28,7 @@ from irdrift.change import (
 )
 from irdrift.ingest import IngestWarning
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
-from irdrift.report import Scenario
+from irdrift.report import Scenario, render
 
 from conftest import (
     CLI_TOPICS,
@@ -34,6 +36,7 @@ from conftest import (
     UnderflowingScores,
     cpu_masks,
     make_environment,
+    make_qrels,
     make_ranking,
     make_run,
     score_list_pairs,
@@ -481,3 +484,42 @@ def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(m
         # the differences 0 and -1.27e-225 give t = -1 and p = 0.5
         alpha_rows = [row for row in matrix.rows if row.system_tag == "alpha"]
         assert [row.significant for row in alpha_rows] == [dict.fromkeys(MEASURES, False)] * 2
+
+
+def test_build_matrix_leaves_undefined_cells_empty_and_says_why():
+    # one topic, judged alike in both environments; a scores 0 at t0 and
+    # the pivot p scores 0 in both, so every ratio against them is undefined
+    qrels = make_qrels({("q1", "d1"): 1, ("q1", "d2"): 0})
+    envs = [make_environment(label, {}, qrels) for label in ("t0", "t1")]
+    runs = {"a": {"t0": make_run("a", {"q1": ["d2"]}), "t1": make_run("a", {"q1": ["d1", "d2"]})}}
+    pivot = {"t0": make_run("p", {"q1": ["d2"]}), "t1": make_run("p", {"q1": ["d2", "d1"]})}
+    p1 = MeasureSpec.parse("p@1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        matrix = build_matrix("c", envs, runs, pivot, Scenario.DTQ_PRIME, [p1], RboConfig())
+    undefined = [
+        "{} {} p@1: undefined result delta (zero baseline)",
+        "{} {} p@1: undefined relative improvement (zero pivot mean)",
+        "{} {} p@1: significance skipped (paired test requires >= 2 common topics, got 1)",
+    ]
+    expected = [m.format("a", label) for label in ("t0", "t1") for m in undefined]
+    expected += [undefined[0].format("p", label) for label in ("t0", "t1")]
+    assert [str(w.message) for w in caught] == expected
+    assert {(w.category, w.filename, w.lineno) for w in caught} == {(ChangeWarning, __file__, line)}
+    doc = json.loads(render(matrix, "json"))
+    assert [
+        (row["system"], row["ee"], row["arp"], row["re_delta"], row["delta_ri"], row["significant"])
+        for row in doc["rows"]
+    ] == [
+        ("a", "t0", {"p@1": 0.0}, {}, {"p@1": None}, {"p@1": None}),
+        ("a", "t1", {"p@1": 1.0}, {}, {"p@1": None}, {"p@1": None}),
+        ("p", "t0", {"p@1": 0.0}, {}, {"p@1": None}, {"p@1": None}),
+        ("p", "t1", {"p@1": 0.0}, {}, {"p@1": None}, {"p@1": None}),
+    ]
+    assert render(matrix, "csv").decode().splitlines()[1:] == [
+        "c,a,t0,dtq-prime,,0.0000,,,,",
+        "c,a,t1,dtq-prime,,1.0000,,,,",
+        "c,p,t0,dtq-prime,,0.0000,,,,",
+        "c,p,t1,dtq-prime,,0.0000,,,,",
+    ]
