@@ -23,16 +23,17 @@ scenario. It works in two parts. One task per system, and one for the
 pivot, reads that system's runs (a run may be given as a path), scores
 them and computes their mean RBO against t0; the tasks run on one
 process per allowed CPU (:mod:`irdrift._workers`) and return no run.
-Row builders then read the (system, environment, measure) score table
-and the RBO means.
+Row builders then read each task's scores and RBO means, and one helper
+owns the rule for a cell that is undefined: it stays empty, and a
+warning says why.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
-from functools import partial
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import cache, partial
 from itertools import zip_longest
 from os import PathLike
 from typing import NamedTuple
@@ -314,7 +315,11 @@ def build_matrix(
     and, where the pivot covers both t0 and the environment, the margin
     shift over the pivot and a paired t-test against it at
     ``alpha / family_size`` (default family: systems x (environments - 1)).
-    Cells that are undefined stay empty with a :class:`ChangeWarning`.
+    Cells that are undefined stay empty (an RΔ is left out of its map, a
+    ΔRI or significance flag is ``None``) with a :class:`ChangeWarning` at
+    the line that called this function. A recall base that judges no
+    common topic's document relevant is a ``ValueError`` naming its
+    environment, raised before any run is read.
 
     Each system, and the pivot, is one task of ``_score_system``, and each
     recall base's judgment facts are computed once, before the tasks
@@ -336,6 +341,13 @@ def build_matrix(
         facts = dict.fromkeys(labels, eff._judge(envs[0].qrels, common))
     else:
         facts = {env.label: eff._judge(env.qrels, common) for env in envs}
+    # an ARP or RMSE needs a topic with a relevant document; in dtq every
+    # label shares t0's facts, so t0 is named
+    for label in labels:
+        if common and not any(fact.big_r for fact in facts[label].values()):
+            raise ValueError(
+                f"no common topic has a relevant document in the qrels of environment {label!r}"
+            )
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
     rbo_cfg = rbo if scenario is Scenario.DTQ and common else None
     tasks = [
@@ -386,29 +398,35 @@ def build_matrix(
     if family_size is None:
         family_size = max(1, len(runs) * (len(labels) - 1))
 
-    per_topic = {
-        (tag, label, measure): scores
-        for tag, system in by_tag.items()
-        for (label, measure), scores in system.scores.items()
-    }
     # an incomplete pivot gets no rows of its own
     row_tags = sorted(by_tag if pivot_complete else runs)
     if scenario is Scenario.DTQ:
-        overlaps = {(tag, label): by_tag[tag].overlap[label] for tag in row_tags for label in labels}
-        rows = _dtq_rows(row_tags, labels, measures, per_topic, overlaps)
+        rows = _dtq_rows(by_tag, row_tags, labels, measures)
     else:
         rows = _dtq_prime_rows(
-            row_tags, labels, measures, per_topic, pivot_tag, pivot, alpha, family_size
+            by_tag, row_tags, labels, measures, pivot_tag, pivot, alpha, family_size
         )
     return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
 
 
+def _cell(
+    where: str, compute: Callable[[], float | bool], reason: str = "{}"
+) -> float | bool | None:
+    """``compute()``, or ``None`` when it raises ``ValueError``: the cell is
+    undefined, and a :class:`ChangeWarning` ``"<where>: <reason>"``, with
+    the error in place of ``{}``, says why at :func:`build_matrix`'s caller."""
+    try:
+        return compute()
+    except ValueError as exc:
+        warnings.warn(f"{where}: {reason.format(exc)}", ChangeWarning, stacklevel=4)
+        return None
+
+
 def _dtq_rows(
+    systems: dict[str, _SystemScores],
     tags: list[str],
     labels: list[str],
     measures: list[MeasureSpec],
-    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores],
-    overlaps: dict[tuple[str, str], float],
 ) -> list[ChangeReport]:
     """Rank overlap and per-measure RMSE against t0, per system and
     environment."""
@@ -418,9 +436,11 @@ def _dtq_rows(
             system_tag=tag,
             ee_label=label,
             scenario=Scenario.DTQ,
-            rbo_mean=overlaps[tag, label],
+            rbo_mean=systems[tag].overlap[label],
             rmse={
-                measure: rmse(per_topic[tag, initial, measure], per_topic[tag, label, measure])
+                measure: rmse(
+                    systems[tag].scores[initial, measure], systems[tag].scores[label, measure]
+                )
                 for measure in measures
             },
         )
@@ -430,10 +450,10 @@ def _dtq_rows(
 
 
 def _dtq_prime_rows(
+    systems: dict[str, _SystemScores],
     tags: list[str],
     labels: list[str],
     measures: list[MeasureSpec],
-    per_topic: dict[tuple[str, str, MeasureSpec], PerTopicScores],
     pivot_tag: str | None,
     pivot: Mapping[str, object],
     alpha: float,
@@ -442,70 +462,49 @@ def _dtq_prime_rows(
     """ARP, its delta against t0 and, where the pivot covers t0 and the
     environment, the margin shift over the pivot and a paired t-test
     against it, per system and environment. Each ARP is computed once,
-    when a row first reads it. The warnings are reported at the line that
-    called :func:`build_matrix`."""
+    when a row first reads it."""
     initial = labels[0]
-    arps: dict[tuple[str, str, MeasureSpec], float] = {}
 
+    @cache
     def arp_of(tag: str, label: str, measure: MeasureSpec) -> float:
-        key = tag, label, measure
-        if key not in arps:
-            arps[key] = eff.arp(per_topic[key])
-        return arps[key]
+        return eff.arp(systems[tag].scores[label, measure])
 
     rows: list[ChangeReport] = []
     for tag in tags:
         for label in labels:
+            # the pivot has no margin over itself
+            paired = tag != pivot_tag and label in pivot and initial in pivot
             arp_map: dict[MeasureSpec, float] = {}
             re_delta_map: dict[MeasureSpec, float] = {}
             delta_ri_map: dict[MeasureSpec, float | None] = {}
             significant_map: dict[MeasureSpec, bool | None] = {}
             for measure in measures:
-                arp_map[measure] = arp_of(tag, label, measure)
-                try:
-                    re_delta_map[measure] = result_delta(
-                        arp_of(tag, initial, measure), arp_map[measure]
-                    )
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: {exc}",
-                        ChangeWarning,
-                        stacklevel=3,
-                    )
-                if tag == pivot_tag or label not in pivot or initial not in pivot:
-                    delta_ri_map[measure] = None
-                    significant_map[measure] = None
+                where = f"{tag} {label} {measure.name}"
+                arp = arp_map[measure] = arp_of(tag, label, measure)
+                initial_arp = arp_of(tag, initial, measure)
+                delta = _cell(where, lambda: result_delta(initial_arp, arp))
+                if delta is not None:
+                    re_delta_map[measure] = delta
+                if not paired:
+                    delta_ri_map[measure] = significant_map[measure] = None
                     continue
-                try:
-                    ri_initial = relative_improvement(
-                        arp_of(tag, initial, measure),
-                        arp_of(pivot_tag, initial, measure),
-                    )
-                    ri_evolved = relative_improvement(
-                        arp_map[measure], arp_of(pivot_tag, label, measure)
-                    )
-                    delta_ri_map[measure] = delta_ri(ri_initial, ri_evolved)
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: {exc}",
-                        ChangeWarning,
-                        stacklevel=3,
-                    )
-                    delta_ri_map[measure] = None
-                try:
-                    significant_map[measure] = sig.compare(
-                        per_topic[tag, label, measure],
-                        per_topic[pivot_tag, label, measure],
+                delta_ri_map[measure] = _cell(
+                    where,
+                    lambda: delta_ri(
+                        relative_improvement(initial_arp, arp_of(pivot_tag, initial, measure)),
+                        relative_improvement(arp, arp_of(pivot_tag, label, measure)),
+                    ),
+                )
+                significant_map[measure] = _cell(
+                    where,
+                    lambda: sig.compare(
+                        systems[tag].scores[label, measure],
+                        systems[pivot_tag].scores[label, measure],
                         alpha=alpha,
                         family_size=family_size,
-                    ).significant
-                except ValueError as exc:
-                    warnings.warn(
-                        f"{tag} {label} {measure.name}: significance skipped ({exc})",
-                        ChangeWarning,
-                        stacklevel=3,
-                    )
-                    significant_map[measure] = None
+                    ).significant,
+                    reason="significance skipped ({})",
+                )
             rows.append(
                 ChangeReport(
                     system_tag=tag,

@@ -51,7 +51,8 @@ checks. A line's checks depend on its text alone, and only lines that
 passed them are kept, so every result, message and warning is the one
 of loading each environment alone; the duplicate id check still runs on
 every line. Unchanged documents thus share one :class:`DocMeta` across
-snapshots. The memo holds one manifest's lines and lives for one call.
+snapshots. A reused line leaves the previous memo as it enters the
+next, so loading holds about one manifest's lines, for one call.
 
 The JSON writers emit exactly the bytes ``json.dumps`` gives for each
 record, with its default separators and ASCII escaping.
@@ -292,9 +293,9 @@ def _read_manifest(
     if `keep_meta`, else to None.
 
     `previous` and `checked` map raw lines, as `lines` yields them, to the
-    (doc id, meta) entry they gave. A line found in `previous` reuses its
-    entry; every other line is checked in full. Each line that passes is
-    added to `checked`. A line's checks depend on its text alone, so only
+    (doc id, meta) entry they gave. A line found in `previous` is taken
+    out of it and reuses its entry; every other line is checked in full.
+    Each line that passes is added to `checked`. A line's checks depend on its text alone, so only
     the duplicate id check, which depends on the file, runs on every line.
     """
     if previous is None:
@@ -304,7 +305,7 @@ def _read_manifest(
     stamps: dict[str, datetime] = {}
     meta = None
     for lineno, raw in enumerate(lines, start=1):
-        entry = previous.get(raw)
+        entry = previous.pop(raw, None)
         if entry is None:
             obj = _json_line(raw, lineno)
             if obj is _BLANK:

@@ -3,7 +3,9 @@
 Output is byte-stable across runs and platforms: fixed column order,
 reals printed with a fixed number of decimal places (round-half-even) in
 CSV and Markdown, UTF-8, LF line endings. JSON output keeps full float
-precision so it parses back to exactly the rendered matrix.
+precision so it parses back to exactly the rendered matrix. One private
+writer knows the three formats; each renderer builds only the header
+and rows that csv and markdown write, or the value that json writes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import io
 import json
 import math
 import sys
+from collections.abc import Callable
 from typing import NamedTuple
 
-from .diff import ChangeSummary, ComponentDiff
+from .diff import ChangeSummary
 from .model import MeasureSpec, Scenario, _Checked
 
 
@@ -154,22 +157,28 @@ def _matrix_cells(
     return header, rows
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue().encode("utf-8")
-
-
-def _render_markdown(header: list[str], rows: list[list[str]]) -> bytes:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for cells in rows:
-        lines.append("| " + " | ".join(cells) + " |")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _write(
+    format: str,
+    table: Callable[[], tuple[list[str], list[list[str]]]],
+    document: Callable[[], object],
+) -> bytes:
+    """One output as csv, markdown, or json bytes: csv and markdown write
+    the header and rows that ``table()`` returns, json the value that
+    ``document()`` returns. Only what the format writes is built."""
+    if format == "json":
+        return (json.dumps(document(), indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    if format == "csv":
+        header, rows = table()
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue().encode("utf-8")
+    if format == "markdown":
+        header, rows = table()
+        lines = [header, ["---"] * len(header), *rows]
+        return "".join("| " + " | ".join(cells) + " |\n" for cells in lines).encode("utf-8")
+    raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
 
 
 # the per-measure fields of a ChangeReport, in the json row's key order
@@ -182,8 +191,9 @@ def _measure_map(values: dict) -> dict[str, object]:
 
 def render(matrix: LongitudinalMatrix, format: str, places: int = 4) -> bytes:
     """Serialize a matrix as csv, markdown, or json bytes."""
-    if format == "json":
-        doc = {
+
+    def document() -> dict[str, object]:
+        return {
             "collection": matrix.collection_label,
             "rows": [
                 {
@@ -196,25 +206,15 @@ def render(matrix: LongitudinalMatrix, format: str, places: int = 4) -> bytes:
                 for row in matrix.rows
             ],
         }
-        return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-    header, rows = _matrix_cells(matrix, places)
-    if format == "csv":
-        return _render_csv(header, rows)
-    if format == "markdown":
-        return _render_markdown(header, rows)
-    raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
+
+    return _write(format, lambda: _matrix_cells(matrix, places), document)
 
 
 def render_table(header: list[str], rows: list[list[str]], format: str) -> bytes:
     """Render a plain header-plus-rows table as csv, markdown, or json records."""
-    if format == "csv":
-        return _render_csv(header, rows)
-    if format == "markdown":
-        return _render_markdown(header, rows)
-    if format == "json":
-        doc = [dict(zip(header, cells)) for cells in rows]
-        return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-    raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
+    return _write(
+        format, lambda: (header, rows), lambda: [dict(zip(header, cells)) for cells in rows]
+    )
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}
@@ -279,36 +279,6 @@ def matrix_from_json(data: bytes | str) -> LongitudinalMatrix:
     return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
 
 
-def _summary_cells(summary: ChangeSummary, places: int) -> list[list[str]]:
-    def row(name: str, diff: ComponentDiff) -> list[str]:
-        return [
-            name,
-            str(diff.total_from),
-            str(diff.total_to),
-            _fmt_real(diff.relative_delta * 100.0, places),
-            str(len(diff.created)),
-            str(len(diff.updated)),
-            str(len(diff.deleted)),
-        ]
-
-    return [
-        row("documents", summary.documents),
-        row("topics", summary.topics),
-        row("qrels", summary.qrels),
-    ]
-
-
-_SUMMARY_HEADER = [
-    "component",
-    "total_from",
-    "total_to",
-    "delta_pct",
-    "created",
-    "updated",
-    "deleted",
-]
-
-
 def render_change_summary(
     summary: ChangeSummary, format: str, places: int = 4
 ) -> bytes:
@@ -317,9 +287,42 @@ def render_change_summary(
     A component that grows from empty has an infinite relative delta:
     json writes it as ``null``, csv and markdown as ``inf``.
     """
-    if format == "json":
-        def component(diff: ComponentDiff) -> dict[str, object]:
-            return {
+    components = {
+        "documents": summary.documents,
+        "topics": summary.topics,
+        "qrels": summary.qrels,
+    }
+
+    def table() -> tuple[list[str], list[list[str]]]:
+        header = [
+            "component",
+            "total_from",
+            "total_to",
+            "delta_pct",
+            "created",
+            "updated",
+            "deleted",
+        ]
+        # markdown marks the delta as a percentage
+        pct = "%" if format == "markdown" else ""
+        rows = [
+            [
+                name,
+                str(diff.total_from),
+                str(diff.total_to),
+                _fmt_real(diff.relative_delta * 100.0, places) + pct,
+                str(len(diff.created)),
+                str(len(diff.updated)),
+                str(len(diff.deleted)),
+            ]
+            for name, diff in components.items()
+        ]
+        return header, rows
+
+    def document() -> dict[str, object]:
+        doc: dict[str, object] = {"from": summary.from_label, "to": summary.to_label}
+        for name, diff in components.items():
+            doc[name] = {
                 "total_from": diff.total_from,
                 "total_to": diff.total_to,
                 # +inf (growth from empty) is not JSON; null, as for an
@@ -331,22 +334,6 @@ def render_change_summary(
                 "updated": len(diff.updated),
                 "deleted": len(diff.deleted),
             }
+        return doc
 
-        doc = {
-            "from": summary.from_label,
-            "to": summary.to_label,
-            "documents": component(summary.documents),
-            "topics": component(summary.topics),
-            "qrels": component(summary.qrels),
-        }
-        return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-    rows = _summary_cells(summary, places)
-    if format == "csv":
-        return _render_csv(_SUMMARY_HEADER, rows)
-    if format == "markdown":
-        header = list(_SUMMARY_HEADER)
-        md_rows = [list(cells) for cells in rows]
-        for cells in md_rows:
-            cells[3] = cells[3] + "%"
-        return _render_markdown(header, md_rows)
-    raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
+    return _write(format, table, document)

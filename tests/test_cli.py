@@ -622,6 +622,45 @@ def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "scenario, unjudged, named",
+    [
+        ("dtq-prime", "t1", "t1"),
+        # dtq scores every environment against t0's qrels
+        ("dtq", "t0", "t0"),
+        ("dtq", "t1", None),
+    ],
+)
+def test_change_names_the_environment_whose_qrels_judge_no_common_topic_relevant(
+    tmp_path, capsys, scenario, unjudged, named
+):
+    # one topic, q1, which the qrels of `unjudged` judge all non-relevant
+    entries = []
+    runs = {}
+    for label in ("t0", "t1"):
+        (tmp_path / f"{label}.manifest.jsonl").write_text(
+            '{"doc_id": "d1", "length": 1}\n{"doc_id": "d2", "length": 1}\n'
+        )
+        grade = 0 if label == unjudged else 1
+        (tmp_path / f"{label}.qrels.txt").write_text(f"q1 0 d1 {grade}\nq1 0 d2 0\n")
+        runs["a", label] = tmp_path / f"a.{label}.run.txt"
+        runs["a", label].write_text("q1 Q0 d1 1 2.0 a\nq1 Q0 d2 2 1.0 a\n")
+        entries.append(
+            {"label": label, "manifest": f"{label}.manifest.jsonl", "qrels": f"{label}.qrels.txt"}
+        )
+    config = tmp_path / "ees.json"
+    config.write_text(json.dumps(entries))
+    code = main(change_argv(config, runs, scenario, systems=("a",)))
+    captured = capsys.readouterr()
+    if named is None:
+        assert code == 0 and captured.err == ""
+        return
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: no common topic has a relevant document in the qrels of environment {named!r}\n"
+    )
+
+
 def test_change_squared_deviation_underflow_gives_false_significance(
     tmp_path, capsys, monkeypatch
 ):

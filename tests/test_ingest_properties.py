@@ -405,6 +405,16 @@ def test_a_line_that_fails_its_checks_is_never_reused():
     assert str(again.value) == str(first.value).replace("line 2: ", "line 1: ")
 
 
+def test_a_line_matched_in_the_previous_memo_is_taken_out_of_it():
+    previous = {}
+    _read_manifest([D1 + "\n", D2 + "\n"], True, None, previous)
+    checked = {}
+    docs = _read_manifest([D2 + "\n"], True, previous, checked)
+    # so the two memos never both hold a line
+    assert list(previous) == [D1 + "\n"]
+    assert list(checked) == [D2 + "\n"] and checked[D2 + "\n"] == ("d2", docs["d2"])
+
+
 def test_a_repeated_line_listed_twice_is_a_duplicate_at_its_own_line(tmp_path):
     configs = write_sequence(tmp_path, [[D1 + "\n"], [D2 + "\n", D1 + "\n", D1 + "\n"]])
     result, _ = load_outcome(lambda: _load_sequence(configs, corpus=True))
