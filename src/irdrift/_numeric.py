@@ -1,5 +1,8 @@
 """Float64 summation and the Student t tail, in the standard library only.
 
+``ordered_sum`` adds in iteration order with one rounding per addition,
+as ``sum()`` did before Python 3.12, which compensates the rounding of
+float sums; so a mean built from it has the same bits on every version.
 ``pairwise_sum`` adds in NumPy's order for a contiguous float64
 ``add.reduce``, so means and variances built from it carry the same bits
 as ``np.mean``/``np.std``. ``t_two_sided_p`` evaluates the regularised
@@ -10,12 +13,20 @@ incomplete beta function by its continued fraction (Numerical Recipes,
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 _BLOCK = 128  # NumPy's PW_BLOCKSIZE
 _EPS = 1e-15  # the fraction stops once a step changes it by less than this
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 _MAX_ITERATIONS = 10_000  # df up to 10^6 needs at most ~60
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum left to right, rounding after each addition."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def pairwise_sum(values: Sequence[float]) -> float:

@@ -42,7 +42,7 @@ from . import _workers
 from . import effectiveness as eff
 from . import significance as sig
 from . import simulate as sim
-from ._numeric import pairwise_sum
+from ._numeric import ordered_sum, pairwise_sum
 from .ingest import IngestWarning, load_run
 from .model import (
     EvaluationEnvironment,
@@ -102,7 +102,7 @@ class ChangeScores(_Checked, _ChangeScoresFields):
     def mean(self) -> float:
         """The arithmetic mean, summed in topic id order."""
         per_topic = self.per_topic
-        return sum([per_topic[t] for t in sorted(per_topic)]) / len(per_topic)
+        return ordered_sum([per_topic[t] for t in sorted(per_topic)]) / len(per_topic)
 
 
 def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:

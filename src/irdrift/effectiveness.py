@@ -34,6 +34,7 @@ import math
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
+from ._numeric import ordered_sum
 from .model import (
     DocId,
     MeasureKind,
@@ -177,13 +178,14 @@ def arp(scores: PerTopicScores) -> float:
     """Average retrieval performance: the arithmetic mean over all
     evaluated topics.
 
-    Summation runs in sorted topic-id order so the result is bit-stable
-    regardless of how the score map was built.
+    Summation runs in sorted topic-id order, one rounding per addition,
+    so the result is bit-stable regardless of how the score map was
+    built or which Python version runs it.
     """
     if not scores.scores:
         raise ValueError("no evaluated topics")
     ordered = [scores.scores[t] for t in sorted(scores.scores)]
-    return sum(ordered) / len(ordered)
+    return ordered_sum(ordered) / len(ordered)
 
 
 # --- one copy of each measure's arithmetic --------------------------------
@@ -211,7 +213,7 @@ class _TopicFacts:
         depth = min(depth, len(self.ideal))
         value = self._idcg.get(depth)
         if value is None:
-            value = self._idcg[depth] = sum(
+            value = self._idcg[depth] = ordered_sum(
                 g / discounts[i] for i, g in enumerate(self.ideal[:depth])
             )
         return value

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from irdrift.change import ChangeScores
 from irdrift.effectiveness import arp, bpref, evaluate_run, ndcg, precision_at_k
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
 
@@ -146,6 +147,14 @@ def test_arp_examples():
     assert arp(zeros) == 0.0
     with pytest.raises(ValueError, match="no evaluated topics"):
         arp(PerTopicScores(m, {}))
+
+
+def test_means_round_after_each_addition_on_every_python_version():
+    # left to right, ten 0.1s sum to 0.9999999999999999; the compensated
+    # float sum() of Python 3.12 and later gives 1.0
+    tenths = {TopicId(f"q{i}"): 0.1 for i in range(10)}
+    assert arp(PerTopicScores(MeasureSpec.parse("p@10"), tenths)) == 0.9999999999999999 / 10
+    assert ChangeScores(tenths).mean == 0.9999999999999999 / 10
 
 
 # --- invariants ---
