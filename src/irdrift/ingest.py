@@ -295,8 +295,9 @@ def _read_manifest(
     `previous` and `checked` map raw lines, as `lines` yields them, to the
     (doc id, meta) entry they gave. A line found in `previous` is taken
     out of it and reuses its entry; every other line is checked in full.
-    Each line that passes is added to `checked`. A line's checks depend on its text alone, so only
-    the duplicate id check, which depends on the file, runs on every line.
+    Each line that passes is added to `checked`. A line's checks depend
+    on its text alone, so only the duplicate id check, which depends on
+    the file, runs on every line.
     """
     if previous is None:
         previous = {}
