@@ -14,9 +14,11 @@ Each subcommand imports the library modules it uses when it runs, so
 significance modules. The ingest loaders and writers stay module
 globals, where a caller can replace them. Environments are loaded
 through ingest's private sequence loader, which lets consecutive
-snapshots share their unchanged manifest lines. ``load_environment``
-stays a module global for code that replaces it by name
-(``bench/spans.py``), though no subcommand calls it any more.
+snapshots share their unchanged manifest lines. ``simulate`` formats
+each line once, through ingest's line helpers, rather than a whole file
+per slice. ``load_environment``, ``format_manifest`` and
+``format_qrels`` stay module globals for code that replaces them by name
+(``bench/spans.py``), though no subcommand calls them any more.
 
 ``change`` passes its run paths to :func:`irdrift.change.build_matrix`,
 which reads each system's runs in that system's scoring task. The tasks
@@ -36,14 +38,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from itertools import compress
 from pathlib import Path
 
 from .ingest import (
     EEConfig,
+    IngestWarning,
     ParseError,
     _load_sequence,
-    format_manifest,
-    format_qrels,
+    _manifest_line,
+    _qrels_line,
+    format_manifest,  # not called here; see the module docstring
+    format_qrels,  # likewise
     format_topics,
     load_config,
     load_environment,  # not called here; see the module docstring
@@ -51,7 +58,14 @@ from .ingest import (
     load_qrels,
     load_run,
 )
-from .model import EvaluationEnvironment, MeasureSpec, Scenario, TopicId, _check_id
+from .model import (
+    EvaluationEnvironment,
+    MeasureSpec,
+    Scenario,
+    TopicId,
+    _check_id,
+    validate_environment,
+)
 
 
 class CliError(ValueError):
@@ -63,7 +77,14 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(out).write_bytes(data)
+        _write_file(Path(out), data)
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_measures(text: str) -> list[MeasureSpec]:
@@ -293,6 +314,16 @@ def cmd_change(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Write the append-only slices of ``split_append_only``, their topic
+    file and a config, without building any slice.
+
+    The cut gives each document the index of the first slice that holds
+    it, and each manifest and judgment line is formatted once, by the
+    line helpers of ``format_manifest`` and ``format_qrels``: slice i is
+    the lines, in id order, whose index is at most i. A judgment on a
+    document outside the corpus is in no slice, and warns. So the work
+    grows with documents + judgments, not with slices x documents.
+    """
     from . import simulate as sim
 
     plan = sim.SimulationPlan(num_slices=args.slices)  # before any file is read
@@ -300,32 +331,58 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     qrels = load_qrels(args.qrels)
     topics = dict.fromkeys(sorted(qrels.topics()))
     base = EvaluationEnvironment(label="base", corpus=corpus, topics=topics, qrels=qrels)
-    slices = sim.split_append_only(base, plan)
+    for finding in validate_environment(base):
+        warnings.warn(f"{args.qrels}: {finding}", IngestWarning, stacklevel=2)
+    order, counts = sim._cut(base, plan)
+    # each document's index of the first slice that holds it
+    first_slice: dict[str, int] = {}
+    start = 0
+    for i, count in enumerate(counts):
+        first_slice.update(dict.fromkeys(order[start:count], i))
+        start = count
+    # each line is kept encoded, so a slice's file is one join of bytes
+    stamps: dict[int, str] = {}  # every timestamp stays alive in `corpus`
+    doc_ids = sorted(first_slice)
+    doc_lines = [_manifest_line(doc_id, corpus[doc_id], stamps).encode() for doc_id in doc_ids]
+    doc_slices = [first_slice[doc_id] for doc_id in doc_ids]
+    judgment_lines: list[bytes] = []
+    judgment_slices: list[int] = []
+    for topic, grades in sorted(qrels.by_topic.items()):
+        for doc in sorted(grades):
+            i = first_slice.get(doc)
+            if i is not None:  # else the document is in no slice
+                judgment_lines.append(_qrels_line(topic, doc, grades[doc]).encode())
+                judgment_slices.append(i)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_dir}: {exc.strerror}") from None
     written: list[str] = []
 
-    def write(name: str, text: str) -> None:
-        (out_dir / name).write_bytes(text.encode("utf-8"))
+    def write(name: str, data: bytes) -> None:
+        _write_file(out_dir / name, data)
         written.append(name)
 
-    write("topics.jsonl", format_topics(topics))
+    write("topics.jsonl", format_topics(topics).encode())
     config_entries = []
-    for ee in slices:
-        manifest_name = f"{ee.label}.manifest.jsonl"
-        qrels_name = f"{ee.label}.qrels.txt"
-        write(manifest_name, format_manifest(ee.corpus))
-        write(qrels_name, format_qrels(ee.qrels))
+    for i in range(len(counts)):
+        label = f"t{i}"
+        manifest_name = f"{label}.manifest.jsonl"
+        qrels_name = f"{label}.qrels.txt"
+        # i.__ge__(k) is k <= i: the lines of this slice and the ones before
+        write(manifest_name, b"".join(compress(doc_lines, map(i.__ge__, doc_slices))))
+        write(qrels_name, b"".join(compress(judgment_lines, map(i.__ge__, judgment_slices))))
         config_entries.append(
             {
-                "label": ee.label,
+                "label": label,
                 "manifest": manifest_name,
                 "qrels": qrels_name,
                 "topics": "topics.jsonl",
             }
         )
-    write("ees.json", json.dumps(config_entries, indent=2) + "\n")
+    write("ees.json", (json.dumps(config_entries, indent=2) + "\n").encode())
     for name in written:
         print(f"wrote {out_dir / name}")
     return 0

@@ -55,7 +55,11 @@ snapshots. A reused line leaves the previous memo as it enters the
 next, so loading holds about one manifest's lines, for one call.
 
 The JSON writers emit exactly the bytes ``json.dumps`` gives for each
-record, with its default separators and ASCII escaping.
+record, with its default separators and ASCII escaping. Each manifest
+and qrels line has one format, owned by a line helper
+(``_manifest_line``, ``_qrels_line``): :func:`format_manifest` and
+:func:`format_qrels` join its lines, and the ``simulate`` command
+formats each line of its slices with it once.
 """
 
 from __future__ import annotations
@@ -401,6 +405,8 @@ def load_config(path: Path | str) -> list[EEConfig]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError as exc:
@@ -539,40 +545,50 @@ def format_run(run: RunFile) -> str:
 
 
 def format_qrels(qrels: Qrels) -> str:
-    """Canonical qrels serialization, sorted by (topic, doc)."""
-    out = [
-        f"{topic} 0 {doc} {grades[doc]}"
+    """Canonical qrels serialization, sorted by (topic, doc); each line is
+    :func:`_qrels_line`."""
+    return "".join(
+        _qrels_line(topic, doc, grades[doc])
         for topic, grades in sorted(qrels.by_topic.items())
         for doc in sorted(grades)
-    ]
-    return "\n".join(out) + ("\n" if out else "")
+    )
+
+
+def _qrels_line(topic: TopicId, doc: DocId, grade: int) -> str:
+    """One canonical qrels line, newline included."""
+    return f"{topic} 0 {doc} {grade}\n"
 
 
 def format_manifest(corpus: Corpus) -> str:
-    """Canonical manifest serialization, sorted by doc id.
-
-    Each line is the ``json.dumps`` of ``{"doc_id", "length", "timestamp"?,
-    "hash"?}``, built directly: strings quoted by the same ASCII encoder,
-    the length by ``int.__repr__`` as ``json.dumps`` renders an int.
-    """
-    out: list[str] = []
-    # id(timestamp) -> quoted isoformat. Keyed by identity, not equality:
-    # equal instants at different UTC offsets render differently. Every
-    # key stays alive in `corpus` for the whole call, so no id is reused.
+    """Canonical manifest serialization, sorted by doc id; each line is
+    :func:`_manifest_line`."""
+    # every timestamp stays alive in `corpus` for the whole call
     stamps: dict[int, str] = {}
-    for doc_id in sorted(corpus):
-        meta = corpus[doc_id]
-        line = f'{{"doc_id": {_json_str(doc_id)}, "length": {int.__repr__(meta.length)}'
-        timestamp = meta.timestamp
-        if timestamp is not None:
-            stamp = stamps.get(id(timestamp))
-            if stamp is None:
-                stamp = stamps[id(timestamp)] = _json_str(timestamp.isoformat())
-            line += f', "timestamp": {stamp}'
-        if meta.content_hash is not None:
-            line += f', "hash": {_json_str(meta.content_hash)}'
-        out.append(line + "}")
-    return "\n".join(out) + ("\n" if out else "")
+    return "".join(
+        _manifest_line(doc_id, corpus[doc_id], stamps) for doc_id in sorted(corpus)
+    )
+
+
+def _manifest_line(doc_id: DocId, meta: DocMeta, stamps: dict[int, str]) -> str:
+    """One canonical manifest line, newline included: the ``json.dumps`` of
+    ``{"doc_id", "length", "timestamp"?, "hash"?}``, built directly, with
+    strings quoted by the same ASCII encoder and the length rendered by
+    ``int.__repr__`` as ``json.dumps`` renders an int.
+
+    `stamps` maps id(timestamp) to its rendered ``"timestamp"`` member,
+    for the caller to share between lines. It is keyed by identity, not
+    equality: equal instants at different UTC offsets render differently.
+    The caller keeps every timestamp it has passed alive while it uses
+    `stamps`, so no id is reused.
+    """
+    length, timestamp, content_hash = meta
+    stamp = ""
+    if timestamp is not None:
+        stamp = stamps.get(id(timestamp))
+        if stamp is None:
+            stamp = stamps[id(timestamp)] = f', "timestamp": {_json_str(timestamp.isoformat())}'
+    tail = "}\n" if content_hash is None else f', "hash": {_json_str(content_hash)}}}\n'
+    return f'{{"doc_id": {_json_str(doc_id)}, "length": {int.__repr__(length)}{stamp}{tail}'
 
 
 def format_topics(topics: dict[TopicId, str | None]) -> str:

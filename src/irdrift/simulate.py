@@ -11,10 +11,11 @@ document scorable.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from datetime import datetime
 from typing import NamedTuple
 
-from .model import EvaluationEnvironment, TopicId, _Checked
+from .model import DocId, EvaluationEnvironment, TopicId, _Checked
 
 
 class SimulationWarning(UserWarning):
@@ -62,43 +63,66 @@ def split_append_only(
     whose sizes differ by at most one, ties on identical timestamps
     falling into the earlier slice by ascending doc id. Each slice's
     qrels are the base qrels restricted to the documents present.
+
+    Every slice is built in full, as its own corpus and qrels. The CLI
+    writes the same slices without building them: it takes the order and
+    slice sizes from the same cut, and formats each document and judgment
+    line once (see ``irdrift.cli.cmd_simulate``).
     """
-    undated = sorted(
-        doc_id for doc_id, meta in base.corpus.items() if meta.timestamp is None
-    )
-    if undated:
-        raise ValueError(f"document {undated[0]} has no timestamp")
-    ordered = sorted(base.corpus.items(), key=lambda item: (item[1].timestamp, item[0]))
-    if plan.boundaries is None:
-        distinct = len({meta.timestamp for _, meta in ordered})
-        if plan.num_slices > distinct:
-            raise ValueError(
-                f"cannot cut {plan.num_slices} slices from {distinct} distinct "
-                f"timestamps"
-            )
-        cut_counts = _equal_counts(len(ordered), plan.num_slices)
-    else:
-        cut_counts = []
-        for boundary in plan.boundaries:
-            count = sum(1 for _, meta in ordered if meta.timestamp <= boundary)
-            cut_counts.append(count)
+    order, counts = _cut(base, plan)
+    corpus = base.corpus
     environments: list[EvaluationEnvironment] = []
-    previous = 0
-    for i, count in enumerate(cut_counts):
-        if count == 0 or (i > 0 and count <= previous):
-            raise ValueError(f"slice t{i} would be empty or add no documents")
-        previous = count
-        docs = dict(ordered[:count])
-        qrels = base.qrels.restricted_to_docs(set(docs))
+    for i, count in enumerate(counts):
+        docs = {doc_id: corpus[doc_id] for doc_id in order[:count]}
         environments.append(
             EvaluationEnvironment(
                 label=f"t{i}",
                 corpus=docs,
                 topics=dict(base.topics),
-                qrels=qrels,
+                qrels=base.qrels.restricted_to_docs(set(docs)),
             )
         )
     return environments
+
+
+def _cut(base: EvaluationEnvironment, plan: SimulationPlan) -> tuple[list[DocId], list[int]]:
+    """The doc ids of the corpus in (timestamp, doc id) order, and the
+    cumulative size of each slice: slice i holds ``order[:counts[i]]``.
+
+    Every check of a cut is made here: each document needs a timestamp,
+    equal-count slicing needs a distinct timestamp per slice, and no
+    slice may be empty or add no documents. With explicit boundaries,
+    slice i holds the documents dated at or before boundary i.
+    """
+    # the documents of each instant; equal instants at different UTC
+    # offsets are equal keys, so their documents share one list
+    by_stamp: dict[datetime | None, list[DocId]] = {}
+    for doc_id, meta in base.corpus.items():
+        by_stamp.setdefault(meta.timestamp, []).append(doc_id)
+    if None in by_stamp:
+        raise ValueError(f"document {min(by_stamp[None])} has no timestamp")
+    stamps = sorted(by_stamp)
+    order: list[DocId] = []
+    dated_by = [0]  # dated_by[j]: how many documents the first j instants date
+    for stamp in stamps:
+        order += sorted(by_stamp[stamp])
+        dated_by.append(len(order))
+    if plan.boundaries is None:
+        if plan.num_slices > len(stamps):
+            raise ValueError(
+                f"cannot cut {plan.num_slices} slices from {len(stamps)} distinct "
+                f"timestamps"
+            )
+        counts = _equal_counts(len(order), plan.num_slices)
+    else:
+        # the instants at or before a boundary are a prefix of `stamps`
+        counts = [dated_by[bisect_right(stamps, boundary)] for boundary in plan.boundaries]
+    previous = 0
+    for i, count in enumerate(counts):
+        if count == 0 or (i > 0 and count <= previous):
+            raise ValueError(f"slice t{i} would be empty or add no documents")
+        previous = count
+    return order, counts
 
 
 def _equal_counts(total: int, slices: int) -> list[int]:

@@ -954,6 +954,39 @@ def test_report_names_an_unreadable_matrix_as_other_inputs_do(tmp_path, capsys, 
     assert captured.err == f"error: cannot read {path}: {reason}\n"
 
 
+SIMULATE_ARGV = ["simulate", "--manifest", str(DIFF_PINNED / "simulate" / "t2.manifest.jsonl"),
+                 "--qrels", str(DIFF_PINNED / "simulate" / "t2.qrels.txt"), "--slices", "2"]
+
+
+# "afile" is a regular file in the test's directory, "adir" a directory
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["diff", "--config", "nope.json", "--from", "t0", "--to", "t1"],
+         "cannot read nope.json: No such file or directory"),
+        (["change", "--config", "adir", "--scenario", "dtq", "--run", "a:t0:x"],
+         "cannot read adir: Is a directory"),
+        (["report", "--matrix", str(PINNED / "dtq.json"), "--out", "afile/x.csv"],
+         "cannot write afile/x.csv: Not a directory"),
+        (["report", "--matrix", str(PINNED / "dtq.json"), "--out", "adir"],
+         "cannot write adir: Is a directory"),
+        (SIMULATE_ARGV + ["--out-dir", "afile"], "cannot write afile: File exists"),
+        (SIMULATE_ARGV + ["--out-dir", "afile/out"], "cannot write afile/out: Not a directory"),
+        # a directory where the topic file would go
+        (SIMULATE_ARGV + ["--out-dir", "."], "cannot write topics.jsonl: Is a directory"),
+    ],
+)
+def test_an_unusable_path_is_named_as_other_inputs_do(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("x")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "topics.jsonl").mkdir()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_report_rerenders_matrix_json(tmp_path, capsys):
     config, runs = write_cli_fixture(tmp_path)
     args = change_argv(config, runs, "dtq")
