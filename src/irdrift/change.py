@@ -317,14 +317,17 @@ def build_matrix(
     ``alpha / family_size`` (default family: systems x (environments - 1)).
     Cells that are undefined stay empty (an RΔ is left out of its map, a
     ΔRI or significance flag is ``None``) with a :class:`ChangeWarning` at
-    the line that called this function. A recall base that judges no
-    common topic's document relevant is a ``ValueError`` naming its
-    environment, raised before any run is read.
+    the line that called this function.
 
-    Each system, and the pivot, is one task of ``_score_system``, and each
-    recall base's judgment facts are computed once, before the tasks
-    start. Run errors and warnings come in task order: the systems in the
-    order of ``runs``, then the pivot.
+    Everything that needs no run is settled before any run is read: a
+    system missing a run, environments without a common topic and a
+    recall base that judges no common topic's document relevant (naming
+    its environment) are ``ValueError``s, and an incomplete pivot warns.
+    Each system, and the pivot, is then one task of ``_score_system``,
+    against judgment facts computed once per recall base. Run errors and
+    warnings come in task order: the systems in the order of ``runs``,
+    then the pivot. Only the checks of the tags in the run files follow
+    the tasks.
     """
     labels = [env.label for env in envs]
     measures = sorted(measures, key=lambda m: m.name)
@@ -332,8 +335,6 @@ def build_matrix(
         missing = [label for label in labels if label not in runs[tag]]
         if missing:
             raise ValueError(f"system {tag!r} is missing runs for: " + ", ".join(missing))
-    pivot_complete = bool(pivot) and all(label in pivot for label in labels)
-
     common = sim.common_topics(envs)
     # dtq scores every environment against t0's qrels, dtq-prime each
     # against its own
@@ -344,12 +345,24 @@ def build_matrix(
     # an ARP or RMSE needs a topic with a relevant document; in dtq every
     # label shares t0's facts, so t0 is named
     for label in labels:
-        if common and not any(fact.big_r for fact in facts[label].values()):
+        if not facts[label]:
             raise ValueError(
                 f"no common topic has a relevant document in the qrels of environment {label!r}"
             )
+    pivot_complete = bool(pivot) and all(label in pivot for label in labels)
+    if pivot and not pivot_complete:
+        missing = [label for label in labels if label not in pivot]
+        warnings.warn(
+            f"pivot runs missing for: {', '.join(missing)}; pivot-relative cells "
+            f"stay empty there",
+            ChangeWarning,
+            stacklevel=2,
+        )
+    if family_size is None:
+        family_size = max(1, len(runs) * (len(labels) - 1))
+
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
-    rbo_cfg = rbo if scenario is Scenario.DTQ and common else None
+    rbo_cfg = rbo if scenario is Scenario.DTQ else None
     tasks = [
         partial(_score_system, by_label, labels, facts, measures, rbo_cfg, common)
         for by_label in runs.values()
@@ -359,6 +372,7 @@ def build_matrix(
         tasks.append(partial(_score_system, pivot, labels, facts, measures, pivot_cfg, common))
     scored = _workers.run_tasks(tasks)
 
+    # the checks that need the tags in the run files
     for (tag, by_label), system in zip(runs.items(), scored):
         # in the order the runs were given; a label of no environment is
         # never read
@@ -385,18 +399,6 @@ def build_matrix(
                 f"only as --pivot-run"
             )
         by_tag[pivot_tag] = scored[-1]
-    if pivot and not pivot_complete:
-        missing = [label for label in labels if label not in pivot]
-        warnings.warn(
-            f"pivot runs missing for: {', '.join(missing)}; pivot-relative cells "
-            f"stay empty there",
-            ChangeWarning,
-            stacklevel=2,
-        )
-    if not common:
-        raise ValueError("no topic is common to every environment")
-    if family_size is None:
-        family_size = max(1, len(runs) * (len(labels) - 1))
 
     # an incomplete pivot gets no rows of its own
     row_tags = sorted(by_tag if pivot_complete else runs)

@@ -26,7 +26,8 @@ run on one process per CPU in this process's affinity mask, up to
 systems + pivot, with workers forked after the environments are loaded
 (:mod:`irdrift._workers`); with one allowed CPU everything runs in this
 process. ``import irdrift.cli`` loads neither the worker helper nor
-:mod:`pickle`.
+:mod:`pickle`. ``evaluate`` scores each ``--run`` as it reads it, so it
+holds one parsed run at a time.
 
 Exit codes are stable: 0 success, 1 internal error, 2 usage or
 validation error. All output is deterministic; given identical inputs,
@@ -61,6 +62,7 @@ from .ingest import (
 from .model import (
     EvaluationEnvironment,
     MeasureSpec,
+    PerTopicScores,
     Scenario,
     TopicId,
     _check_id,
@@ -179,21 +181,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         from . import simulate as sim
 
         topic_filter = sim.common_topics([envs[label] for label in labels])
-    runs = [load_run(path) for path in args.run]
-    tagged: dict[str, str] = {}
-    for path, run in zip(args.run, runs):
-        if run.system_tag in tagged:
+    # each run is scored as it is read, so one run is held at a time
+    qrels = envs[args.ee].qrels
+    scored: dict[str, tuple[str, dict[MeasureSpec, PerTopicScores]]] = {}
+    for path in args.run:
+        run = load_run(path)
+        if run.system_tag in scored:
             # two rows per (system, measure, topic) could not be told apart
             raise CliError(
                 f"--run {path!r}: system tag {run.system_tag!r} is also the tag of "
-                f"--run {tagged[run.system_tag]!r}; each run needs its own tag"
+                f"--run {scored[run.system_tag][0]!r}; each run needs its own tag"
             )
-        tagged[run.system_tag] = path
-    runs.sort(key=lambda r: r.system_tag)
+        (by_measure,) = eff.score_runs([run], qrels, measures, topic_filter)
+        scored[run.system_tag] = path, by_measure
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
-    scored = eff.score_runs(runs, envs[args.ee].qrels, measures, topic_filter)
-    for run, by_measure in zip(runs, scored):
+    for tag in sorted(scored):
+        path, by_measure = scored[tag]
         for measure in measures:
             scores = by_measure[measure]
             try:
@@ -202,12 +206,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 where = f"{measure.name} in environment {args.ee!r}"
                 if args.topics is not None:
                     where += f" with --topics {args.topics!r}"
-                raise CliError(f"--run {tagged[run.system_tag]!r}: {exc} for {where}") from None
+                raise CliError(f"--run {path!r}: {exc} for {where}") from None
             if args.per_topic:
                 for topic in sorted(scores.scores):
                     rows.append(
                         [
-                            run.system_tag,
+                            tag,
                             args.ee,
                             measure.name,
                             topic,
@@ -216,7 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     )
             rows.append(
                 [
-                    run.system_tag,
+                    tag,
                     args.ee,
                     measure.name,
                     "all",
@@ -234,7 +238,7 @@ def _parse_run_flags(flags: list[str], labels: list[str]) -> dict[str, dict[str,
     runs: dict[str, dict[str, str]] = {}
     for flag in flags:
         parts = flag.split(":", 2)
-        if len(parts) != 3:
+        if len(parts) != 3 or not parts[2]:
             raise CliError(f"--run expects TAG:EE_LABEL:PATH, got {flag!r}")
         tag, label, path = parts
         try:
@@ -420,10 +424,17 @@ def _places(text: str) -> int:
     return places
 
 
+def _path(text: str) -> str:
+    # an empty path would name the current directory
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "markdown", "json")) -> None:
     parser.add_argument("--format", choices=formats, default="csv")
     parser.add_argument("--places", type=_places, default=4, help="decimal places for reals")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--out", type=_path, help="write output to this file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,16 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_diff = sub.add_parser("diff", help="CRUD summary between two environments")
-    p_diff.add_argument("--config", required=True, help="environment config JSON")
+    p_diff.add_argument("--config", type=_path, required=True, help="environment config JSON")
     p_diff.add_argument("--from", dest="from_label", required=True, metavar="LABEL")
     p_diff.add_argument("--to", dest="to_label", required=True, metavar="LABEL")
     _add_output_flags(p_diff)
     p_diff.set_defaults(func=cmd_diff)
 
     p_eval = sub.add_parser("evaluate", help="effectiveness of runs in one environment")
-    p_eval.add_argument("--config", required=True)
+    p_eval.add_argument("--config", type=_path, required=True)
     p_eval.add_argument("--ee", required=True, metavar="LABEL")
-    p_eval.add_argument("--run", action="append", required=True, metavar="PATH")
+    p_eval.add_argument("--run", type=_path, action="append", required=True, metavar="PATH")
     p_eval.add_argument(
         "--measures", default="p@10,bpref,ndcg", help="comma-separated, e.g. p@10,bpref,ndcg"
     )
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_change = sub.add_parser("change", help="longitudinal change matrix")
-    p_change.add_argument("--config", required=True)
+    p_change.add_argument("--config", type=_path, required=True)
     p_change.add_argument(
         "--scenario", choices=[s.value for s in Scenario], required=True
     )
@@ -495,14 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_change.set_defaults(func=cmd_change)
 
     p_sim = sub.add_parser("simulate", help="cut a dated corpus into append-only slices")
-    p_sim.add_argument("--manifest", required=True)
-    p_sim.add_argument("--qrels", required=True)
+    p_sim.add_argument("--manifest", type=_path, required=True)
+    p_sim.add_argument("--qrels", type=_path, required=True)
     p_sim.add_argument("--slices", type=int, required=True)
-    p_sim.add_argument("--out-dir", required=True)
+    p_sim.add_argument("--out-dir", type=_path, required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="re-render a saved matrix JSON")
-    p_rep.add_argument("--matrix", required=True, help="matrix JSON written by 'change'")
+    p_rep.add_argument(
+        "--matrix", type=_path, required=True, help="matrix JSON written by 'change'"
+    )
     _add_output_flags(p_rep)
     p_rep.set_defaults(func=cmd_report)
 

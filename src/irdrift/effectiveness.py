@@ -116,17 +116,17 @@ def score_runs(
     facts are computed once, and each ranking's docs are looked up in the
     grades once for every measure.
     """
-    if topic_filter is None:
-        candidates = set().union(*(run.rankings for run in runs))
-    else:
-        candidates = topic_filter
+    candidates = qrels.by_topic if topic_filter is None else topic_filter
     return _score_judged(runs, _judge(qrels, candidates), measures, topic_filter is not None)
 
 
 def _judge(qrels: Qrels, topics: Iterable[TopicId]) -> dict[TopicId, _TopicFacts]:
-    """The judgment facts of each of ``topics`` that ``qrels`` judges."""
+    """The judgment facts of each of ``topics`` that is eligible, in topic
+    id order: a topic is eligible when ``qrels`` judges at least one of
+    its documents relevant (grade >= 1)."""
     by_topic = qrels.by_topic
-    return {topic: _TopicFacts(by_topic[topic]) for topic in topics if topic in by_topic}
+    facts = {topic: _TopicFacts(by_topic[topic]) for topic in sorted(topics) if topic in by_topic}
+    return {topic: fact for topic, fact in facts.items() if fact.big_r}
 
 
 def _score_judged(
@@ -139,8 +139,6 @@ def _score_judged(
     several calls may share. ``filtered`` says the facts' topics are a
     topic filter, so an eligible topic a run did not answer scores 0."""
     measures = list(measures)
-    # a topic with R >= 1 is one whose highest grade is >= 1
-    eligible = sorted(topic for topic, fact in facts.items() if fact.big_r)
     # bpref and nDCG without a cutoff read the whole ranking
     full = any(m.cutoff is None for m in measures)
     depth = None if full else max((m.cutoff for m in measures), default=0)
@@ -153,7 +151,7 @@ def _score_judged(
     results: list[dict[MeasureSpec, PerTopicScores]] = []
     for run in runs:
         rankings = run.rankings
-        topics = eligible if filtered else [t for t in eligible if t in rankings]
+        topics = facts if filtered else [t for t in facts if t in rankings]
         per_measure: dict[MeasureSpec, dict[TopicId, float]] = {m: {} for m in measures}
         for topic in topics:
             ranking = rankings.get(topic)

@@ -10,16 +10,11 @@ document scorable.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_right
 from datetime import datetime
 from typing import NamedTuple
 
 from .model import DocId, EvaluationEnvironment, TopicId, _Checked
-
-
-class SimulationWarning(UserWarning):
-    pass
 
 
 class _SimulationPlanFields(NamedTuple):
@@ -138,14 +133,13 @@ def _equal_counts(total: int, slices: int) -> list[int]:
 
 
 def common_topics(ees: list[EvaluationEnvironment]) -> set[TopicId]:
-    """Topic ids present in every environment of the list."""
+    """Topic ids present in every environment of the list; a ``ValueError``
+    when there are none, since no score can be taken over them."""
     if not ees:
         raise ValueError("common_topics requires at least one environment")
     common = set(ees[0].topics)
     for ee in ees[1:]:
         common &= set(ee.topics)
     if not common:
-        warnings.warn(
-            "no topic is common to all environments", SimulationWarning, stacklevel=2
-        )
+        raise ValueError("no topic is common to every environment")
     return common

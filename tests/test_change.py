@@ -421,8 +421,23 @@ def test_build_matrix_rejects_a_pivot_that_is_also_a_system():
 
 def test_build_matrix_rejects_environments_without_a_common_topic():
     envs, runs, pivot = _matrix_inputs(topic_ids=(["q1"], ["q2"]))
-    with pytest.warns(UserWarning, match="no topic is common"):
-        with pytest.raises(ValueError, match="^no topic is common to every environment$"):
+    with pytest.raises(ValueError, match="^no topic is common to every environment$"):
+        _build(envs, runs, pivot)
+
+
+def _no_task(tasks):
+    raise AssertionError("a scoring task was started")
+
+
+def test_build_matrix_settles_what_needs_no_run_before_any_task(monkeypatch):
+    monkeypatch.setattr(_workers, "run_tasks", _no_task)
+    envs, runs, pivot = _matrix_inputs(topic_ids=(["q1"], ["q2"]))
+    with pytest.raises(ValueError, match="^no topic is common to every environment$"):
+        _build(envs, runs, pivot)
+    envs, runs, pivot = _matrix_inputs()
+    del pivot["t1"]
+    with pytest.warns(ChangeWarning, match="^pivot runs missing for: t1;"):
+        with pytest.raises(AssertionError, match="a scoring task was started"):
             _build(envs, runs, pivot)
 
 

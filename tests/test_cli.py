@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from irdrift import _numeric, _workers, effectiveness, ingest
+from irdrift import _numeric, _workers, cli, effectiveness, ingest
 from irdrift.cli import main
 from irdrift.ingest import (
     ParseError,
@@ -597,6 +597,31 @@ def test_change_missing_system_run_exits_2(tmp_path, capsys):
     assert "missing runs" in capsys.readouterr().err
 
 
+def _list_topics(config, topic_sets):
+    """Give each configured environment a topic file of its own ids."""
+    entries = json.loads(config.read_text())
+    for entry, topic_ids in zip(entries, topic_sets):
+        name = f"{entry['label']}.topics.jsonl"
+        (config.parent / name).write_text(format_topics(dict.fromkeys(topic_ids)))
+        entry["topics"] = name
+    config.write_text(json.dumps(entries))
+
+
+@pytest.mark.filterwarnings("ignore:.*does not appear in the topic set")
+@pytest.mark.parametrize("command", ["dtq", "dtq-prime", "evaluate"])
+def test_no_common_topic_is_reported_before_any_run_is_read(tmp_path, capsys, command):
+    config, runs = write_cli_fixture(tmp_path)
+    _list_topics(config, (["q1"], ["q2"]))
+    missing = str(tmp_path / "missing.run")
+    if command == "evaluate":
+        args = ["evaluate", "--config", str(config), "--ee", "t0", "--run", missing,
+                "--topics", "common"]
+    else:
+        args = change_argv(config, {**runs, ("alpha", "t0"): missing}, command)
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: no topic is common to every environment\n"
+
+
 @pytest.mark.parametrize(
     "pivot_tags, topic_sets, message",
     [
@@ -609,12 +634,7 @@ def test_change_missing_system_run_exits_2(tmp_path, capsys):
 def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, message):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
     if topic_sets is not None:
-        entries = json.loads(config.read_text())
-        for entry, topic_ids in zip(entries, topic_sets):
-            name = f"{entry['label']}.topics.jsonl"
-            (tmp_path / name).write_text(format_topics(dict.fromkeys(topic_ids)))
-            entry["topics"] = name
-        config.write_text(json.dumps(entries))
+        _list_topics(config, topic_sets)
     args = change_argv(config, runs, "dtq-prime")
     for tag, label in zip(pivot_tags, ("t0", "t1")):
         args += ["--pivot-run", f"{label}={runs[(tag, label)]}"]
@@ -813,6 +833,81 @@ def test_evaluate_rejects_two_runs_with_one_system_tag(tmp_path, capsys):
     # one path given twice is rejected the same way
     assert main(argv[:-2] + ["--run", first]) == 2
     assert "is also the tag of" in capsys.readouterr().err
+
+
+def test_evaluate_scores_each_run_as_it_reads_it(tmp_path, capsys, monkeypatch):
+    config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "gamma"))
+    calls = []
+    load_run, score_runs = cli.load_run, effectiveness.score_runs
+
+    def loading(path):
+        calls.append(("load", Path(path).name))
+        return load_run(path)
+
+    def scoring(batch, *args):
+        calls.append(("score", [run.system_tag for run in batch]))
+        return score_runs(batch, *args)
+
+    monkeypatch.setattr(cli, "load_run", loading)
+    monkeypatch.setattr(effectiveness, "score_runs", scoring)
+    argv = ["evaluate", "--config", str(config), "--ee", "t0", "--measures", "p@5"]
+    for tag in ("gamma", "alpha", "beta"):
+        argv += ["--run", runs[(tag, "t0")]]
+    assert main(argv) == 0
+    assert calls == [
+        step
+        for tag in ("gamma", "alpha", "beta")
+        for step in (("load", f"{tag}.t0.run.txt"), ("score", [tag]))
+    ]
+    # the rows still come in system tag order
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["alpha", "beta", "gamma"]
+
+
+def _unread(*args, **kwargs):
+    raise AssertionError("a file was read")
+
+
+EMPTY_PATHS = [
+    (["diff", "--config", "", "--from", "t0", "--to", "t1"], "--config"),
+    (["diff", "--config", "{config}", "--from", "t0", "--to", "t1", "--out", ""], "--out"),
+    (["evaluate", "--config", "", "--ee", "t0", "--run", "{run}"], "--config"),
+    (["evaluate", "--config", "{config}", "--ee", "t0", "--run", ""], "--run"),
+    (["change", "--config", "", "--scenario", "dtq", "--run", "alpha:t0:{run}"], "--config"),
+    (["change", "--config", "{config}", "--scenario", "dtq", "--run", "alpha:t0:"],
+     "--run expects TAG:EE_LABEL:PATH, got 'alpha:t0:'"),
+    (["simulate", "--manifest", "", "--qrels", "q", "--slices", "3", "--out-dir", "o"],
+     "--manifest"),
+    (["simulate", "--manifest", "m", "--qrels", "", "--slices", "3", "--out-dir", "o"],
+     "--qrels"),
+    (["simulate", "--manifest", "m", "--qrels", "q", "--slices", "3", "--out-dir", ""],
+     "--out-dir"),
+    (["report", "--matrix", ""], "--matrix"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    EMPTY_PATHS,
+    ids=[f"{argv[0]} {named.split()[0]}" for argv, named in EMPTY_PATHS],
+)
+def test_an_empty_path_is_a_usage_error_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch, argv, named
+):
+    config, runs = write_cli_fixture(tmp_path)
+    for reader in ("_load_sequence", "load_manifest", "load_qrels", "load_run"):
+        monkeypatch.setattr(cli, reader, _unread)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [arg.format(config=config, run=runs[("alpha", "t0")]) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag while parsing
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert list(cwd.iterdir()) == []  # nothing was written
 
 
 def test_simulate_writes_slices_and_config(tmp_path, capsys):

@@ -24,12 +24,7 @@ from irdrift.ingest import (
     load_qrels,
 )
 from irdrift.model import DocMeta, EvaluationEnvironment, Qrels, validate_environment
-from irdrift.simulate import (
-    SimulationPlan,
-    SimulationWarning,
-    common_topics,
-    split_append_only,
-)
+from irdrift.simulate import SimulationPlan, common_topics, split_append_only
 
 from conftest import make_environment, make_qrels, synth_corpus, synth_qrels
 
@@ -214,8 +209,8 @@ def test_common_topics_examples():
     assert common_topics(
         [env(["1", "2", "3"]), env(["2", "3", "4"]), env(["3"])]
     ) == {"3"}
-    with pytest.warns(SimulationWarning, match="common"):
-        assert common_topics([env(["1"]), env(["2"])]) == set()
+    with pytest.raises(ValueError, match="^no topic is common to every environment$"):
+        common_topics([env(["1"]), env(["2"])])
     with pytest.raises(ValueError):
         common_topics([])
 
