@@ -1,58 +1,19 @@
-"""Float64 summation and the Student t tail, in the standard library only.
+"""The Student t tail, in the standard library only.
 
-``ordered_sum`` adds in iteration order with one rounding per addition,
-as ``sum()`` did before Python 3.12, which compensates the rounding of
-float sums; so a mean built from it has the same bits on every version.
-``pairwise_sum`` adds in NumPy's order for a contiguous float64
-``add.reduce``, so means and variances built from it carry the same bits
-as ``np.mean``/``np.std``. ``t_two_sided_p`` evaluates the regularised
-incomplete beta function by its continued fraction (Numerical Recipes,
-``betai``/``betacf``, with the modified Lentz method).
+``t_two_sided_p`` evaluates the regularised incomplete beta function by
+its continued fraction (Numerical Recipes, ``betai``/``betacf``, with
+the modified Lentz method). Sums need no helper here: every mean and
+score sum is ``math.fsum``, which is correctly rounded, so its bits
+depend neither on the order of the values nor on the Python version.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
 
-_BLOCK = 128  # NumPy's PW_BLOCKSIZE
 _EPS = 1e-15  # the fraction stops once a step changes it by less than this
 _TINY = 1e-300  # stands in for a zero denominator in Lentz's method
 _MAX_ITERATIONS = 10_000  # df up to 10^6 needs at most ~60
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Sum left to right, rounding after each addition."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """Sum in the order of NumPy's float64 pairwise-summation kernel."""
-    return _pairwise(values, 0, len(values))
-
-
-def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
-    if n < 8:
-        total = -0.0
-        for i in range(lo, lo + n):
-            total += values[i]
-        return total
-    if n <= _BLOCK:
-        r = list(values[lo : lo + 8])
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(end, lo + n):
-            total += values[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
 def t_two_sided_p(t: float, df: float) -> float:

@@ -42,7 +42,6 @@ from . import _workers
 from . import effectiveness as eff
 from . import significance as sig
 from . import simulate as sim
-from ._numeric import ordered_sum, pairwise_sum
 from .ingest import IngestWarning, load_run
 from .model import (
     EvaluationEnvironment,
@@ -100,9 +99,8 @@ class ChangeScores(_Checked, _ChangeScoresFields):
 
     @property
     def mean(self) -> float:
-        """The arithmetic mean, summed in topic id order."""
-        per_topic = self.per_topic
-        return ordered_sum([per_topic[t] for t in sorted(per_topic)]) / len(per_topic)
+        """The arithmetic mean; the sum is ``math.fsum``, correctly rounded."""
+        return math.fsum(self.per_topic.values()) / len(self.per_topic)
 
 
 def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
@@ -204,19 +202,19 @@ def rmse(scores: PerTopicScores, scores_prime: PerTopicScores) -> float:
 
     Meaningful only when both sets were computed with the same measure
     against the same qrels; the common topics are compared. The squared
-    differences are summed in NumPy's pairwise order, so the value has
-    the bits of ``np.sqrt(np.mean((a - b) ** 2))``.
+    differences are summed by ``math.fsum``, correctly rounded, so the
+    value does not depend on the order of the topics.
     """
     if scores.measure != scores_prime.measure:
         raise ValueError(
             f"rmse requires matching measures, got {scores.measure.name} vs "
             f"{scores_prime.measure.name}"
         )
-    common = sorted(scores.topics() & scores_prime.topics())
+    common = scores.topics() & scores_prime.topics()
     if not common:
         raise ValueError("rmse requires a non-empty common topic set")
     diffs = [scores.scores[t] - scores_prime.scores[t] for t in common]
-    return math.sqrt(pairwise_sum([d * d for d in diffs]) / len(diffs))
+    return math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))
 
 
 def result_delta(arp_initial: float, arp_evolved: float) -> float:

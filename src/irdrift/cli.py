@@ -89,14 +89,26 @@ def _write_file(path: Path, data: bytes) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _flag_value(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError it raises becomes a usage
+    error that names ``flag``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
+
+
 def _parse_measures(text: str) -> list[MeasureSpec]:
-    measures = [MeasureSpec.parse(part) for part in text.split(",") if part.strip()]
+    flag = f"--measures {text!r}"
+    measures = [
+        _flag_value(flag, MeasureSpec.parse, part) for part in text.split(",") if part.strip()
+    ]
     if not measures:
-        raise CliError(f"no measures given in {text!r}")
+        raise CliError(f"{flag}: no measures given")
     for i, measure in enumerate(measures):
         if measure in measures[:i]:
             # by canonical name: p@10 and P@10 would give every row twice
-            raise CliError(f"--measures {text!r}: duplicate measure {measure.name!r}")
+            raise CliError(f"{flag}: duplicate measure {measure.name!r}")
     return measures
 
 
@@ -273,12 +285,12 @@ def cmd_change(args: argparse.Namespace) -> int:
     from . import significance as sig
 
     # the default family size is at least 1, so 1 stands in for it here
-    try:
-        sig.bonferroni(args.alpha, 1 if args.family_size is None else args.family_size)
-    except ValueError as exc:
-        raise CliError(f"--alpha/--family-size: {exc}") from None
+    family_size = 1 if args.family_size is None else args.family_size
+    _flag_value("--alpha/--family-size", sig.bonferroni, args.alpha, family_size)
     measures = _parse_measures(args.measures)
-    rbo = cm.RboConfig(phi=args.phi, depth=args.rbo_depth, normalize=not args.no_rbo_normalize)
+    _flag_value("--phi", cm.RboConfig, args.phi)
+    normalize = not args.no_rbo_normalize
+    rbo = _flag_value("--rbo-depth", cm.RboConfig, args.phi, args.rbo_depth, normalize)
     configs, labels = _read_config(args.config)
     scenario = Scenario(args.scenario)
 
@@ -330,7 +342,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """
     from . import simulate as sim
 
-    plan = sim.SimulationPlan(num_slices=args.slices)  # before any file is read
+    # before any file is read
+    plan = _flag_value("--slices", sim.SimulationPlan, num_slices=args.slices)
     corpus = load_manifest(args.manifest)
     qrels = load_qrels(args.qrels)
     topics = dict.fromkeys(sorted(qrels.topics()))

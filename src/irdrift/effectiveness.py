@@ -34,7 +34,6 @@ import math
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from ._numeric import ordered_sum
 from .model import (
     DocId,
     MeasureKind,
@@ -176,14 +175,13 @@ def arp(scores: PerTopicScores) -> float:
     """Average retrieval performance: the arithmetic mean over all
     evaluated topics.
 
-    Summation runs in sorted topic-id order, one rounding per addition,
-    so the result is bit-stable regardless of how the score map was
-    built or which Python version runs it.
+    The sum is ``math.fsum``, correctly rounded, so the result has the
+    same bits however the score map was built and whichever Python
+    version runs it.
     """
     if not scores.scores:
         raise ValueError("no evaluated topics")
-    ordered = [scores.scores[t] for t in sorted(scores.scores)]
-    return ordered_sum(ordered) / len(ordered)
+    return math.fsum(scores.scores.values()) / len(scores.scores)
 
 
 # --- one copy of each measure's arithmetic --------------------------------
@@ -211,7 +209,7 @@ class _TopicFacts:
         depth = min(depth, len(self.ideal))
         value = self._idcg.get(depth)
         if value is None:
-            value = self._idcg[depth] = ordered_sum(
+            value = self._idcg[depth] = math.fsum(
                 g / discounts[i] for i, g in enumerate(self.ideal[:depth])
             )
         return value
@@ -235,11 +233,9 @@ def _ndcg(gains: list[int], depth: int, facts: _TopicFacts, discounts: list[floa
     idcg = facts.idcg(depth, discounts)
     if idcg == 0.0:
         return 0.0
-    dcg = 0.0
-    for i, g in enumerate(gains[:depth]):
-        # a zero or unjudged gain would add exactly 0.0
-        if g > 0:
-            dcg += g / discounts[i]
+    # summed as idcg is, so the ideal order scores exactly 1.0; a zero or
+    # unjudged gain would add exactly 0.0
+    dcg = math.fsum(g / discounts[i] for i, g in enumerate(gains[:depth]) if g > 0)
     return dcg / idcg
 
 

@@ -6,11 +6,11 @@ the comparison family. Pairing is only statistically sound when both
 score sets were computed against the same qrels.
 
 The arithmetic needs only the standard library: the mean and the
-standard deviation are summed in NumPy's pairwise order, so the t
-statistic has the bits of ``np.mean``/``np.std(ddof=1)`` wherever those
-do not underflow. The differences are first scaled by a power of two,
-which is exact and leaves t unchanged, so that the largest lies in
-[0.5, 1) and tiny differences keep their t. The p value
+squared deviations from it are summed by ``math.fsum``, correctly
+rounded, so the t statistic does not depend on the order of the topics.
+The differences are first scaled by a power of two, which is exact and
+leaves t unchanged, so that the largest lies in [0.5, 1) and tiny
+differences keep their t. The p value
 is the regularised incomplete beta function's continued fraction, within
 ~1e-12 relative of a 50-digit reference for 1-999 degrees of freedom.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._numeric import pairwise_sum, t_two_sided_p
+from ._numeric import t_two_sided_p
 from .model import PerTopicScores, _Checked
 
 
@@ -65,7 +65,7 @@ def paired_t_test(
             f"paired test requires matching measures, got {scores_a.measure.name} "
             f"vs {scores_b.measure.name}"
         )
-    common = sorted(scores_a.topics() & scores_b.topics())
+    common = scores_a.topics() & scores_b.topics()
     n = len(common)
     if n < 2:
         raise ValueError(f"paired test requires >= 2 common topics, got {n}")
@@ -82,9 +82,8 @@ def paired_t_test(
     # vary cannot all underflow, so sd > 0
     _, exponent = math.frexp(max(map(abs, diffs)))
     diffs = [math.ldexp(d, -exponent) for d in diffs]
-    # NumPy's order: the mean, then the squared deviations from it
-    mean = pairwise_sum(diffs) / n
-    sd = math.sqrt(pairwise_sum([(d - mean) * (d - mean) for d in diffs]) / (n - 1))
+    mean = math.fsum(diffs) / n
+    sd = math.sqrt(math.fsum((d - mean) * (d - mean) for d in diffs) / (n - 1))
     t = mean / (sd / math.sqrt(n))
     p = t_two_sided_p(t, n - 1)
     return t, min(p, 1.0), n

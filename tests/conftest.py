@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 from datetime import date, datetime, timedelta, timezone
+from fractions import Fraction
 
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
@@ -282,19 +283,20 @@ def pivot_argv(config, runs):
     return args
 
 
-# lengths at and around the blocking of NumPy's pairwise summation: fewer
-# than 8 values, 8 accumulators up to 128, and the split above 128
-PAIRWISE_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 400]
-
 # no shrink phase: a failing list of a few hundred floats reads no better
 # shrunk, and shrinking one takes minutes
 NO_SHRINK = settings(deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
+def exact_sum(values) -> float:
+    """The correctly rounded sum: exact in rationals, rounded once."""
+    return float(sum(map(Fraction, values)))
+
+
 def score_list_pairs(min_size: int):
-    """Two equally long lists of scores in [0, 1], of a PAIRWISE_LENGTHS length."""
+    """Two equally long lists of scores in [0, 1], of min_size to 400 each."""
     score = st.floats(0.0, 1.0)
-    return st.sampled_from([n for n in PAIRWISE_LENGTHS if n >= min_size]).flatmap(
+    return st.integers(min_size, 400).flatmap(
         lambda n: st.tuples(
             st.lists(score, min_size=n, max_size=n), st.lists(score, min_size=n, max_size=n)
         )

@@ -4,11 +4,11 @@ agreement, and structural properties."""
 import inspect
 import itertools
 import json
+import math
 import random
 import re
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -35,6 +35,7 @@ from conftest import (
     NO_SHRINK,
     UnderflowingScores,
     cpu_masks,
+    exact_sum,
     make_environment,
     make_qrels,
     make_ranking,
@@ -323,13 +324,29 @@ def test_rmse_symmetry_and_triangle_inequality():
 
 @NO_SHRINK
 @given(score_list_pairs(min_size=1))
-def test_rmse_is_bit_identical_to_numpy(pair):
+def test_rmse_has_the_bits_of_the_exact_sum(pair):
     a, b = pair
-    # zero-padded topic ids sort in list order, the order rmse sums in
-    topics = [f"{i:04d}" for i in range(len(a))]
+    topics = [f"q{i}" for i in range(len(a))]
     got = rmse(_scores(dict(zip(topics, a))), _scores(dict(zip(topics, b))))
-    expected = float(np.sqrt(np.mean((np.array(a) - np.array(b)) ** 2)))
-    assert got.hex() == expected.hex()
+    squares = [(x - y) * (x - y) for x, y in zip(a, b)]
+    assert got.hex() == math.sqrt(exact_sum(squares) / len(a)).hex()
+
+
+@NO_SHRINK
+@given(score_list_pairs(min_size=2), st.randoms(use_true_random=False))
+def test_means_rmse_and_t_keep_their_bits_in_any_insertion_order(pair, rng):
+    by_topic = [dict(zip([f"q{i}" for i in range(len(a))], a)) for a in pair]
+
+    def bits(order):
+        a, b = (_scores({t: values[t] for t in order}) for values in by_topic)
+        t, _, _ = significance.paired_t_test(a, b)
+        values = (effectiveness.arp(a), ChangeScores(a.scores).mean, rmse(a, b), t)
+        return [value.hex() for value in values]
+
+    order = list(by_topic[0])
+    shuffled = order[:]
+    rng.shuffle(shuffled)
+    assert bits(shuffled) == bits(order)
 
 
 # --- ARP-level deltas ---

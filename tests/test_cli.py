@@ -404,10 +404,14 @@ def test_change_rejects_invalid_alpha_or_family_size(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "flag, message",
     [
-        ("--measures=map", "unknown measure 'map' (expected p@K, ndcg[@K], bpref)"),
-        ("--measures=,", "no measures given in ','"),
-        ("--phi=1.5", "phi must lie strictly between 0 and 1, got 1.5"),
-        ("--rbo-depth=0", "depth must be >= 1, got 0"),
+        (
+            "--measures=map",
+            "--measures 'map': unknown measure 'map' (expected p@K, ndcg[@K], bpref)",
+        ),
+        ("--measures=,", "--measures ',': no measures given"),
+        ("--measures=p@0", "--measures 'p@0': precision measure requires cutoff >= 1"),
+        ("--phi=1.5", "--phi: phi must lie strictly between 0 and 1, got 1.5"),
+        ("--rbo-depth=0", "--rbo-depth: depth must be >= 1, got 0"),
     ],
 )
 def test_change_rejects_bad_measures_or_rbo_flags(tmp_path, capsys, flag, message):
@@ -973,7 +977,7 @@ def test_simulate_checks_slices_before_any_file_is_read(tmp_path, capsys):
         str(tmp_path / "out"),
     ]
     assert main(args) == 2
-    assert capsys.readouterr().err == "error: num_slices must be >= 2, got 1\n"
+    assert capsys.readouterr().err == "error: --slices: num_slices must be >= 2, got 1\n"
     assert not (tmp_path / "out").exists()
 
 

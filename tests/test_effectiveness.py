@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from irdrift.change import ChangeScores
-from irdrift.effectiveness import arp, bpref, evaluate_run, ndcg, precision_at_k
-from irdrift.model import MeasureSpec, PerTopicScores, TopicId
+from irdrift.effectiveness import arp, bpref, evaluate_run, ndcg, precision_at_k, score_runs
+from irdrift.model import MeasureKind, MeasureSpec, PerTopicScores, TopicId
 
 from conftest import make_qrels, make_ranking, make_run
 
@@ -149,12 +151,33 @@ def test_arp_examples():
         arp(PerTopicScores(m, {}))
 
 
-def test_means_round_after_each_addition_on_every_python_version():
-    # left to right, ten 0.1s sum to 0.9999999999999999; the compensated
-    # float sum() of Python 3.12 and later gives 1.0
+def test_means_are_the_exact_sum_on_every_python_version():
+    # left to right, ten 0.1s sum to 0.9999999999999999; the exact sum
+    # rounds to 1.0
     tenths = {TopicId(f"q{i}"): 0.1 for i in range(10)}
-    assert arp(PerTopicScores(MeasureSpec.parse("p@10"), tenths)) == 0.9999999999999999 / 10
-    assert ChangeScores(tenths).mean == 0.9999999999999999 / 10
+    assert arp(PerTopicScores(MeasureSpec.parse("p@10"), tenths)) == 0.1
+    assert ChangeScores(tenths).mean == 0.1
+
+
+# judged docs d0-d59 with grades 0-4, and unjudged docs u0-u19
+GRADE_MAPS = st.dictionaries(
+    st.sampled_from([f"d{i}" for i in range(60)]), st.integers(0, 4), min_size=1
+).filter(lambda grades: max(grades.values()) >= 1)
+
+
+@given(GRADE_MAPS, st.none() | st.integers(1, 70), st.randoms(use_true_random=False))
+def test_the_ideal_order_scores_exactly_one_and_no_ranking_more(grades, k, rng):
+    # dcg and idcg must be summed alike, or the ideal order can miss 1.0
+    ideal = sorted(grades, key=grades.__getitem__, reverse=True)
+    other = rng.sample(ideal + [f"u{i}" for i in range(20)], rng.randint(0, len(ideal) + 20))
+    measure = MeasureSpec(MeasureKind.NDCG, k)
+    run = make_run("s", {"ideal": ideal, "other": other})
+    qrels = make_qrels({(topic, doc): g for topic in ("ideal", "other") for doc, g in grades.items()})
+    [scores] = score_runs([run], qrels, [measure])
+    assert ndcg(make_ranking(ideal), grades, k) == 1.0
+    assert scores[measure].scores[TopicId("ideal")] == 1.0
+    assert ndcg(make_ranking(other), grades, k) <= 1.0
+    assert scores[measure].scores[TopicId("other")] <= 1.0
 
 
 # --- invariants ---

@@ -7,13 +7,13 @@ is defined.
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
 ``significance.paired_t_test`` compute their means, standard deviations
-and t tails with the standard library (``irdrift._numeric``), so the
-package needs nothing else at run time. The checks run in a fresh
-interpreter, because this test process has loaded numpy and scipy
-already; one of them blocks both imports outright. Every record type is
-a checked named tuple, so no module needs ``dataclasses``, whose import
-pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, which every CLI
-process would pay for at startup.
+and t tails with the standard library (``math.fsum`` and
+``irdrift._numeric``), so the package needs nothing else at run time.
+The checks run in a fresh interpreter, because this test process has
+loaded numpy and scipy already; one of them blocks both imports
+outright. Every record type is a checked named tuple, so no module needs
+``dataclasses``, whose import pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``, which every CLI process would pay for at startup.
 """
 
 import json
@@ -140,12 +140,12 @@ def test_importing_the_package_and_cli_loads_neither_numpy_nor_scipy(fresh):
 
 def test_measures_load_neither_numpy_nor_scipy_and_keep_their_values(fresh):
     assert fresh["after_calls"] == []
-    # t and rmse are the bits these calls gave with numpy and scipy; p is
-    # the correctly rounded 0.80370874977798139... (50-digit mpmath),
-    # where scipy gave 0.8037087497779815
+    # t and rmse are the correctly rounded -0.25462690087516612... and
+    # 0.41871024763207984... of these scores (50-digit mpmath); p is the
+    # correctly rounded 0.80370874977798147... of that t
     assert (fresh["t"], fresh["p"], fresh["significant"], fresh["n"]) == (
-        "-0.2546269008751662",
-        "0.8037087497779813",
+        "-0.2546269008751661",
+        "0.8037087497779815",
         False,
         12,
     )

@@ -24,11 +24,13 @@ def ref_precision_at_k(ranking, grades, k):
 
 def ref_ndcg(ranking, grades, k=None):
     depth = k if k is not None else len(ranking)
-    dcg = 0.0
-    for i, doc in enumerate(ranking.docs[:depth], start=1):
-        dcg += grades.get(doc, 0) / math.log2(i + 1)
+    # math.fsum is correctly rounded, so these bits hold on every version
+    dcg = math.fsum(
+        grades.get(doc, 0) / math.log2(i + 1)
+        for i, doc in enumerate(ranking.docs[:depth], start=1)
+    )
     ideal = sorted(grades.values(), reverse=True)[:depth]
-    idcg = sum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    idcg = math.fsum(g / math.log2(i + 1) for i, g in enumerate(ideal, start=1))
     if idcg == 0.0:
         return 0.0
     return dcg / idcg

@@ -1,36 +1,31 @@
 """Paired t-test and Bonferroni correction, checked against an
 independently computed t-distribution tail (numerical quadrature of the
 density written out directly), and the standard-library numerics behind
-them against NumPy's float64 reductions and a 50-digit mpmath reference."""
+them against exact rational sums and a 50-digit mpmath reference."""
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from irdrift import _numeric
-from irdrift._numeric import pairwise_sum, t_two_sided_p
+from irdrift._numeric import t_two_sided_p
 from irdrift.model import MeasureSpec, PerTopicScores, TopicId
 from irdrift.significance import TestResult, bonferroni, compare, paired_t_test
 
-from conftest import NO_SHRINK, PAIRWISE_LENGTHS, score_list_pairs
+from conftest import NO_SHRINK, exact_sum, score_list_pairs
 
 
-def _scores(values: list[float], measure="p@10", topic_format="t{}") -> PerTopicScores:
+def _scores(values: list[float], measure="p@10") -> PerTopicScores:
     return PerTopicScores(
         MeasureSpec.parse(measure),
-        {TopicId(topic_format.format(i)): v for i, v in enumerate(values)},
+        {TopicId(f"t{i}"): v for i, v in enumerate(values)},
     )
-
-
-def _ordered_scores(values: list[float]) -> PerTopicScores:
-    """Scores whose topic ids sort in list order, the order the test sums in."""
-    return _scores(values, topic_format="t{:04d}")
 
 
 def t_two_sided_p_oracle(t: float, df: int) -> float:
@@ -195,28 +190,39 @@ def test_test_result_invariant_enforced():
 
 # --- the standard-library numerics ---
 
-@NO_SHRINK
-@given(st.sampled_from(PAIRWISE_LENGTHS).flatmap(
-    lambda n: st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)
-))
-def test_pairwise_sum_is_bit_identical_to_numpy(values):
-    got, expected = pairwise_sum(values), float(np.add.reduce(np.array(values)))
-    # NumPy adds the kernel's sum to an initial +0.0, so only the sign of
-    # an all-zero sum may differ
-    assert got == expected and (expected == 0.0 or got.hex() == expected.hex())
+def t_by_exact_sums(diffs: list[float]) -> float:
+    """t by the float steps paired_t_test takes, with each sum exact."""
+    n = len(diffs)
+    _, exponent = math.frexp(max(map(abs, diffs)))
+    scaled = [math.ldexp(d, -exponent) for d in diffs]
+    mean = exact_sum(scaled) / n
+    sd = math.sqrt(exact_sum([(d - mean) * (d - mean) for d in scaled]) / (n - 1))
+    return mean / (sd / math.sqrt(n))
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
 @NO_SHRINK
 @given(score_list_pairs(min_size=2))
-def test_t_statistic_is_bit_identical_to_numpy(pair):
+def test_t_statistic_has_the_bits_of_the_exact_sums(pair):
     a, b = pair
-    diffs = np.array(a) - np.array(b)
-    # the zero-variance convention is tested above; a variance that
-    # underflows to 0 leaves t undefined on both sides
-    assume(not np.all(diffs == diffs[0]) and float(np.std(diffs, ddof=1)) > 0.0)
-    t, _, n = paired_t_test(_ordered_scores(a), _ordered_scores(b))
-    expected = float(np.mean(diffs)) / (float(np.std(diffs, ddof=1)) / math.sqrt(n))
-    assert t.hex() == expected.hex()
+    diffs = [x - y for x, y in zip(a, b)]
+    # the zero-variance convention is tested above
+    assume(len(set(diffs)) > 1)
+    t, _, n = paired_t_test(_scores(a), _scores(b))
+    assert t.hex() == t_by_exact_sums(diffs).hex()
+    # against t itself, from the exact mean and variance; the rounded mean
+    # may shift the deviations by an ulp of the largest difference, so
+    # this holds where they spread wider than that
+    exact = [Fraction(d) for d in diffs]
+    mean = sum(exact) / n
+    variance = sum((d - mean) ** 2 for d in exact) / (n - 1)
+    with mpmath.workdps(50):
+        reference = _mp(mean) / mpmath.sqrt(_mp(variance) / n)
+        if mpmath.sqrt(_mp(variance)) > 1e-6 * max(map(abs, diffs)):
+            assert abs(t - reference) <= 1e-14 * abs(reference)
 
 
 def _mp_two_sided_p(t: float, df: int):
