@@ -20,6 +20,18 @@ entries are re-sorted by (score descending, doc id ascending), trusting
 scores over the file's rank column, which is validated but dropped; a
 ranking's rank is the position, and :func:`format_run` writes it back.
 
+Run and qrels files are read lazily, one line at a time, and each line
+is split once and checked once, in a fixed order with fixed messages;
+:func:`parse_run` and :func:`parse_qrels` list what a line costs. A
+ranking's canonical order takes two steps: a stable sort of the doc ids
+by score, descending, which is linear on a file already in score order,
+then a doc-id sort of each run of equal scores; together they give the
+order of sorting ``(-score, doc)`` pairs, ties between ``-0.0`` and
+``0.0`` included. :func:`parse_run` builds each :class:`Ranking` with
+``tuple.__new__``, without its ``_check``: the parser has just
+established every invariant that check tests, so nothing is checked
+twice.
+
 Identifiers are checked once, where they enter. Run and qrels lines are
 split on whitespace, so every token is already a non-empty,
 whitespace-free id and needs no further check. Ids read from JSON
@@ -65,11 +77,12 @@ formats each line of its slices with it once.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from datetime import date, datetime, timezone
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
-from math import isfinite
-from operator import neg
+from operator import eq
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -114,12 +127,25 @@ class EEConfig(_Checked, _EEConfigFields):
             raise ValueError("EEConfig label must be non-empty")
 
 
+# the fewest digits sys.set_int_max_str_digits may limit int() to
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
+
+
 def parse_run(lines: Iterable[str]) -> RunFile:
     """Parse a TREC-format run, canonicalizing each topic's ranking.
 
     The system tag is taken from column 6 of the first line; later lines
     with a different tag warn and keep the first. Duplicate (topic, doc)
     pairs and non-finite scores are errors.
+
+    Lines are read one at a time, and each is split once and checked
+    once, in the order and with the messages below. A well-formed line
+    costs a split, a column count, the ``Q0`` compare, an ``isdecimal``
+    and a length test of the rank, one ``float``, one subtraction and
+    one ``setdefault``; ``int()`` runs only on a rank that is not all
+    decimal digits or is very long. Each topic's ranking is then put in
+    canonical order by two sorts and built without a second check
+    (``_canonical_ranking``).
     """
     system_tag: str | None = None
     # topic -> doc -> score; the inner dict also detects duplicate pairs
@@ -130,9 +156,9 @@ def parse_run(lines: Iterable[str]) -> RunFile:
     docs: dict[str, float] = {}
     for lineno, raw in enumerate(lines, start=1):
         cols = raw.split()
-        if not cols:
-            continue
         if len(cols) != 6:
+            if not cols:
+                continue
             raise ParseError(
                 f"line {lineno}: expected 6 columns (topic Q0 doc rank score tag), "
                 f"got {len(cols)}"
@@ -140,25 +166,31 @@ def parse_run(lines: Iterable[str]) -> RunFile:
         topic, q0, doc, rank_s, score_s, tag = cols
         if q0 != "Q0" and q0.lower() != "q0":
             raise ParseError(f"line {lineno}: column 2 must be the literal Q0, got {q0!r}")
-        try:
-            int(rank_s)  # the rank column is validated but not trusted
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric rank {rank_s!r}") from None
+        # the rank column is validated but not trusted. int() accepts
+        # every all-decimal token of at most _SAFE_DIGITS digits, under
+        # any sys.set_int_max_str_digits limit; it decides every other one
+        if not rank_s.isdecimal() or len(rank_s) > _SAFE_DIGITS:
+            try:
+                int(rank_s)
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric rank {rank_s!r}") from None
         try:
             score = float(score_s)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric score {score_s!r}") from None
-        if not isfinite(score):
-            # NaN is unordered, so the canonical sort would follow line order
+        if score - score:
+            # x - x is 0.0 for a finite x and NaN for inf and NaN; NaN is
+            # unordered, so the canonical sort would follow line order
             raise ParseError(f"line {lineno}: non-finite score {score_s!r}")
         if topic != prev_topic:
             prev_topic = topic
             docs = by_topic.get(topic)
             if docs is None:
                 docs = by_topic[topic] = {}
-        if doc in docs:
+        # float() made `score` just now (CPython shares no float between
+        # calls), so only a doc already stored returns another object
+        if docs.setdefault(doc, score) is not score:
             raise ParseError(f"line {lineno}: duplicate entry for topic {topic}, doc {doc}")
-        docs[doc] = score
         if tag != system_tag:
             if system_tag is None:
                 system_tag = tag
@@ -176,10 +208,42 @@ def parse_run(lines: Iterable[str]) -> RunFile:
 
 
 def _canonical_ranking(docs: dict[str, float]) -> Ranking:
-    # (-score, doc) pairs sort as the key (score descending, doc ascending);
-    # the scores are read back from `docs`, so each keeps its own bits
-    _, doc_ids = zip(*sorted(zip(map(neg, docs.values()), docs)))
-    return Ranking(doc_ids, tuple(map(docs.__getitem__, doc_ids)))
+    """The ranking of a topic's doc -> score map, in the order of the key
+    (score descending, doc id ascending).
+
+    A stable sort by score alone, descending, leaves each run of equal
+    scores in line order, and is linear on a file already in score
+    order; sorting each such run by doc id then gives the order of
+    sorting ``(-score, doc)`` pairs, as ``-0.0 == 0.0`` ties there too.
+    Each doc keeps its own score, bits included.
+
+    The ranking is built with ``tuple.__new__``, without
+    :meth:`Ranking._check`: the doc ids are dict keys, so unique, and
+    :func:`parse_run` let only finite scores in, which are now in
+    non-increasing order.
+    """
+    doc_ids = sorted(docs, key=docs.__getitem__, reverse=True)
+    # the same stable sort of the same keys, so scores[k] is docs[doc_ids[k]]
+    scores = sorted(docs.values(), reverse=True)
+    n, end = len(scores), 0
+    # each i whose score ties the one before it; the run of ties that
+    # holds i - 1 and i is doc_ids[i - 1 : end]
+    for i in compress(range(1, n), map(eq, scores, scores[1:])):
+        if i > end:
+            score, end = scores[i], i + 1
+            while end < n and scores[end] == score:
+                end += 1
+            doc_ids[i - 1 : end] = sorted(doc_ids[i - 1 : end])
+            if not score:
+                # the one run whose equal scores can differ in bits, 0.0
+                # and -0.0: each doc takes its own back (equal values, so
+                # the scan still finds the same ties)
+                scores[i - 1 : end] = map(docs.__getitem__, doc_ids[i - 1 : end])
+    return tuple.__new__(Ranking, (tuple(doc_ids), tuple(scores)))
+
+
+# the grades of nearly every qrels line, without an int() call
+_GRADES = {str(grade): grade for grade in range(10)}
 
 
 def parse_qrels(lines: Iterable[str]) -> Qrels:
@@ -188,6 +252,9 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
     Negative grades are clamped to 0 (non-relevant) with a warning, which
     is how standard TREC tooling treats them. Duplicate pairs error when
     their grades conflict and dedup with a warning when they agree.
+
+    Lines are read one at a time. A grade ``"0"`` to ``"9"`` is looked up
+    in a table; ``int()`` parses any other, and only those can be negative.
     """
     # topic -> doc -> grade; the inner dict also detects duplicate pairs
     by_topic: dict[str, dict[str, int]] = {}
@@ -195,26 +262,28 @@ def parse_qrels(lines: Iterable[str]) -> Qrels:
     grades: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         cols = raw.split()
-        if not cols:
-            continue
         if len(cols) != 4:
+            if not cols:
+                continue
             raise ParseError(
                 f"line {lineno}: expected 4 columns (topic iteration doc grade), "
                 f"got {len(cols)}"
             )
         topic, _iteration, doc, grade_s = cols
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer grade {grade_s!r}") from None
-        if grade < 0:
-            warnings.warn(
-                f"line {lineno}: negative grade {grade} for ({topic}, {doc}) "
-                f"clamped to 0",
-                IngestWarning,
-                stacklevel=2,
-            )
-            grade = 0
+        grade = _GRADES.get(grade_s)
+        if grade is None:
+            try:
+                grade = int(grade_s)
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer grade {grade_s!r}") from None
+            if grade < 0:
+                warnings.warn(
+                    f"line {lineno}: negative grade {grade} for ({topic}, {doc}) "
+                    f"clamped to 0",
+                    IngestWarning,
+                    stacklevel=2,
+                )
+                grade = 0
         if topic != prev_topic:
             prev_topic = topic
             grades = by_topic.get(topic)

@@ -33,11 +33,17 @@ doc ids, so both report a bad field with the same message.
 Every record type of the package is a checked named tuple: a
 ``NamedTuple`` of its fields, subclassed with :class:`_Checked` and a
 ``_check`` method that holds its invariants, so every way to build one
-(``T(...)``, ``_make``, ``_replace``, unpickling) runs the check. A
-record is immutable, compares equal to the plain tuple of its fields
-and is copied with ``_replace``. No module imports :mod:`dataclasses`,
-whose import pulls in :mod:`inspect`, :mod:`ast`, :mod:`dis` and
-:mod:`tokenize`, which every CLI process would pay for at startup.
+(``T(...)``, ``_make``, ``_replace``, unpickling) runs the check. One
+path inside the package skips it: the run parser
+(``ingest._canonical_ranking``) builds each :class:`Ranking` with
+``tuple.__new__``, because it has just made the ranking from checked
+lines, with unique doc ids (dict keys) and finite scores (checked per
+line) in non-increasing order (sorted); a second check would only
+validate the same value twice. A record is immutable, compares equal
+to the plain tuple of its fields and is copied with ``_replace``. No
+module imports :mod:`dataclasses`, whose import pulls in :mod:`inspect`,
+:mod:`ast`, :mod:`dis` and :mod:`tokenize`, which every CLI process
+would pay for at startup.
 :class:`DocMeta`, built once per manifest line, spells out its
 ``__new__`` and checks its fields before it builds the tuple.
 :class:`Scenario` lives here, beside the measures, so that the CLI can
@@ -77,7 +83,9 @@ class _Checked:
     ``NamedTuple`` of its fields (``class T(_Checked, _TFields)``) and
     defines :meth:`_check`, which raises ``ValueError`` for an invalid
     value. Every way to build a record (``T(...)``, :meth:`_make`,
-    :meth:`_replace`, unpickling) runs that check."""
+    :meth:`_replace`, unpickling) runs that check; only the run parser
+    builds its :class:`Ranking` values without it, as the module
+    docstring says."""
 
     __slots__ = ()
 

@@ -9,6 +9,7 @@ import pytest
 from irdrift import _numeric, _workers, cli, effectiveness, ingest
 from irdrift.cli import main
 from irdrift.ingest import (
+    IngestWarning,
     ParseError,
     format_manifest,
     format_qrels,
@@ -16,6 +17,7 @@ from irdrift.ingest import (
     load_config,
     load_environment,
     load_manifest,
+    load_qrels,
 )
 
 from conftest import (
@@ -565,8 +567,13 @@ def test_change_dtq_prime_reads_a_qrels_override_in_place_of_the_config_qrels(
     override = tmp_path / "t1.override.qrels.txt"
     override.write_bytes(configured.read_bytes())
     configured.write_text(configured.read_text() + "q1 0 ghost 1\n")
-    assert main(argv) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
     assert capsysbinary.readouterr().out != clean
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (IngestWarning, "environment t1: judged document ghost is absent from the corpus snapshot")
+    ]
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -642,8 +649,18 @@ def test_change_matrix_errors_exit_2(tmp_path, capsys, pivot_tags, topic_sets, m
     args = change_argv(config, runs, "dtq-prime")
     for tag, label in zip(pivot_tags, ("t0", "t1")):
         args += ["--pivot-run", f"{label}={runs[(tag, label)]}"]
-    assert main(args) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    # a topic file leaves out qrels topics, each of them a finding
+    assert {w.category for w in caught} <= {IngestWarning}
+    assert [str(w.message) for w in caught] == [
+        f"environment {label}: qrels topic {topic} does not appear in the topic set"
+        for label, topic_ids in zip(("t0", "t1"), topic_sets or ())
+        for topic in sorted(load_qrels(tmp_path / f"{label}.qrels.txt").topics() - {*topic_ids})
+    ]
+    assert len(caught) == (13 if topic_sets else 0)
 
 
 @pytest.mark.parametrize(
@@ -773,8 +790,12 @@ def test_change_and_evaluate_build_no_document_metadata(tmp_path, capsysbinary, 
     all_warnings = _full_parse_warnings(config, ("t0", "t1"))
     evaluate = ["evaluate", "--config", str(config), "--ee", "t0", "--per-topic",
                 "--run", runs[("alpha", "t0")], "--run", runs[("beta", "t0")]]
-    assert main(evaluate) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(evaluate) == 0
     evaluate_out = capsysbinary.readouterr().out
+    assert {w.category for w in caught} == {IngestWarning}
+    assert [str(w.message) for w in caught] == t0_warnings and len(t0_warnings) == 10
 
     monkeypatch.setattr(ingest, "DocMeta", NoDocMeta)
     for argv, pin, expected_warnings in [

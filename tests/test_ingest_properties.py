@@ -4,11 +4,13 @@ re-parses to the same value, a repeated (topic, doc) pair is reported at
 its line, the nested qrels map agrees with the flat (topic, doc) pairs it
 was built from, the manifest writer emits the bytes of ``json.dumps``,
 the ids-only manifest check accepts and rejects what the full parse
-does, and a sequence of environments loads each one as it loads
-alone."""
+does, a sequence of environments loads each one as it loads alone, and
+the run and qrels parsers give the results, warnings and errors of the
+reference parsers in ``ingest_reference`` on hostile input."""
 
 import json
 import re
+import sys
 import warnings
 from datetime import timedelta, timezone
 
@@ -31,8 +33,9 @@ from irdrift.ingest import (
     parse_qrels,
     parse_run,
 )
-from irdrift.model import DocMeta, Qrels
+from irdrift.model import DocMeta, Qrels, Ranking
 
+import ingest_reference as reference
 from conftest import NoDocMeta
 
 # tokens as str.split() yields them: non-empty, no whitespace
@@ -445,3 +448,211 @@ def test_an_ids_only_sequence_never_builds_doc_meta(tmp_path, monkeypatch):
         for label in ("t0", "t1")
         for doc in sorted(set(JUDGED_IDS) - {"d1", "d2"})
     ]
+
+
+# --- the run and qrels kernels against the reference parsers ----------------
+
+# Tokens in two pools: ones the parsers accept, some of them odd, and ones
+# they may reject. Digits of several scripts reach str.isdecimal and int(),
+# which follow the running Python's Unicode database.
+DIGITS = "0123456789٠١٢٣٤٥٦٧٨٩０１２３４５６７８９०१२"
+ODD_DIGITS = "0123456789+-_.x²³½Ⅻ١３"
+# "0" * 700 is past the rank length guard, so int() decides it: accepted
+RANKS_OK = st.one_of(
+    st.sampled_from(["1", "10", "+1", "-3", "1_0", "007", "１", "٣", "0" * 700]),
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(alphabet=DIGITS, min_size=1, max_size=5),
+)
+# int() rejects more than 4300 digits by default
+RANKS_ODD = st.one_of(
+    st.sampled_from(["²", "0x1", "1.0", "x", "_1", "1_", "1__0", "½", "Ⅻ", "1" * 4301]),
+    st.text(alphabet=ODD_DIGITS, min_size=1, max_size=4),
+)
+SCORES_OK = st.one_of(
+    # a small pool makes ties common, -0.0 against 0.0 among them
+    st.sampled_from(["0", "0.0", "-0.0", "-0", "1.5", "1.50", "-2.25", "1_0.5", "１.５",
+                     "+3", "1e-400", "5e-324", "1e308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+SCORES_ODD = st.one_of(
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1e999",
+                     "x", "0x1", "1__0", "½"]),
+    st.text(alphabet="0123456789.-+e_inaINfx", min_size=1, max_size=5),
+)
+Q0_OK = st.sampled_from(["Q0", "Q0", "q0"])
+Q0_ODD = st.sampled_from(["qO", "QO", "Q", "0", "Q00", "Ｑ0"])
+HOSTILE_TOPIC = st.sampled_from(["q1", "q2", "q3", "１"])
+HOSTILE_DOC = st.one_of(st.sampled_from(["d1", "d2", "d3", "d4", "D1", "é", "d\x00"]), token)
+RUN_TAG = st.sampled_from(["a", "a", "a", "b", "A"])
+GRADES_OK = st.sampled_from(
+    ["0", "1", "2", "3", "9", "10", "01", "+2", "1_0", "３", "٣", "-1", "-0"]
+)
+GRADES_ODD = st.one_of(
+    st.sampled_from(["1.0", "x", "²", "0x1", "_1", "1__0", "-", "1" * 4301]),
+    st.integers(-20, 20).map(str),
+    st.text(alphabet=ODD_DIGITS, min_size=1, max_size=3),
+)
+# str.split() cuts at every Unicode whitespace character
+SEPARATOR = st.sampled_from([" ", " ", "\t", "  ", " \t", "\x0b", "\u3000"])
+BLANK = st.sampled_from(["", "\n", " \t\n", "\r\n", "\u3000\n"])
+
+
+def pick(draw, clean, ok, odd):
+    """A token of `ok`, or one time in ten of `odd` unless `clean`."""
+    return draw(ok if clean or draw(st.integers(0, 9)) else odd)
+
+
+def run_columns(draw, topic, doc, clean):
+    return [
+        topic,
+        pick(draw, clean, Q0_OK, Q0_ODD),
+        doc,
+        pick(draw, clean, RANKS_OK, RANKS_ODD),
+        pick(draw, clean, SCORES_OK, SCORES_ODD),
+        draw(RUN_TAG),
+    ]
+
+
+def qrels_columns(draw, topic, doc, clean):
+    iteration = draw(st.sampled_from(["0", "Q0", "1"]))
+    return [topic, iteration, doc, pick(draw, clean, GRADES_OK, GRADES_ODD)]
+
+
+@st.composite
+def hostile_lines(draw, columns):
+    """The lines of a run or qrels file, one per (topic, doc) pair, the
+    pairs mostly distinct with now and then one repeated.
+    `columns(draw, topic, doc, clean)` draws a line's tokens. Unless the
+    whole file is clean, a line now and then gets a column too many or
+    too few; blank lines come between."""
+    pairs = draw(st.lists(st.tuples(HOSTILE_TOPIC, HOSTILE_DOC), max_size=10, unique=True))
+    if pairs and not draw(st.integers(0, 3)):
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    clean = draw(st.booleans())
+    lines = []
+    for topic, doc in pairs:
+        cols = columns(draw, topic, doc, clean)
+        if not clean and not draw(st.integers(0, 19)):
+            cols = cols[:-1] if draw(st.booleans()) else [*cols, "x"]
+        line = cols[0] + "".join(draw(SEPARATOR) + col for col in cols[1:])
+        if not draw(st.integers(0, 9)):
+            line = draw(SEPARATOR) + line + draw(SEPARATOR)
+        lines.append(line + draw(st.sampled_from(["", "\n", "\n", "\r\n"])))
+        if not draw(st.integers(0, 9)):
+            lines.append(draw(BLANK))
+    return lines
+
+
+def run_bits(run):
+    """Everything a parsed run holds, each score as its exact bits."""
+    return (
+        type(run),
+        run.system_tag,
+        [
+            (topic, type(r), r.docs, [s.hex() for s in r.scores])
+            for topic, r in run.rankings.items()
+        ],
+    )
+
+
+def qrels_bits(qrels):
+    return type(qrels), [(t, list(grades.items())) for t, grades in qrels.by_topic.items()]
+
+
+def parsed(parse, bits, lines):
+    """(result bits or the ParseError message, [(category, message)] of the
+    warnings in order), with the lines given one at a time."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = bits(parse(iter(lines)))
+        except ParseError as exc:
+            result = str(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(deadline=None, max_examples=500)
+@given(hostile_lines(run_columns))
+@example(["q1 Q0 d1 +1 1.0 a", "q1 Q0 d2 -3 0.5 a", "q1 Q0 d3 1_0 0.25 a",
+          "q1 Q0 d4 １ 0.1 a", "q1 Q0 d5 ٣ 0 a"])
+@example(["q1 Q0 d1 ² 1.0 a"])
+@example(["q1 Q0 d1 0x1 1.0 a"])
+@example(["q1 Q0 d1 " + "1" * 4301 + " 1.0 a"])
+@example(["q1 Q0 d1 1 nan a"])
+@example(["q1 Q0 d1 1 inf a"])
+@example(["q1 Q0 d1 1 -inf a"])
+@example(["q1 Q0 d1 1 1e999 a"])
+@example(["q1 Q0 d1 1 1_0.5 a"])
+@example(["q1 Q0 d2 1 0.0 a", "q1 Q0 d1 2 -0.0 a", "q1 Q0 d3 3 0.0 a", "q1 Q0 d0 4 -0 a",
+          "q1 Q0 d9 5 1.0 a", "q1 Q0 d8 6 1.0 a", "q1 Q0 d7 7 -1.0 a"])
+@example(["q1 q0 d1 1 1.0 a"])
+@example(["q1 qO d1 1 1.0 a"])
+@example(["\n", "q1\tQ0\td1\t1\t1.0\ta\n", "  \t\n", "q2 Q0 d1 1 2.0 a\r\n", ""])
+@example(["q1 Q0 d1 1 1 a", "q1 Q0 d2 2 0.5 b", "q2 Q0 d1 1 1 c"])
+@example(["q1 Q0 d1 1 1 a", "q2 Q0 d1 1 1 a", "q1 Q0 d1 2 1 a"])
+@example(["q1 Q0 d1 1 1 a", "q1 Q0 d1 2 0.5 a"])
+@example(["q1 Q0 d1 1 1.0", "q1 Q0 d1 1 1.0 a x"])
+@example([])
+@example(["\n", " "])
+def test_parse_run_matches_the_reference_parser(lines):
+    assert parsed(parse_run, run_bits, lines) == parsed(reference.parse_run, run_bits, lines)
+
+
+@settings(deadline=None, max_examples=500)
+@given(hostile_lines(qrels_columns))
+@example(["q1 0 d1 01", "q1 0 d2 +2", "q1 0 d3 -1", "q1 0 d4 1_0", "q1 0 d5 ３"])
+@example(["q1 0 d1 1", "q1 0 d1 01"])
+@example(["q1 0 d1 -1", "q1 0 d1 0", "q1 0 d1 -3"])
+@example(["q1 0 d1 2", "q1 0 d1 +3"])
+@example(["q1 0 d1 1", "q2 0 d1 1", "q1 0 d1 1"])
+@example(["\n", "q1\t0\td1\t1\n", "  \t\n", "q2 0 d1 2\r\n"])
+@example(["q1 0 d1 " + "1" * 4301])
+@example(["q1 0 d1", "q1 0 d1 1 x"])
+@example([])
+def test_parse_qrels_matches_the_reference_parser(lines):
+    assert parsed(parse_qrels, qrels_bits, lines) == parsed(
+        reference.parse_qrels, qrels_bits, lines
+    )
+
+
+@pytest.mark.parametrize("digits", [640, 641, 700])
+def test_a_rank_at_the_lowest_int_digit_limit_reads_as_the_reference_reads_it(digits):
+    lines = [f"q1 Q0 d1 {'1' * digits} 1.0 a"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    try:
+        result = parsed(parse_run, run_bits, lines)
+        assert result == parsed(reference.parse_run, run_bits, lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert isinstance(result[0], str) == (digits > 640)
+
+
+@SETTINGS
+@given(st.one_of(hostile_lines(run_columns), run_lines().map(lambda case: case[0])))
+def test_every_parsed_ranking_passes_the_checked_constructor(lines):
+    # the parser builds rankings without Ranking._check
+    result, _ = parsed(parse_run, lambda run: run, lines)
+    if not isinstance(result, str):
+        for ranking in result.rankings.values():
+            assert Ranking(*ranking) == ranking
+
+
+@pytest.mark.parametrize(
+    "parse,lines",
+    [
+        (parse_run, ["q1 Q0 d1 1 1.0 a", "q1 Q0 d2 2 0.5 a", "q1 Q0 d3 x 0.1 a", "q1 Q0 d4 4 0 a"]),
+        (parse_qrels, ["q1 0 d1 1", "q1 0 d2 0", "q1 0 d3 x", "q1 0 d4 2"]),
+    ],
+)
+def test_parsers_read_no_line_past_the_one_that_fails(parse, lines):
+    read = []
+
+    def one_at_a_time():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse(one_at_a_time())
+    assert read == lines[:3]
