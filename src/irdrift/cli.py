@@ -14,11 +14,12 @@ Each subcommand imports the library modules it uses when it runs, so
 significance modules. The ingest loaders and writers stay module
 globals, where a caller can replace them. Environments are loaded
 through ingest's private sequence loader, which lets consecutive
-snapshots share their unchanged manifest lines. ``simulate`` formats
-each line once, through ingest's line helpers, rather than a whole file
-per slice. ``load_environment``, ``format_manifest`` and
-``format_qrels`` stay module globals for code that replaces them by name
-(``bench/spans.py``), though no subcommand calls them any more.
+snapshots share their unchanged manifest lines. ``simulate`` reads the
+corpus and qrels, warns of judged documents the corpus lacks and writes
+the files that :mod:`irdrift.simulate` cuts and formats.
+``load_environment``, ``format_manifest``, ``format_qrels`` and
+``format_topics`` stay module globals for code that replaces them by
+name (``bench/spans.py``), though no subcommand calls them any more.
 
 ``change`` passes its run paths to :func:`irdrift.change.build_matrix`,
 which reads each system's runs in that system's scoring task. The tasks
@@ -26,8 +27,8 @@ run on one process per CPU in this process's affinity mask, up to
 systems + pivot, with workers forked after the environments are loaded
 (:mod:`irdrift._workers`); with one allowed CPU everything runs in this
 process. ``import irdrift.cli`` loads neither the worker helper nor
-:mod:`pickle`. ``evaluate`` scores each ``--run`` as it reads it, so it
-holds one parsed run at a time.
+:mod:`pickle`. ``evaluate`` judges the qrels once and scores each
+``--run`` as it reads it, so it holds one parsed run at a time.
 
 Exit codes are stable: 0 success, 1 internal error, 2 usage or
 validation error. All output is deterministic; given identical inputs,
@@ -37,10 +38,8 @@ repeated invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
-from itertools import compress
 from pathlib import Path
 
 from .ingest import (
@@ -48,11 +47,9 @@ from .ingest import (
     IngestWarning,
     ParseError,
     _load_sequence,
-    _manifest_line,
-    _qrels_line,
     format_manifest,  # not called here; see the module docstring
     format_qrels,  # likewise
-    format_topics,
+    format_topics,  # likewise
     load_config,
     load_environment,  # not called here; see the module docstring
     load_manifest,
@@ -193,8 +190,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         from . import simulate as sim
 
         topic_filter = sim.common_topics([envs[label] for label in labels])
-    # each run is scored as it is read, so one run is held at a time
+    # the qrels are judged once; each run is scored as it is read, so one
+    # run is held at a time
     qrels = envs[args.ee].qrels
+    facts = eff._judge(qrels, qrels.by_topic if topic_filter is None else topic_filter)
     scored: dict[str, tuple[str, dict[MeasureSpec, PerTopicScores]]] = {}
     for path in args.run:
         run = load_run(path)
@@ -204,7 +203,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"--run {path!r}: system tag {run.system_tag!r} is also the tag of "
                 f"--run {scored[run.system_tag][0]!r}; each run needs its own tag"
             )
-        (by_measure,) = eff.score_runs([run], qrels, measures, topic_filter)
+        (by_measure,) = eff._score_judged([run], facts, measures, topic_filter is not None)
         scored[run.system_tag] = path, by_measure
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
@@ -219,26 +218,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 if args.topics is not None:
                     where += f" with --topics {args.topics!r}"
                 raise CliError(f"--run {path!r}: {exc} for {where}") from None
-            if args.per_topic:
-                for topic in sorted(scores.scores):
-                    rows.append(
-                        [
-                            tag,
-                            args.ee,
-                            measure.name,
-                            topic,
-                            format(scores.scores[topic], f".{args.places}f"),
-                        ]
-                    )
-            rows.append(
-                [
-                    tag,
-                    args.ee,
-                    measure.name,
-                    "all",
-                    format(mean, f".{args.places}f"),
-                ]
-            )
+            per_topic = sorted(scores.scores.items()) if args.per_topic else []
+            for topic, score in [*per_topic, ("all", mean)]:
+                rows.append([tag, args.ee, measure.name, topic, format(score, f".{args.places}f")])
     _write_output(rep.render_table(header, rows, args.format), args.out)
     return 0
 
@@ -330,16 +312,8 @@ def cmd_change(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Write the append-only slices of ``split_append_only``, their topic
-    file and a config, without building any slice.
-
-    The cut gives each document the index of the first slice that holds
-    it, and each manifest and judgment line is formatted once, by the
-    line helpers of ``format_manifest`` and ``format_qrels``: slice i is
-    the lines, in id order, whose index is at most i. A judgment on a
-    document outside the corpus is in no slice, and warns. So the work
-    grows with documents + judgments, not with slices x documents.
-    """
+    """Write the files of ``split_append_only``'s slices, as
+    ``irdrift.simulate._slice_files`` gives them, and list them."""
     from . import simulate as sim
 
     # before any file is read
@@ -350,56 +324,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base = EvaluationEnvironment(label="base", corpus=corpus, topics=topics, qrels=qrels)
     for finding in validate_environment(base):
         warnings.warn(f"{args.qrels}: {finding}", IngestWarning, stacklevel=2)
-    order, counts = sim._cut(base, plan)
-    # each document's index of the first slice that holds it
-    first_slice: dict[str, int] = {}
-    start = 0
-    for i, count in enumerate(counts):
-        first_slice.update(dict.fromkeys(order[start:count], i))
-        start = count
-    # each line is kept encoded, so a slice's file is one join of bytes
-    stamps: dict[int, str] = {}  # every timestamp stays alive in `corpus`
-    doc_ids = sorted(first_slice)
-    doc_lines = [_manifest_line(doc_id, corpus[doc_id], stamps).encode() for doc_id in doc_ids]
-    doc_slices = [first_slice[doc_id] for doc_id in doc_ids]
-    judgment_lines: list[bytes] = []
-    judgment_slices: list[int] = []
-    for topic, grades in sorted(qrels.by_topic.items()):
-        for doc in sorted(grades):
-            i = first_slice.get(doc)
-            if i is not None:  # else the document is in no slice
-                judgment_lines.append(_qrels_line(topic, doc, grades[doc]).encode())
-                judgment_slices.append(i)
-
+    files = sim._slice_files(base, plan)  # a bad cut raises here, before any write
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"cannot write {out_dir}: {exc.strerror}") from None
     written: list[str] = []
-
-    def write(name: str, data: bytes) -> None:
+    for name, data in files:
         _write_file(out_dir / name, data)
         written.append(name)
-
-    write("topics.jsonl", format_topics(topics).encode())
-    config_entries = []
-    for i in range(len(counts)):
-        label = f"t{i}"
-        manifest_name = f"{label}.manifest.jsonl"
-        qrels_name = f"{label}.qrels.txt"
-        # i.__ge__(k) is k <= i: the lines of this slice and the ones before
-        write(manifest_name, b"".join(compress(doc_lines, map(i.__ge__, doc_slices))))
-        write(qrels_name, b"".join(compress(judgment_lines, map(i.__ge__, judgment_slices))))
-        config_entries.append(
-            {
-                "label": label,
-                "manifest": manifest_name,
-                "qrels": qrels_name,
-                "topics": "topics.jsonl",
-            }
-        )
-    write("ees.json", (json.dumps(config_entries, indent=2) + "\n").encode())
     for name in written:
         print(f"wrote {out_dir / name}")
     return 0
@@ -417,7 +351,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise CliError(f"cannot read {args.matrix}: {exc.strerror}") from None
     try:
         matrix = rep.matrix_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CliError(f"{args.matrix}: not a rendered matrix JSON ({exc})") from None
     _write_output(rep.render(matrix, args.format, places=args.places), args.out)
     return 0

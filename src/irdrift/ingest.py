@@ -343,7 +343,7 @@ def _json_line(raw: str, lineno: int) -> object:
     """
     try:
         value, end = _scan_json(raw, 0)
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, json.JSONDecodeError, RecursionError):
         pass
     else:
         if end == len(raw) or (end == len(raw) - 1 and raw[end] == "\n"):
@@ -354,6 +354,8 @@ def _json_line(raw: str, lineno: int) -> object:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ParseError(f"line {lineno}: invalid JSON ({exc})") from None
 
 
 def _read_manifest(
@@ -478,6 +480,8 @@ def load_config(path: Path | str) -> list[EEConfig]:
         raise OSError(f"cannot read {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, list):

@@ -16,10 +16,12 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .diff import ChangeSummary
 from .model import MeasureSpec, Scenario, _Checked
+
+if TYPE_CHECKING:  # an annotation only, so change and evaluate never load diff
+    from .diff import ChangeSummary
 
 
 class _ChangeReportFields(NamedTuple):

@@ -6,14 +6,23 @@ slices, so every environment contains all documents of the previous one
 plus the next batch. Topics are carried over unchanged; qrels are
 restricted to the documents already present, which keeps every judged
 document scorable.
+
+:func:`split_append_only` builds each slice as an environment;
+``_slice_files`` gives the files of the same slices, which the
+``simulate`` command writes, without building any slice. Both take
+slice membership from one cut, ``_cut``, and label slice i ``t{i}``.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
+from collections.abc import Iterator
 from datetime import datetime
+from itertools import compress
 from typing import NamedTuple
 
+from .ingest import _manifest_line, _qrels_line, format_topics
 from .model import DocId, EvaluationEnvironment, TopicId, _Checked
 
 
@@ -59,16 +68,15 @@ def split_append_only(
     falling into the earlier slice by ascending doc id. Each slice's
     qrels are the base qrels restricted to the documents present.
 
-    Every slice is built in full, as its own corpus and qrels. The CLI
-    writes the same slices without building them: it takes the order and
-    slice sizes from the same cut, and formats each document and judgment
-    line once (see ``irdrift.cli.cmd_simulate``).
+    Every slice is built in full, as its own corpus and qrels;
+    ``_slice_files`` gives the files of the same slices without building
+    them.
     """
-    order, counts = _cut(base, plan)
+    first_slice = _cut(base, plan)
     corpus = base.corpus
     environments: list[EvaluationEnvironment] = []
-    for i, count in enumerate(counts):
-        docs = {doc_id: corpus[doc_id] for doc_id in order[:count]}
+    for i in range(plan.num_slices):
+        docs = {doc_id: corpus[doc_id] for doc_id, k in first_slice.items() if k <= i}
         environments.append(
             EvaluationEnvironment(
                 label=f"t{i}",
@@ -80,9 +88,60 @@ def split_append_only(
     return environments
 
 
-def _cut(base: EvaluationEnvironment, plan: SimulationPlan) -> tuple[list[DocId], list[int]]:
-    """The doc ids of the corpus in (timestamp, doc id) order, and the
-    cumulative size of each slice: slice i holds ``order[:counts[i]]``.
+def _slice_files(
+    base: EvaluationEnvironment, plan: SimulationPlan
+) -> Iterator[tuple[str, bytes]]:
+    """Each file of the slices of ``split_append_only(base, plan)``, as its
+    name and bytes, in write order: ``topics.jsonl``, each slice's manifest
+    and qrels, then the ``ees.json`` config that lists them.
+
+    The cut is made, and any of its checks raises, when this is called;
+    a slice's files are joined only when the iterator reaches them, so the
+    bytes of one slice are held at a time. No slice is built: each
+    manifest and judgment line is formatted once, by the line helpers of
+    ``format_manifest`` and ``format_qrels``, and slice i is the lines,
+    in id order, whose document's first slice is at most i; a judgment on
+    a document in no slice is in none. So the work grows with documents
+    + judgments, not with slices x documents.
+    """
+    first_slice = _cut(base, plan)
+    # each line is kept encoded, so a slice's file is one join of bytes
+    corpus = base.corpus
+    stamps: dict[int, str] = {}  # every timestamp stays alive in `corpus`
+    doc_ids = sorted(first_slice)
+    doc_lines = [_manifest_line(doc_id, corpus[doc_id], stamps).encode() for doc_id in doc_ids]
+    doc_slices = [first_slice[doc_id] for doc_id in doc_ids]
+    judgment_lines: list[bytes] = []
+    judgment_slices: list[int] = []
+    for topic, grades in sorted(base.qrels.by_topic.items()):
+        for doc in sorted(grades):
+            i = first_slice.get(doc)
+            if i is not None:
+                judgment_lines.append(_qrels_line(topic, doc, grades[doc]).encode())
+                judgment_slices.append(i)
+
+    def files() -> Iterator[tuple[str, bytes]]:
+        yield "topics.jsonl", format_topics(base.topics).encode()
+        config = []
+        for i in range(plan.num_slices):
+            label = f"t{i}"
+            manifest, qrels = f"{label}.manifest.jsonl", f"{label}.qrels.txt"
+            # i.__ge__(k) is k <= i: the lines of this slice and the ones before
+            yield manifest, b"".join(compress(doc_lines, map(i.__ge__, doc_slices)))
+            yield qrels, b"".join(compress(judgment_lines, map(i.__ge__, judgment_slices)))
+            config.append(
+                {"label": label, "manifest": manifest, "qrels": qrels, "topics": "topics.jsonl"}
+            )
+        yield "ees.json", (json.dumps(config, indent=2) + "\n").encode()
+
+    return files()
+
+
+def _cut(base: EvaluationEnvironment, plan: SimulationPlan) -> dict[DocId, int]:
+    """The index of the first slice that holds each document, in
+    (timestamp, doc id) order; a document in no slice is left out. Slice
+    i holds the documents whose index is at most i, a prefix of that
+    order, and there are ``plan.num_slices`` slices.
 
     Every check of a cut is made here: each document needs a timestamp,
     equal-count slicing needs a distinct timestamp per slice, and no
@@ -112,12 +171,14 @@ def _cut(base: EvaluationEnvironment, plan: SimulationPlan) -> tuple[list[DocId]
     else:
         # the instants at or before a boundary are a prefix of `stamps`
         counts = [dated_by[bisect_right(stamps, boundary)] for boundary in plan.boundaries]
-    previous = 0
+    first_slice: dict[DocId, int] = {}
+    start = 0  # the size of the slice before, 0 before t0
     for i, count in enumerate(counts):
-        if count == 0 or (i > 0 and count <= previous):
+        if count <= start:
             raise ValueError(f"slice t{i} would be empty or add no documents")
-        previous = count
-    return order, counts
+        first_slice.update(dict.fromkeys(order[start:count], i))
+        start = count
+    return first_slice
 
 
 def _equal_counts(total: int, slices: int) -> list[int]:

@@ -863,23 +863,29 @@ def test_evaluate_rejects_two_runs_with_one_system_tag(tmp_path, capsys):
 def test_evaluate_scores_each_run_as_it_reads_it(tmp_path, capsys, monkeypatch):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "gamma"))
     calls = []
-    load_run, score_runs = cli.load_run, effectiveness.score_runs
+    load_run, judge, score_judged = cli.load_run, effectiveness._judge, effectiveness._score_judged
 
     def loading(path):
         calls.append(("load", Path(path).name))
         return load_run(path)
 
+    def judging(*args):
+        calls.append(("judge",))
+        return judge(*args)
+
     def scoring(batch, *args):
         calls.append(("score", [run.system_tag for run in batch]))
-        return score_runs(batch, *args)
+        return score_judged(batch, *args)
 
     monkeypatch.setattr(cli, "load_run", loading)
-    monkeypatch.setattr(effectiveness, "score_runs", scoring)
+    monkeypatch.setattr(effectiveness, "_judge", judging)
+    monkeypatch.setattr(effectiveness, "_score_judged", scoring)
     argv = ["evaluate", "--config", str(config), "--ee", "t0", "--measures", "p@5"]
     for tag in ("gamma", "alpha", "beta"):
         argv += ["--run", runs[(tag, "t0")]]
     assert main(argv) == 0
-    assert calls == [
+    # the qrels are judged once, before the first run is read
+    assert calls == [("judge",)] + [
         step
         for tag in ("gamma", "alpha", "beta")
         for step in (("load", f"{tag}.t0.run.txt"), ("score", [tag]))
@@ -1125,3 +1131,37 @@ def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["diff", "--config", "x", "--from", "a", "--to", "b", "--bogus"])
     assert exc.value.code == 2
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("kind, where", [
+    ("config", "invalid JSON"),
+    ("manifest", "line 7: invalid JSON"),
+    ("topics", "line 5: invalid JSON"),
+    ("matrix", "not a rendered matrix JSON"),
+])
+def test_deeply_nested_json_is_a_usage_error_naming_its_file(tmp_path, capsys, kind, where):
+    # the decoder gives up on such nesting at a depth that differs by
+    # Python version; every JSON reader reports it as invalid input
+    config = write_churn_fixture(tmp_path)
+    path = {
+        "config": config,
+        "manifest": tmp_path / "t0.manifest.jsonl",
+        "topics": tmp_path / "t0.topics.jsonl",
+        "matrix": tmp_path / "matrix.json",
+    }[kind]
+    if kind in ("config", "matrix"):
+        path.write_text(DEEP)
+    else:
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(DEEP + "\n")
+    if kind == "matrix":
+        argv = ["report", "--matrix", str(path)]
+    else:
+        argv = ["diff", "--config", str(config), "--from", "t0", "--to", "t1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {where} (")
+    assert "internal error" not in err

@@ -1,8 +1,8 @@
 """Import guards: no CLI call imports numpy or scipy, no subcommand
 imports ``dataclasses`` or ``inspect``, ``diff`` and ``simulate`` import
-only the irdrift modules they use, only ``change`` imports the worker
-helper, and the package's export map names each public object where it
-is defined.
+only the irdrift modules they use, ``change`` and ``evaluate`` never
+import ``diff``, only ``change`` imports the worker helper, and the
+package's export map names each public object where it is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -27,7 +27,14 @@ import pytest
 
 import irdrift
 
-from conftest import DATED_MANIFEST, DATED_QRELS, pivot_argv, write_churn_fixture, write_cli_fixture
+from conftest import (
+    DATED_MANIFEST,
+    DATED_QRELS,
+    change_argv,
+    pivot_argv,
+    write_churn_fixture,
+    write_cli_fixture,
+)
 
 SCRIPT = """
 import json, sys
@@ -290,3 +297,17 @@ def test_evaluate_does_not_import_the_worker_helper(tmp_path):
     assert state["code"] == 0
     assert "irdrift.effectiveness" in state["after_run"]
     assert "irdrift._workers" not in state["after_run"]
+
+
+# report names diff's ChangeSummary in an annotation only
+@pytest.mark.parametrize("subcommand", ["change", "evaluate"])
+def test_change_and_evaluate_do_not_import_diff(tmp_path, subcommand):
+    config, runs = write_cli_fixture(tmp_path)
+    if subcommand == "change":
+        argv = change_argv(config, runs, "dtq")
+    else:
+        argv = ["evaluate", "--config", str(config), "--ee", "t1", "--run", runs[("alpha", "t1")]]
+    state = _loaded_modules(argv)
+    assert state["code"] == 0
+    assert "irdrift.report" in state["after_run"]
+    assert "irdrift.diff" not in state["after_run"]

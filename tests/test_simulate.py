@@ -1,5 +1,6 @@
 """Append-only environment simulation and topic intersection, and the
-``simulate`` command against the slices of :func:`split_append_only`."""
+files of the ``simulate`` command against the slices of
+:func:`split_append_only`."""
 
 import contextlib
 import io
@@ -24,7 +25,7 @@ from irdrift.ingest import (
     load_qrels,
 )
 from irdrift.model import DocMeta, EvaluationEnvironment, Qrels, validate_environment
-from irdrift.simulate import SimulationPlan, common_topics, split_append_only
+from irdrift.simulate import SimulationPlan, _slice_files, common_topics, split_append_only
 
 from conftest import make_environment, make_qrels, synth_corpus, synth_qrels
 
@@ -138,17 +139,17 @@ def test_equal_instants_at_different_offsets_tie_and_break_by_doc_id():
         split_append_only(base, SimulationPlan(num_slices=3))
 
 
-@pytest.mark.parametrize(
-    "boundaries, sizes",
-    [
-        ((_utc(2019, 3, 15), _utc(2019, 12, 31)), [3, 6]),
-        # a document dated at a boundary is in that boundary's slice
-        ((_utc(2019, 3, 1), _utc(2019, 5, 1)), [3, 5]),
-        # one after the last document keeps every document
-        ((_utc(2019, 2, 1), _utc(2030, 1, 1)), [2, 6]),
-        ((_utc(2019, 1, 1), _utc(2019, 4, 1), _utc(2019, 6, 1)), [1, 4, 6]),
-    ],
-)
+BOUNDARY_CASES = [
+    ((_utc(2019, 3, 15), _utc(2019, 12, 31)), [3, 6]),
+    # a document dated at a boundary is in that boundary's slice
+    ((_utc(2019, 3, 1), _utc(2019, 5, 1)), [3, 5]),
+    # one after the last document keeps every document
+    ((_utc(2019, 2, 1), _utc(2030, 1, 1)), [2, 6]),
+    ((_utc(2019, 1, 1), _utc(2019, 4, 1), _utc(2019, 6, 1)), [1, 4, 6]),
+]
+
+
+@pytest.mark.parametrize("boundaries, sizes", BOUNDARY_CASES)
 def test_explicit_boundaries(boundaries, sizes):
     # d1..d6 are dated on the first of months 1..6
     docs = {}
@@ -172,6 +173,36 @@ def test_explicit_boundary_before_all_docs_is_error():
     plan = SimulationPlan(num_slices=2, boundaries=(_utc(2018, 1, 1), _utc(2020, 1, 1)))
     with pytest.raises(ValueError, match="empty"):
         split_append_only(base, plan)
+
+
+@pytest.mark.parametrize("boundaries, sizes", BOUNDARY_CASES)
+def test_slice_files_at_explicit_boundaries_are_the_files_of_split_append_only(
+    boundaries, sizes
+):
+    # the simulate command cuts only into equal counts, so this cut is
+    # checked here: d1..d6 are dated on the first of months 1..6, some
+    # hashed, and judgments fall on documents late, absent or in no slice
+    docs = {
+        f"d{i}": DocMeta(length=i, timestamp=_utc(2019, i, 1), content_hash=f"h{i}" if i % 2 else None)
+        for i in range(1, 7)
+    }
+    qrels = make_qrels({("1", "d1"): 1, ("1", "d6"): 2, ("2", "d4"): 0, ("2", "gone"): 1,
+                        ("3", "d5"): 1})
+    base = EvaluationEnvironment(
+        label="base", corpus=docs, topics={"1": "rain", "2": None, "3": "fog"}, qrels=qrels
+    )
+    plan = SimulationPlan(num_slices=len(boundaries), boundaries=boundaries)
+    files = {"topics.jsonl": format_topics(base.topics)}
+    config = []
+    for ee in split_append_only(base, plan):
+        files[f"{ee.label}.manifest.jsonl"] = format_manifest(ee.corpus)
+        files[f"{ee.label}.qrels.txt"] = format_qrels(ee.qrels)
+        config.append({"label": ee.label, "manifest": f"{ee.label}.manifest.jsonl",
+                       "qrels": f"{ee.label}.qrels.txt", "topics": "topics.jsonl"})
+    files["ees.json"] = json.dumps(config, indent=2) + "\n"
+    assert list(_slice_files(base, plan)) == [
+        (name, text.encode("utf-8")) for name, text in files.items()
+    ]
 
 
 def test_simulation_plan_validation():
