@@ -111,8 +111,8 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     prefixes, |prefix_i(r) & prefix_i(r')| / i, and d is the configured
     depth capped at the longer ranking's length. A ranking shorter than i
     contributes its full list as the prefix. Two empty rankings count as
-    identical (1.0). Two rankings that share one docs tuple skip the
-    prefix walk; the result has the walk's bits.
+    identical (1.0). Normalized, two rankings that share one docs tuple
+    skip the prefix walk and score 1.0, the walk's result.
     """
     longest = max(len(r), len(r_prime))
     if longest == 0:
@@ -120,18 +120,11 @@ def rbo_topic(r: Ranking, r_prime: Ranking, cfg: RboConfig) -> float:
     depth = min(cfg.depth, longest)
     docs_a = r.docs
     docs_b = r_prime.docs
-    if docs_a is docs_b:
+    if docs_a is docs_b and cfg.normalize:
         # a ranking compared with itself, as in the t0 rows of a change
         # matrix: every prefix agrees fully, so total and norm below
         # accumulate the same weights, in the same order
-        if cfg.normalize:
-            return 1.0
-        norm = 0.0
-        weight = 1.0
-        for _ in range(depth):
-            norm += weight
-            weight *= cfg.phi
-        return (1.0 - cfg.phi) * norm
+        return 1.0
     # unmatched prefix docs per side; a doc moves from one set into the
     # running overlap count the moment the other ranking reaches it. A
     # ranking shorter than i yields None there (no doc id is None).
@@ -254,14 +247,14 @@ class _SystemScores(NamedTuple):
 def _score_system(
     by_label: Mapping[str, RunFile | str | PathLike],
     labels: list[str],
-    facts: dict[str, dict[TopicId, object]],
+    judged: dict[str, eff._Judged],
     measures: list[MeasureSpec],
     rbo: RboConfig | None,
     common: set[TopicId],
 ) -> _SystemScores:
     """One system's share of a change matrix: each of its runs, read from
     disk if given as a path, in environment order, scored against the
-    judgment facts of its environment's recall base (``facts``, by label),
+    judgment facts of its environment's recall base (``judged``, by label),
     and with ``rbo`` compared with its t0 run over ``common``. Only the
     t0 run and the run at hand are held."""
     tags: dict[str, str] = {}
@@ -275,8 +268,7 @@ def _score_system(
         if not isinstance(run, RunFile):
             run = load_run(run)
         tags[label] = run.system_tag
-        (scored,) = eff._score_judged([run], facts[label], measures, True)
-        for measure, per_topic in scored.items():
+        for measure, per_topic in eff._score_judged(run, judged[label], measures).items():
             scores[label, measure] = per_topic
         if rbo is not None:
             if first is None:
@@ -337,13 +329,13 @@ def build_matrix(
     # dtq scores every environment against t0's qrels, dtq-prime each
     # against its own
     if scenario is Scenario.DTQ:
-        facts = dict.fromkeys(labels, eff._judge(envs[0].qrels, common))
+        judged = dict.fromkeys(labels, eff._judge(envs[0].qrels, common))
     else:
-        facts = {env.label: eff._judge(env.qrels, common) for env in envs}
+        judged = {env.label: eff._judge(env.qrels, common) for env in envs}
     # an ARP or RMSE needs a topic with a relevant document; in dtq every
     # label shares t0's facts, so t0 is named
     for label in labels:
-        if not facts[label]:
+        if not judged[label].facts:
             raise ValueError(
                 f"no common topic has a relevant document in the qrels of environment {label!r}"
             )
@@ -362,12 +354,12 @@ def build_matrix(
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
     rbo_cfg = rbo if scenario is Scenario.DTQ else None
     tasks = [
-        partial(_score_system, by_label, labels, facts, measures, rbo_cfg, common)
+        partial(_score_system, by_label, labels, judged, measures, rbo_cfg, common)
         for by_label in runs.values()
     ]
     if pivot:
         pivot_cfg = rbo_cfg if pivot_complete else None
-        tasks.append(partial(_score_system, pivot, labels, facts, measures, pivot_cfg, common))
+        tasks.append(partial(_score_system, pivot, labels, judged, measures, pivot_cfg, common))
     scored = _workers.run_tasks(tasks)
 
     # the checks that need the tags in the run files

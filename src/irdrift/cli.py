@@ -126,19 +126,19 @@ def _read_config(config_path: str) -> tuple[list[EEConfig], list[str]]:
 
 def _load_environments(
     config_path: str,
-    only: tuple[str, ...] = (),
+    only: tuple[str, ...],
     load_all: bool = False,
     corpus: bool = True,
 ) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
-    """The config's labels and its environments; with `only`, each of its
-    labels is checked before any file is read and just those environments
-    are loaded, unless `load_all`. Without `corpus`, manifests are checked
+    """The config's labels and its environments; each label of `only` is
+    checked before any file is read, and just those environments are
+    loaded, unless `load_all`. Without `corpus`, manifests are checked
     but only their doc ids are kept (see `load_environment`). The chosen
     environments load as one sequence, in config order."""
     configs, labels = _read_config(config_path)
     for label in only:
         _check_label(label, labels)
-    chosen = [cfg for cfg in configs if load_all or not only or cfg.label in only]
+    chosen = [cfg for cfg in configs if load_all or cfg.label in only]
     envs = _load_sequence(chosen, corpus=corpus)
     return labels, {ee.label: ee for ee in envs}
 
@@ -192,8 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         topic_filter = sim.common_topics([envs[label] for label in labels])
     # the qrels are judged once; each run is scored as it is read, so one
     # run is held at a time
-    qrels = envs[args.ee].qrels
-    facts = eff._judge(qrels, qrels.by_topic if topic_filter is None else topic_filter)
+    judged = eff._judge(envs[args.ee].qrels, topic_filter)
     scored: dict[str, tuple[str, dict[MeasureSpec, PerTopicScores]]] = {}
     for path in args.run:
         run = load_run(path)
@@ -203,8 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"--run {path!r}: system tag {run.system_tag!r} is also the tag of "
                 f"--run {scored[run.system_tag][0]!r}; each run needs its own tag"
             )
-        (by_measure,) = eff._score_judged([run], facts, measures, topic_filter is not None)
-        scored[run.system_tag] = path, by_measure
+        scored[run.system_tag] = path, eff._score_judged(run, judged, measures)
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
     for tag in sorted(scored):
@@ -378,8 +376,8 @@ def _path(text: str) -> str:
     return text
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, formats=("csv", "markdown", "json")) -> None:
-    parser.add_argument("--format", choices=formats, default="csv")
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "markdown", "json"), default="csv")
     parser.add_argument("--places", type=_places, default=4, help="decimal places for reals")
     parser.add_argument("--out", type=_path, help="write output to this file instead of stdout")
 

@@ -9,18 +9,17 @@ the public measures take as their second argument. Topics without any
 judged-relevant document are excluded from evaluation rather than scored
 zero, matching standard TREC evaluation behavior.
 
-Scoring is organised in three layers. :func:`score_runs` is the engine:
-it scores several runs under several measures against one qrels in one
-pass, deciding eligibility once, computing each topic's judgment facts
-once (the grades sorted into the ideal ranking, R, N and the ideal DCG
-of each depth) and looking each ranking's docs up in the grades once.
+Scoring takes one path. :func:`_judge` settles once per qrels and topic
+filter which topics are eligible and each one's judgment facts (the
+grades sorted into the ideal ranking, R, N and the ideal DCG of each
+depth). :func:`_score_judged` then scores one run against those facts,
+looking each ranking's docs up in the grades once for all measures.
 Each measure's arithmetic lives in one private kernel that reads that
-list of gains. :func:`precision_at_k`, :func:`ndcg`, :func:`bpref` and
-:func:`evaluate_run` are thin callers of the same kernels, so every path
-gives the same bits. Nothing is cached between calls or stored on
-``Qrels``; a caller that scores runs one at a time against one qrels
-computes the facts once with ``_judge`` and passes them to
-``_score_judged``, the engine's own loop.
+list of gains. :func:`score_runs` and :func:`evaluate_run` judge once and
+score each run; the ``evaluate`` command and a change matrix's system
+tasks call the two steps themselves, and :func:`precision_at_k`,
+:func:`ndcg` and :func:`bpref` call the kernels, so every path gives the
+same bits. Nothing is cached between calls or stored on ``Qrels``.
 
 An ARP (:func:`arp`) is a plain float. Neither it nor a
 :class:`PerTopicScores` names its system or environment:
@@ -33,6 +32,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from itertools import repeat
+from typing import NamedTuple
 
 from .model import (
     DocId,
@@ -98,7 +98,7 @@ def evaluate_run(
     run did not answer scores 0. Without a filter, only topics present in
     the run are evaluated.
     """
-    return score_runs([run], qrels, [measure], topic_filter)[0][measure]
+    return _score_judged(run, _judge(qrels, topic_filter), [measure])[measure]
 
 
 def score_runs(
@@ -115,60 +115,60 @@ def score_runs(
     facts are computed once, and each ranking's docs are looked up in the
     grades once for every measure.
     """
-    candidates = qrels.by_topic if topic_filter is None else topic_filter
-    return _score_judged(runs, _judge(qrels, candidates), measures, topic_filter is not None)
+    judged = _judge(qrels, topic_filter)
+    measures = list(measures)
+    return [_score_judged(run, judged, measures) for run in runs]
 
 
-def _judge(qrels: Qrels, topics: Iterable[TopicId]) -> dict[TopicId, _TopicFacts]:
-    """The judgment facts of each of ``topics`` that is eligible, in topic
-    id order: a topic is eligible when ``qrels`` judges at least one of
-    its documents relevant (grade >= 1)."""
+class _Judged(NamedTuple):
+    """What :func:`_judge` settles about one qrels: the judgment facts of
+    each eligible topic, in topic id order, and whether those topics came
+    from a topic filter, in which case a run that does not answer one
+    scores 0 on it."""
+
+    facts: dict[TopicId, _TopicFacts]
+    filtered: bool
+
+
+def _judge(qrels: Qrels, topic_filter: Iterable[TopicId] | None) -> _Judged:
+    """The judgment facts of each eligible topic of ``topic_filter``, or of
+    every judged topic without one: a topic is eligible when ``qrels``
+    judges at least one of its documents relevant (grade >= 1)."""
     by_topic = qrels.by_topic
-    facts = {topic: _TopicFacts(by_topic[topic]) for topic in sorted(topics) if topic in by_topic}
-    return {topic: fact for topic, fact in facts.items() if fact.big_r}
+    candidates = by_topic if topic_filter is None else by_topic.keys() & topic_filter
+    facts = {topic: _TopicFacts(by_topic[topic]) for topic in sorted(candidates)}
+    return _Judged({t: fact for t, fact in facts.items() if fact.big_r}, topic_filter is not None)
 
 
 def _score_judged(
-    runs: Sequence[RunFile],
-    facts: dict[TopicId, _TopicFacts],
-    measures: Iterable[MeasureSpec],
-    filtered: bool,
-) -> list[dict[MeasureSpec, PerTopicScores]]:
-    """:func:`score_runs` over judgment facts made by :func:`_judge`, which
-    several calls may share. ``filtered`` says the facts' topics are a
-    topic filter, so an eligible topic a run did not answer scores 0."""
-    measures = list(measures)
+    run: RunFile, judged: _Judged, measures: Sequence[MeasureSpec]
+) -> dict[MeasureSpec, PerTopicScores]:
+    """One run's scores under each measure, against the judgment facts
+    that :func:`_judge` made, which several calls may share."""
+    facts = judged.facts
+    rankings = run.rankings
     # bpref and nDCG without a cutoff read the whole ranking
     full = any(m.cutoff is None for m in measures)
     depth = None if full else max((m.cutoff for m in measures), default=0)
     longest = max(
-        [len(ranking) for run in runs for ranking in run.rankings.values()]
+        [len(ranking) for ranking in rankings.values()]
         + [len(fact.ideal) for fact in facts.values()],
         default=0,
     )
     discounts = _discounts(longest)
-    results: list[dict[MeasureSpec, PerTopicScores]] = []
-    for run in runs:
-        rankings = run.rankings
-        topics = facts if filtered else [t for t in facts if t in rankings]
-        per_measure: dict[MeasureSpec, dict[TopicId, float]] = {m: {} for m in measures}
-        for topic in topics:
-            ranking = rankings.get(topic)
-            if ranking is None:
-                for scores in per_measure.values():
-                    scores[topic] = 0.0
-                continue
-            fact = facts[topic]
-            gains = _gains(ranking.docs[:depth], fact.grades)
-            for measure, scores in per_measure.items():
-                scores[topic] = _score(measure, gains, fact, discounts)
-        results.append(
-            {
-                measure: PerTopicScores(measure, scores)
-                for measure, scores in per_measure.items()
-            }
-        )
-    return results
+    topics = facts if judged.filtered else [t for t in facts if t in rankings]
+    per_measure: dict[MeasureSpec, dict[TopicId, float]] = {m: {} for m in measures}
+    for topic in topics:
+        ranking = rankings.get(topic)
+        if ranking is None:
+            for scores in per_measure.values():
+                scores[topic] = 0.0
+            continue
+        fact = facts[topic]
+        gains = _gains(ranking.docs[:depth], fact.grades)
+        for measure, scores in per_measure.items():
+            scores[topic] = _score(measure, gains, fact, discounts)
+    return {measure: PerTopicScores(measure, scores) for measure, scores in per_measure.items()}
 
 
 def arp(scores: PerTopicScores) -> float:

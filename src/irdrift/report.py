@@ -179,7 +179,11 @@ def _write(
     if format == "markdown":
         header, rows = table()
         lines = [header, ["---"] * len(header), *rows]
-        return "".join("| " + " | ".join(cells) + " |\n" for cells in lines).encode("utf-8")
+        # a bare | in a cell would split its row (GFM escapes it as \|)
+        return "".join(
+            "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |\n"
+            for cells in lines
+        ).encode("utf-8")
     raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")
 
 

@@ -134,17 +134,12 @@ class UnderflowingScores:
     def __init__(self) -> None:
         self.calls = 0
 
-    def __call__(self, runs, facts, measures, filtered):
+    def __call__(self, run, judged, measures):
         self.calls += 1
-        results = []
-        for run in runs:
-            scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
-            if run.system_tag == "zpivot":
-                scores[TopicId("q2")] = 1.27e-225
-            results.append(
-                {m: PerTopicScores(m, scores) for m in measures}
-            )
-        return results
+        scores = {TopicId("q1"): 0.5, TopicId("q2"): 0.0}
+        if run.system_tag == "zpivot":
+            scores[TopicId("q2")] = 1.27e-225
+        return {m: PerTopicScores(m, scores) for m in measures}
 
 
 def cpu_masks() -> list[list[int]]:

@@ -191,6 +191,16 @@ def test_evaluate_per_topic_rows(tmp_path, capsys):
     assert sum(1 for l in lines if ",all," not in l) >= 2
 
 
+def test_evaluate_markdown_escapes_a_pipe_in_a_run_tag(tmp_path, capsys):
+    config, runs = write_cli_fixture(tmp_path, systems=("bm25|rm3",))
+    argv = ["evaluate", "--config", str(config), "--ee", "t0", "--run", runs[("bm25|rm3", "t0")]]
+    assert main(argv + ["--measures", "p@10", "--format", "markdown"]) == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header == "| system | ee | measure | topic | score |"
+    assert row.startswith(r"| bm25\|rm3 | t0 | p@10 | all | ")
+    assert row.replace(r"\|", "").count("|") == header.count("|")
+
+
 def test_evaluate_topic_list_ignores_spaces_around_ids(tmp_path, capsys):
     config, runs = write_cli_fixture(tmp_path)
     base = ["evaluate", "--config", str(config), "--ee", "t1", "--per-topic"]
@@ -873,9 +883,9 @@ def test_evaluate_scores_each_run_as_it_reads_it(tmp_path, capsys, monkeypatch):
         calls.append(("judge",))
         return judge(*args)
 
-    def scoring(batch, *args):
-        calls.append(("score", [run.system_tag for run in batch]))
-        return score_judged(batch, *args)
+    def scoring(run, *args):
+        calls.append(("score", [run.system_tag]))
+        return score_judged(run, *args)
 
     monkeypatch.setattr(cli, "load_run", loading)
     monkeypatch.setattr(effectiveness, "_judge", judging)

@@ -181,3 +181,16 @@ def test_unknown_format_rejected():
 def test_render_table_json_records():
     data = render_table(["a", "b"], [["1", "2"]], "json")
     assert json.loads(data) == [{"a": "1", "b": "2"}]
+
+
+def test_markdown_escapes_a_pipe_in_a_cell():
+    # a run tag is any whitespace-free token, so it may hold a |
+    lines = render_table(["system", "score"], [["bm25|rm3", "0.5"]], "markdown").splitlines()
+    assert lines[2] == rb"| bm25\|rm3 | 0.5 |"
+    matrix = LongitudinalMatrix("web|news", rows=(_dtq_row(system="bm25|rm3"),))
+    header, _, row = render(matrix, "markdown").decode().splitlines()
+    assert row.startswith(r"| web\|news | bm25\|rm3 | t0 |")
+    # an escaped | is no cell border, so each row has the header's cells
+    assert row.replace(r"\|", "").count("|") == header.count("|")
+    # csv writes the tag as it is
+    assert b"bm25|rm3,0.5" in render_table(["system", "score"], [["bm25|rm3", "0.5"]], "csv")
