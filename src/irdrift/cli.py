@@ -12,9 +12,15 @@ Subcommands:
 Each subcommand imports the library modules it uses when it runs, so
 ``diff`` and ``simulate`` never load the scoring, change and
 significance modules. The ingest loaders and writers stay module
-globals, where a caller can replace them. Environments are loaded
-through ingest's private sequence loader, which lets consecutive
-snapshots share their unchanged manifest lines. ``simulate`` reads the
+globals, where a caller can replace them. Each flag that picks an
+environment by label is checked against the config by ``_known``, whose
+error names the flag and the known labels; ``--run``, ``--pivot-run``
+and ``--qrels`` store their paths through ``_insert``, which also
+rejects a label given twice. Every label is checked before any
+environment is read. ``diff``, ``evaluate`` and ``change`` then load the
+environments they chose with one call of ingest's private sequence
+loader, which lets consecutive snapshots share their unchanged manifest
+lines. ``simulate`` reads the
 corpus and qrels, warns of judged documents the corpus lacks and writes
 the files that :mod:`irdrift.simulate` cuts and formats.
 ``load_environment``, ``format_manifest``, ``format_qrels`` and
@@ -45,7 +51,6 @@ from pathlib import Path
 from .ingest import (
     EEConfig,
     IngestWarning,
-    ParseError,
     _load_sequence,
     format_manifest,  # not called here; see the module docstring
     format_qrels,  # likewise
@@ -109,38 +114,23 @@ def _parse_measures(text: str) -> list[MeasureSpec]:
     return measures
 
 
-def _check_label(label: str, labels: list[str]) -> None:
-    if label not in labels:
+def _known(where: str, label: str, configs: dict[str, EEConfig]) -> str:
+    """`label`, if the config lists it; else a usage error that names
+    `where`, the flag that gave it, and every known label in config order."""
+    if label not in configs:
         raise CliError(
-            f"unknown environment label {label!r}; known labels: " + ", ".join(labels)
+            f"{where}: unknown environment label {label!r}; known labels: "
+            + ", ".join(configs)
         )
+    return label
 
 
-def _read_config(config_path: str) -> tuple[list[EEConfig], list[str]]:
-    """The config's entries and their labels; reads no other file."""
-    configs = load_config(config_path)
+def _read_config(config_path: str) -> dict[str, EEConfig]:
+    """The config's entries by label, in config order; reads no other file."""
+    configs = {cfg.label: cfg for cfg in load_config(config_path)}
     if not configs:
         raise CliError(f"{config_path}: config lists no environments")
-    return configs, [cfg.label for cfg in configs]
-
-
-def _load_environments(
-    config_path: str,
-    only: tuple[str, ...],
-    load_all: bool = False,
-    corpus: bool = True,
-) -> tuple[list[str], dict[str, EvaluationEnvironment]]:
-    """The config's labels and its environments; each label of `only` is
-    checked before any file is read, and just those environments are
-    loaded, unless `load_all`. Without `corpus`, manifests are checked
-    but only their doc ids are kept (see `load_environment`). The chosen
-    environments load as one sequence, in config order."""
-    configs, labels = _read_config(config_path)
-    for label in only:
-        _check_label(label, labels)
-    chosen = [cfg for cfg in configs if load_all or cfg.label in only]
-    envs = _load_sequence(chosen, corpus=corpus)
-    return labels, {ee.label: ee for ee in envs}
+    return configs
 
 
 def _parse_topic_list(spec: str) -> set[TopicId]:
@@ -162,7 +152,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
     from . import diff as crud
     from . import report as rep
 
-    _, envs = _load_environments(args.config, only=(args.from_label, args.to_label))
+    configs = _read_config(args.config)
+    # both labels are checked before any environment is read
+    chosen = {_known("--from", args.from_label, configs), _known("--to", args.to_label, configs)}
+    loaded = _load_sequence([cfg for cfg in configs.values() if cfg.label in chosen], corpus=True)
+    envs = {ee.label: ee for ee in loaded}
     summary = crud.summarize(envs[args.from_label], envs[args.to_label])
     _write_output(
         rep.render_change_summary(summary, args.format, places=args.places), args.out
@@ -182,14 +176,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     topic_filter = None
     if args.topics is not None and not common:
         topic_filter = _parse_topic_list(args.topics)  # before any file is read
+    configs = _read_config(args.config)
+    ee_config = configs[_known("--ee", args.ee, configs)]
     # the other environments matter only for their common topics
-    labels, envs = _load_environments(
-        args.config, only=(args.ee,), load_all=common, corpus=False
-    )
+    chosen = list(configs.values()) if common else [ee_config]
+    envs = {ee.label: ee for ee in _load_sequence(chosen, corpus=False)}
     if common:
         from . import simulate as sim
 
-        topic_filter = sim.common_topics([envs[label] for label in labels])
+        topic_filter = sim.common_topics(list(envs.values()))
     # the qrels are judged once; each run is scored as it is read, so one
     # run is held at a time
     judged = eff._judge(envs[args.ee].qrels, topic_filter)
@@ -202,7 +197,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"--run {path!r}: system tag {run.system_tag!r} is also the tag of "
                 f"--run {scored[run.system_tag][0]!r}; each run needs its own tag"
             )
-        scored[run.system_tag] = path, eff._score_judged(run, judged, measures)
+        by_measure = eff._score_judged(run, judged, measures)
+        if args.per_topic and any("all" in scores.scores for scores in by_measure.values()):
+            raise CliError(
+                f"--per-topic: --run {path!r} scores topic 'all', which names the "
+                f"mean rows; the two could not be told apart"
+            )
+        scored[run.system_tag] = path, by_measure
     header = ["system", "ee", "measure", "topic", "score"]
     rows: list[list[str]] = []
     for tag in sorted(scored):
@@ -218,7 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise CliError(f"--run {path!r}: {exc} for {where}") from None
             per_topic = sorted(scores.scores.items()) if args.per_topic else []
             for topic, score in [*per_topic, ("all", mean)]:
-                rows.append([tag, args.ee, measure.name, topic, format(score, f".{args.places}f")])
+                rows.append([tag, args.ee, measure.name, topic, rep._fmt_real(score, args.places)])
     _write_output(rep.render_table(header, rows, args.format), args.out)
     return 0
 
@@ -226,36 +227,38 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- change -------------------------------------------------------------
 
 
-def _parse_run_flags(flags: list[str], labels: list[str]) -> dict[str, dict[str, str]]:
+def _insert(
+    where: str, paths: dict[str, str], label: str, path: str, configs: dict[str, EEConfig]
+) -> None:
+    """``paths[label] = path``, for a label the config lists and `paths`
+    lacks; else a usage error that names `where`, the flag."""
+    if _known(where, label, configs) in paths:
+        raise CliError(f"{where}: duplicate entry for {label!r}")
+    paths[label] = path
+
+
+def _parse_run_flags(flags: list[str], configs: dict[str, EEConfig]) -> dict[str, dict[str, str]]:
     runs: dict[str, dict[str, str]] = {}
     for flag in flags:
         parts = flag.split(":", 2)
         if len(parts) != 3 or not parts[2]:
             raise CliError(f"--run expects TAG:EE_LABEL:PATH, got {flag!r}")
         tag, label, path = parts
-        try:
-            _check_id(tag, "system tag")
-        except ValueError as exc:
-            raise CliError(f"--run {flag!r}: {exc}") from None
-        if label not in labels:
-            raise CliError(f"--run {flag!r}: unknown environment label {label!r}")
-        if label in runs.setdefault(tag, {}):
-            raise CliError(f"--run {flag!r}: duplicate run for {tag!r} at {label!r}")
-        runs[tag][label] = path
+        where = f"--run {flag!r}"
+        _flag_value(where, _check_id, tag, "system tag")
+        _insert(where, runs.setdefault(tag, {}), label, path, configs)
     return runs
 
 
-def _parse_label_paths(flags: list[str], labels: list[str], option: str) -> dict[str, str]:
+def _parse_label_paths(
+    flags: list[str], configs: dict[str, EEConfig], option: str
+) -> dict[str, str]:
     out: dict[str, str] = {}
     for flag in flags:
         label, sep, path = flag.partition("=")
         if not sep or not path:
             raise CliError(f"{option} expects EE_LABEL=PATH, got {flag!r}")
-        if label not in labels:
-            raise CliError(f"{option} {flag!r}: unknown environment label {label!r}")
-        if label in out:
-            raise CliError(f"{option} {flag!r}: duplicate entry for {label!r}")
-        out[label] = path
+        _insert(f"{option} {flag!r}", out, label, path, configs)
     return out
 
 
@@ -271,25 +274,24 @@ def cmd_change(args: argparse.Namespace) -> int:
     _flag_value("--phi", cm.RboConfig, args.phi)
     normalize = not args.no_rbo_normalize
     rbo = _flag_value("--rbo-depth", cm.RboConfig, args.phi, args.rbo_depth, normalize)
-    configs, labels = _read_config(args.config)
+    configs = _read_config(args.config)
     scenario = Scenario(args.scenario)
 
-    qrels_paths = _parse_label_paths(args.qrels or [], labels, "--qrels")
+    qrels_paths = _parse_label_paths(args.qrels or [], configs, "--qrels")
     if scenario is Scenario.DTQ and qrels_paths:
         raise CliError(
             "--qrels conflicts with --scenario dtq: the document-only scenario "
             "pins the recall base to the first environment's qrels"
         )
-    run_paths = _parse_run_flags(args.run or [], labels)
+    run_paths = _parse_run_flags(args.run or [], configs)
     if not run_paths:
         raise CliError("at least one --run TAG:EE_LABEL:PATH is required")
-    pivot_paths = _parse_label_paths(args.pivot_run or [], labels, "--pivot-run")
+    pivot_paths = _parse_label_paths(args.pivot_run or [], configs, "--pivot-run")
 
     # a --qrels file is read in place of the config's, never beside it
     for label, path in qrels_paths.items():
-        i = labels.index(label)
-        configs[i] = configs[i]._replace(qrels_path=Path(path))
-    envs = _load_sequence(configs, corpus=False)
+        configs[label] = configs[label]._replace(qrels_path=Path(path))
+    envs = _load_sequence(list(configs.values()), corpus=False)
     # each system's runs are read by its own scoring task
     matrix = cm.build_matrix(
         args.collection or Path(args.config).stem,
@@ -472,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, OSError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and ParseError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -41,11 +41,17 @@ corpus (doc id -> :class:`DocMeta`) and :func:`parse_topics` a topic id
 -> text map.
 
 JSON-lines records are decoded by one helper that accepts exactly what
-``json.loads`` accepts, with its error messages. A manifest parses each
-distinct timestamp text once and shares the resulting (immutable)
-datetime between its documents. Manifests have one line loop
-(``_read_manifest``) with two outputs: :func:`parse_manifest` keeps each
-document's :class:`DocMeta`, :func:`parse_manifest_ids` only its id.
+``json.loads`` accepts, with its error messages. Every text that
+``json.loads`` rejects, a JSON-lines record or a config, is reported by
+one helper, ``_json``, as ``invalid JSON (<reason>)`` after its line
+number or file path. A config is read through the same file opener as
+every other input, so its read and UTF-8 errors are theirs.
+
+A manifest parses each distinct timestamp text once and shares the
+resulting (immutable) datetime between its documents. Manifests have
+one line loop (``_read_manifest``) with two outputs:
+:func:`parse_manifest` keeps each document's :class:`DocMeta`,
+:func:`parse_manifest_ids` only its id.
 Both make the same checks in the same order with the same messages, so
 they accept the same files. The ``length`` and ``hash`` checks belong to
 :mod:`irdrift.model` (:func:`~irdrift.model._check_doc_meta`, which
@@ -350,12 +356,19 @@ def _json_line(raw: str, lineno: int) -> object:
             return value
     if not raw.strip():
         return _BLANK
+    return _json(raw, f"line {lineno}: ")
+
+
+def _json(text: str, where: str) -> object:
+    """``json.loads(text)``; a text it rejects raises :class:`ParseError`
+    ``{where}invalid JSON ({reason})``."""
     try:
-        return json.loads(raw)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        reason = exc.msg  # without the position its str() appends
     except RecursionError as exc:  # nested deeper than the decoder goes
-        raise ParseError(f"line {lineno}: invalid JSON ({exc})") from None
+        reason = str(exc)
+    raise ParseError(f"{where}invalid JSON ({reason})")
 
 
 def _read_manifest(
@@ -474,16 +487,7 @@ def load_config(path: Path | str) -> list[EEConfig]:
     a string or absent (or null); a path string must be non-empty.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc.msg})") from None
-    except RecursionError as exc:  # nested deeper than the decoder goes
-        raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    doc = _parse_file(lambda handle: _json(handle.read(), ""), path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: config must be a JSON array of environments")
     base = path.parent

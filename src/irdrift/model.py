@@ -326,7 +326,8 @@ class MeasureSpec(_Checked, _MeasureSpecFields):
 
     @classmethod
     def parse(cls, text: str) -> "MeasureSpec":
-        """Parse a canonical measure name (case-insensitive)."""
+        """Parse a canonical measure name (case-insensitive); the cutoff
+        rules are :meth:`_check`'s."""
         base, _, cut = text.strip().lower().partition("@")
         cutoff: int | None = None
         if cut:
@@ -334,17 +335,13 @@ class MeasureSpec(_Checked, _MeasureSpecFields):
                 cutoff = int(cut)
             except ValueError:
                 raise ValueError(f"bad measure cutoff in {text!r}") from None
-        if base == "p":
-            if cutoff is None:
-                raise ValueError(f"precision measure needs a cutoff: {text!r}")
-            return cls(MeasureKind.PRECISION, cutoff)
-        if base == "ndcg":
-            return cls(MeasureKind.NDCG, cutoff)
-        if base == "bpref":
-            if cutoff is not None:
-                raise ValueError(f"bpref takes no cutoff: {text!r}")
-            return cls(MeasureKind.BPREF)
-        raise ValueError(f"unknown measure {text!r} (expected p@K, ndcg[@K], bpref)")
+        try:
+            kind = MeasureKind(base)  # each kind's value is its name
+        except ValueError:
+            raise ValueError(
+                f"unknown measure {text!r} (expected p@K, ndcg[@K], bpref)"
+            ) from None
+        return cls(kind, cutoff)
 
     def __str__(self) -> str:
         return self.name

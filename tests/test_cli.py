@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output shape, determinism."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from irdrift.ingest import (
     load_manifest,
     load_qrels,
 )
+from irdrift.model import DocMeta
 
 from conftest import (
     CLI_TOPICS,
@@ -114,6 +116,39 @@ def test_diff_reports_an_unknown_label_before_a_parse_error(tmp_path, capsys):
     assert "unknown environment label 't9'; known labels: t0, t1, t2" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["diff", "--from", "t9", "--to", "t0"], "--from"),
+        (["diff", "--from", "t0", "--to", "t9"], "--to"),
+        (["evaluate", "--ee", "t9", "--run", "x.run"], "--ee"),
+    ],
+)
+def test_an_unknown_label_names_its_flag_and_the_known_labels(tmp_path, capsys, argv, flag):
+    config, _ = write_cli_fixture(tmp_path)
+    _drop_manifests(tmp_path)  # checked before any environment is loaded
+    assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag}: unknown environment label 't9'; known labels: t0, t1\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "--from", "t0", "--to", "t0"],
+        ["evaluate", "--ee", "t0", "--run", "x.run"],
+        ["change", "--scenario", "dtq", "--run", "alpha:t0:x.run"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_config_without_environments_exits_2(tmp_path, capsys, argv):
+    config = tmp_path / "ees.json"
+    config.write_text("[]")
+    assert main(argv[:1] + ["--config", str(config)] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {config}: config lists no environments\n"
+
+
 def test_evaluate_reads_only_its_environment_unless_topics_are_common(tmp_path, capsys):
     config, runs = write_cli_fixture(tmp_path)
     argv = ["evaluate", "--config", str(config), "--ee", "t0", "--run", runs[("alpha", "t0")]]
@@ -189,6 +224,29 @@ def test_evaluate_per_topic_rows(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()[1:]
     assert sum(1 for l in lines if ",all," in l) == 1
     assert sum(1 for l in lines if ",all," not in l) >= 2
+
+
+def test_evaluate_per_topic_rejects_a_scored_topic_named_all(tmp_path, capsys):
+    # "all" is a legal topic id, but it is also the topic of each mean row
+    (tmp_path / "m.jsonl").write_text(format_manifest({"d1": DocMeta(5), "d2": DocMeta(5)}))
+    (tmp_path / "q.txt").write_text("all 0 d1 1\nq2 0 d1 1\n")
+    (tmp_path / "ees.json").write_text(
+        json.dumps([{"label": "t0", "manifest": "m.jsonl", "qrels": "q.txt"}])
+    )
+    run = tmp_path / "sys.run"
+    run.write_text("all Q0 d2 1 2.0 sys\nall Q0 d1 2 1.0 sys\nq2 Q0 d1 1 2.0 sys\n")
+    out = tmp_path / "out.csv"
+    argv = ["evaluate", "--config", str(tmp_path / "ees.json"), "--ee", "t0", "--run", str(run)]
+    argv += ["--measures", "p@1", "--out", str(out)]
+    assert main(argv + ["--per-topic"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --per-topic: --run {str(run)!r} scores topic 'all', which names the "
+        f"mean rows; the two could not be told apart\n"
+    )
+    assert not out.exists()
+    # without --per-topic the mean row is the only row
+    assert main(argv) == 0
+    assert out.read_text() == "system,ee,measure,topic,score\nsys,t0,p@1,all,0.5000\n"
 
 
 def test_evaluate_markdown_escapes_a_pipe_in_a_run_tag(tmp_path, capsys):
@@ -480,6 +538,48 @@ def test_non_integer_places_keeps_the_int_message(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("error: argument --places: invalid int value: 'x'\n")
 
 
+_REAL = re.compile(r"(-?\d+\.\d{4})")  # a real at the default 4 places
+
+
+def _assert_reals_at(places, out, default):
+    """`out` is `default` with each real, written there at 4 places, at
+    `places` places: the same text around them, and nearly the same value."""
+    parts = _REAL.split(default)
+    texts, reals = parts[0::2], parts[1::2]
+    assert reals
+    real = r"(-?\d+)" if places == 0 else rf"(-?\d+\.\d{{{places}}})"
+    match = re.fullmatch(real.join(map(re.escape, texts)), out)
+    assert match is not None
+    for got, want in zip(match.groups(), reals):
+        assert abs(float(got) - float(want)) <= 0.5 * 10**-places + 0.5e-4
+
+
+@pytest.mark.parametrize("command", ["diff", "evaluate", "report"])
+def test_places_sets_the_digits_of_each_real(tmp_path, capsys, command):
+    config, runs = write_cli_fixture(tmp_path)
+    if command == "diff":
+        argv = ["diff", "--config", str(config), "--from", "t0", "--to", "t1"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--config", str(config), "--ee", "t1", "--per-topic"]
+        argv += ["--run", runs[("alpha", "t1")]]
+    else:
+        matrix = tmp_path / "matrix.json"
+        change = change_argv(config, runs, "dtq") + ["--format", "json", "--out", str(matrix)]
+        assert main(change) == 0
+        argv = ["report", "--matrix", str(matrix)]
+    for fmt in ("csv", "markdown", "json"):
+        assert main(argv + ["--format", fmt]) == 0
+        default = capsys.readouterr().out
+        for places in (0, 6):
+            assert main(argv + ["--format", fmt, "--places", str(places)]) == 0
+            out = capsys.readouterr().out
+            if fmt == "json" and command != "evaluate":
+                assert out == default  # its numbers keep every digit
+            else:
+                # evaluate's json records hold the score cells as written
+                _assert_reals_at(places, out, default)
+
+
 def test_change_t_tail_non_convergence_is_internal_error(tmp_path, capsys, monkeypatch):
     config, runs = write_cli_fixture(tmp_path, systems=("alpha", "beta", "zpivot"))
     monkeypatch.setattr(_numeric, "_MAX_ITERATIONS", 1)
@@ -552,10 +652,29 @@ def test_change_rejects_a_system_tag_no_run_file_can_carry(tmp_path, capsys, tag
 @pytest.mark.parametrize(
     "flag, message",
     [
-        (["--run", "alpha:t9:x.run"], "--run 'alpha:t9:x.run': unknown environment label 't9'"),
-        (["--pivot-run", "t9=x.run"], "--pivot-run 't9=x.run': unknown environment label 't9'"),
-        (["--qrels", "t9=x.txt"], "--qrels 't9=x.txt': unknown environment label 't9'"),
+        (
+            ["--run", "alpha:t9:x.run"],
+            "--run 'alpha:t9:x.run': unknown environment label 't9'; known labels: t0, t1",
+        ),
+        (
+            ["--pivot-run", "t9=x.run"],
+            "--pivot-run 't9=x.run': unknown environment label 't9'; known labels: t0, t1",
+        ),
+        (
+            ["--qrels", "t9=x.txt"],
+            "--qrels 't9=x.txt': unknown environment label 't9'; known labels: t0, t1",
+        ),
         (["--qrels", "t1"], "--qrels expects EE_LABEL=PATH, got 't1'"),
+        # change_argv already gives alpha a run at t0
+        (["--run", "alpha:t0:x.run"], "--run 'alpha:t0:x.run': duplicate entry for 't0'"),
+        (
+            ["--pivot-run", "t0=a.run", "--pivot-run", "t0=b.run"],
+            "--pivot-run 't0=b.run': duplicate entry for 't0'",
+        ),
+        (
+            ["--qrels", "t1=a.txt", "--qrels", "t1=b.txt"],
+            "--qrels 't1=b.txt': duplicate entry for 't1'",
+        ),
     ],
 )
 def test_change_checks_its_flags_before_loading_any_environment(tmp_path, capsys, flag, message):
@@ -563,6 +682,13 @@ def test_change_checks_its_flags_before_loading_any_environment(tmp_path, capsys
     _drop_manifests(tmp_path)
     assert main(change_argv(config, runs, "dtq-prime") + flag) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_change_without_a_run_exits_2_before_loading_any_environment(tmp_path, capsys):
+    config, _ = write_cli_fixture(tmp_path)
+    _drop_manifests(tmp_path)
+    assert main(["change", "--config", str(config), "--scenario", "dtq"]) == 2
+    assert capsys.readouterr().err == "error: at least one --run TAG:EE_LABEL:PATH is required\n"
 
 
 def test_change_dtq_prime_reads_a_qrels_override_in_place_of_the_config_qrels(

@@ -71,6 +71,12 @@ def test_p_at_k_empty_ranking():
     assert precision_at_k(make_ranking([]), {"d1": 1}, 10) == 0.0
 
 
+def test_p_at_k_rejects_a_cutoff_below_one():
+    with pytest.raises(ValueError) as exc:
+        precision_at_k(make_ranking(["d1"]), {"d1": 1}, 0)
+    assert str(exc.value) == "k must be >= 1, got 0"
+
+
 def test_p_at_k_denominator_stays_k():
     docs = [f"d{i}" for i in range(5)]
     grades = {d: 1 for d in docs}

@@ -16,6 +16,7 @@ from irdrift.ingest import (
     format_topics,
     load_config,
     load_environment,
+    load_environments,
     parse_manifest,
     parse_manifest_ids,
     parse_qrels,
@@ -300,6 +301,21 @@ def test_parse_topics_rejects_non_string_topic_id(value):
         parse_topics([f'{{"topic_id": {value}}}'])
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"topic_id": "a b"}'], "line 1: TopicId must not contain whitespace: 'a b'"),
+        (['{"topic_id": ""}'], "line 1: TopicId must be non-empty"),
+        (['{"topic_id": "q1"}', '{"topic_id": "q1", "text": "x"}'],
+         "line 2: duplicate topic_id q1"),
+    ],
+)
+def test_parse_topics_rejects_a_bad_or_duplicate_topic_id(lines, message):
+    with pytest.raises(ParseError) as exc:
+        parse_topics(lines)
+    assert str(exc.value) == message
+
+
 def _write_env(tmp_path, with_topics=False, topic_ids=("1",)):
     (tmp_path / "corpus.jsonl").write_text(
         '{"doc_id": "d1", "length": 10, "timestamp": "2019-01-01T00:00:00+00:00"}\n'
@@ -366,6 +382,37 @@ def test_load_environment_missing_manifest_names_path(tmp_path):
     )
     with pytest.raises(OSError, match="absent.jsonl"):
         load_environment(config)
+
+
+def test_load_environments_loads_every_configured_environment_in_order(tmp_path):
+    config_path = _write_env(tmp_path)
+    (tmp_path / "later.qrels.txt").write_text("1 0 d1 2\n")
+    entries = json.loads(config_path.read_text())
+    entries.insert(0, dict(entries[0], label="t1", qrels="later.qrels.txt"))
+    config_path.write_text(json.dumps(entries))
+    envs = load_environments(config_path)
+    assert envs == [load_environment(config) for config in load_config(config_path)]
+    assert [ee.label for ee in envs] == ["t1", "t0"]
+    assert [ee.qrels.by_topic for ee in envs] == [{"1": {"d1": 2}}, {"1": {"d1": 1}}]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "invalid JSON (Expecting value)"),
+        ('[{"label": "t0", "manifest": "m", "qrels": "q"}, "t1"]',
+         "entry 1 must be a JSON object"),
+        ('[{"label": "t0", "manifest": "m"}]', "entry 0 missing 'qrels'"),
+        ('[{"label": "", "manifest": "m", "qrels": "q"}]',
+         "entry 0: EEConfig label must be non-empty"),
+    ],
+)
+def test_load_config_names_the_file_and_the_fault(tmp_path, text, message):
+    path = tmp_path / "ees.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_load_config_rejects_non_array(tmp_path):

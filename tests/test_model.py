@@ -310,6 +310,22 @@ def test_measure_spec_validation():
         MeasureSpec.parse("p")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p@x", "bad measure cutoff in 'p@x'"),
+        ("p", "precision measure requires cutoff >= 1"),
+        ("ndcg@0", "ndcg cutoff must be >= 1 when given"),
+        ("bpref@5", "bpref takes no cutoff"),
+        ("map", "unknown measure 'map' (expected p@K, ndcg[@K], bpref)"),
+    ],
+)
+def test_measure_parse_leaves_the_cutoff_rules_to_the_record(text, message):
+    with pytest.raises(ValueError) as exc:
+        MeasureSpec.parse(text)
+    assert str(exc.value) == message
+
+
 def test_per_topic_scores_range():
     m = MeasureSpec.parse("bpref")
     with pytest.raises(ValueError, match="\\[0, 1\\]"):

@@ -57,6 +57,12 @@ def test_identical_scores_give_p_one():
     assert (t, p, n) == (0.0, 1.0, 10)
 
 
+def test_paired_test_rejects_scores_of_different_measures():
+    with pytest.raises(ValueError) as exc:
+        paired_t_test(_scores([0.1, 0.2], "p@10"), _scores([0.1, 0.2], "bpref"))
+    assert str(exc.value) == "paired test requires matching measures, got p@10 vs bpref"
+
+
 def test_constant_nonzero_difference_gives_p_zero():
     a = _scores([0.2 + 0.1] * 10)
     b = _scores([0.2] * 10)
