@@ -4,6 +4,10 @@
 order. Seen from outside, it behaves as a plain loop that calls the
 tasks one after another. Each task's warnings are shown in task order,
 and the loop stops at the first task that raises, with its exception.
+Its tasks are the scoring tasks of :func:`irdrift.change.build_matrix`
+and the two passes of the sequence loader in :mod:`irdrift.ingest`,
+which reads the manifests in a worker while this process reads the qrels
+and topics.
 
 The tasks run on min(tasks, allowed CPUs) processes: this one and forked
 workers. Task i goes to process i mod n, and each process is pinned to
@@ -20,10 +24,12 @@ worker or not, and the parent re-issues them with
 ``warnings.warn_explicit`` at the place each was raised, under its own
 filters and in that module's registry. So ``-W error`` raises the first
 warning in task order, and the default filter shows a repeated warning
-once, as a plain loop would. The same code runs in this process alone
-when there is one CPU or one task, when the platform has no ``os.fork``
-or ``os.sched_getaffinity``, or when another thread is running, as a
-forked child would hold only a copy of this one.
+once, as a plain loop would. The sequence loader records its qrels
+warnings and shows them again the same way, so both use one pair of
+helpers, ``ingest._recorded`` and ``ingest._warn_again``. The same code
+runs in this process alone when there is one CPU or one task, when the
+platform has no ``os.fork`` or ``os.sched_getaffinity``, or when another
+thread is running, as a forked child would hold only a copy of this one.
 """
 
 from __future__ import annotations
@@ -31,13 +37,13 @@ from __future__ import annotations
 import os
 import signal
 import sys
-import warnings
 from collections.abc import Callable, Sequence
 from typing import Any
 
-# a task's index, its result, its recorded warnings as (message, category,
-# filename, lineno), and the exception it raised or None
-_Outcome = tuple[int, Any, list[tuple[Warning, type, str, int]], Exception | None]
+from .ingest import _Recorded, _recorded, _warn_again
+
+# a task's index and what it gave
+_Outcome = tuple[int, _Recorded]
 
 
 def _cpus() -> list[int]:
@@ -138,43 +144,19 @@ def _worker(tasks: Sequence[Callable[[], Any]], share: int, n: int, cpu: int, wr
 def _run_share(tasks: Sequence[Callable[[], Any]], indices: Sequence[int]) -> list[_Outcome]:
     """Run the tasks at ``indices`` in order, recording each one's warnings;
     stops after the first task that raises."""
-    outcomes: list[_Outcome] = []
-    for i in indices:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result, error = tasks[i](), None
-            except Exception as exc:  # re-raised by _replay, in task order
-                result, error = None, exc
-        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        outcomes.append((i, result, shown, error))
-        if error is not None:
-            break
-    return outcomes
+    return list(zip(indices, _recorded(map(tasks.__getitem__, indices))))
 
 
 def _replay(count: int, outcomes: list[_Outcome], lost: dict[int, str]) -> list[Any]:
     """Issue each task's warnings and return its result, in task order;
     raise the first task's error, or a lost task's fault, instead."""
-    by_index = {outcome[0]: outcome for outcome in outcomes}
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    by_index = dict(outcomes)
     results = []
     for i in range(count):
         if i in lost:
             raise RuntimeError(lost[i])
-        _, result, shown, error = by_index[i]
-        for message, category, filename, lineno in shown:
-            # the module's own registry, so a repeat is shown once as before
-            namespace = vars(modules[filename]) if filename in modules else {}
-            warnings.warn_explicit(
-                message,
-                category,
-                filename,
-                lineno,
-                module=namespace.get("__name__"),
-                registry=namespace.setdefault("__warningregistry__", {}),
-                module_globals=namespace or None,
-            )
+        result, shown, error = by_index[i]
+        _warn_again(shown)
         if error is not None:
             raise error
         results.append(result)

@@ -27,12 +27,12 @@ the files that :mod:`irdrift.simulate` cuts and formats.
 ``format_topics`` stay module globals for code that replaces them by
 name (``bench/spans.py``), though no subcommand calls them any more.
 
-``change`` passes its run paths to :func:`irdrift.change.build_matrix`,
-which reads each system's runs in that system's scoring task. The tasks
-run on one process per CPU in this process's affinity mask, up to
-systems + pivot, with workers forked after the environments are loaded
-(:mod:`irdrift._workers`); with one allowed CPU everything runs in this
-process. ``import irdrift.cli`` loads neither the worker helper nor
+``change`` and ``evaluate`` read their manifests in a worker while this
+process reads the qrels and topics; ``change`` then gives its run paths to
+:func:`irdrift.change.build_matrix`, which reads each system's runs in its
+scoring task, on one process per CPU in this process's affinity mask, up
+to systems + pivot (:mod:`irdrift._workers`); with one allowed CPU all
+runs here. ``import irdrift.cli`` loads neither that helper nor
 :mod:`pickle`. ``evaluate`` judges the qrels once and scores each
 ``--run`` as it reads it, so it holds one parsed run at a time.
 

@@ -327,12 +327,19 @@ class MeasureSpec(_Checked, _MeasureSpecFields):
     @classmethod
     def parse(cls, text: str) -> "MeasureSpec":
         """Parse a canonical measure name (case-insensitive); the cutoff
-        rules are :meth:`_check`'s."""
-        base, _, cut = text.strip().lower().partition("@")
+        rules are :meth:`_check`'s.
+
+        A cutoff is ASCII digits without a leading zero, the one spelling
+        :attr:`name` gives back, so an accepted name, stripped and
+        lower-cased, is its spec's name.
+        """
+        base, at, cut = text.strip().lower().partition("@")
         cutoff: int | None = None
-        if cut:
+        if at:
             try:
-                cutoff = int(cut)
+                if not (cut.isascii() and cut.isdigit()) or (cut[0] == "0" and cut != "0"):
+                    raise ValueError
+                cutoff = int(cut)  # refuses more than sys.get_int_max_str_digits()
             except ValueError:
                 raise ValueError(f"bad measure cutoff in {text!r}") from None
         try:

@@ -151,6 +151,19 @@ def cpu_masks() -> list[list[int]]:
     return [allowed[:1], (allowed * 2)[:2]]
 
 
+def count_forks(monkeypatch) -> list[int]:
+    """A list that gains one entry for each ``os.fork`` call from now on."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 CLI_TOPICS = [f"q{i}" for i in range(1, 9)]
 
 

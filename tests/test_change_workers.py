@@ -5,8 +5,9 @@ Each test runs the CLI under both answers of ``conftest.cpu_masks`` for
 the CPU query of :mod:`irdrift._workers`: one CPU, where every task runs
 in this process, and two, where the tasks of the dtq fixture (alpha,
 beta and the pivot zpivot) split into alpha and zpivot here and beta in
-one forked worker. Both paths must give the same error line and exit
-code, the same warnings in the same order, and leave no child process.
+one forked worker, after another worker has read the manifests. Both
+paths must give the same error line and exit code, the same warnings in
+the same order, and leave no child process.
 """
 
 import os
@@ -18,7 +19,7 @@ import pytest
 from irdrift import _workers, change
 from irdrift.cli import main
 
-from conftest import change_argv, cpu_masks, write_cli_fixture
+from conftest import change_argv, count_forks, cpu_masks, write_cli_fixture
 
 
 def _dtq_argv(tmp_path):
@@ -160,30 +161,20 @@ def test_a_worker_that_ends_without_a_result_is_an_internal_error(
     _no_child_left()
 
 
-def _count_forks(monkeypatch):
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
 def test_one_cpu_one_task_or_another_thread_forks_nothing(tmp_path, capsys, monkeypatch):
     argv, runs = _dtq_argv(tmp_path)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     one, two = cpu_masks()
     monkeypatch.setattr(_workers, "_cpus", lambda: one)
     assert main(argv) == 0
     assert forks == []
     monkeypatch.setattr(_workers, "_cpus", lambda: two)
-    # one system and no pivot is one task
+    # one system and no pivot is one scoring task; only the manifests are
+    # read in a worker
     config = argv[argv.index("--config") + 1]
     assert main(change_argv(config, runs, "dtq", systems=("alpha",))) == 0
-    assert forks == []
+    assert forks == [1]
+    forks.clear()
     # a forked child would hold a copy of this thread only
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
@@ -195,8 +186,9 @@ def test_one_cpu_one_task_or_another_thread_forks_nothing(tmp_path, capsys, monk
         waiting.join(timeout=10)
     assert not waiting.is_alive()
     assert forks == []
+    # the manifests, then beta's scoring task
     assert main(argv) == 0
-    assert forks == [1]
+    assert forks == [1, 1]
     _no_child_left()
     capsys.readouterr()
 

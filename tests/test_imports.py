@@ -1,8 +1,9 @@
 """Import guards: no CLI call imports numpy or scipy, no subcommand
 imports ``dataclasses`` or ``inspect``, ``diff`` and ``simulate`` import
 only the irdrift modules they use, ``change`` and ``evaluate`` never
-import ``diff``, only ``change`` imports the worker helper, and the
-package's export map names each public object where it is defined.
+import ``diff``, only ``change`` and ``evaluate`` import the worker
+helper, and the package's export map names each public object where it
+is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -289,14 +290,16 @@ def test_importing_the_cli_loads_neither_pickle_nor_the_worker_helper():
     assert json.loads(done.stdout) == []
 
 
-# diff and simulate load an exact module set, checked above
-def test_evaluate_does_not_import_the_worker_helper(tmp_path):
+# diff and simulate load an exact module set, checked above; evaluate
+# reads its manifests with the worker helper, but scores no change task
+def test_evaluate_imports_the_worker_helper_but_not_change(tmp_path):
     config, runs = write_cli_fixture(tmp_path)
     state = _loaded_modules(["evaluate", "--config", str(config), "--ee", "t1", "--topics",
                              "common", "--run", runs[("alpha", "t1")]])
     assert state["code"] == 0
     assert "irdrift.effectiveness" in state["after_run"]
-    assert "irdrift._workers" not in state["after_run"]
+    assert "irdrift._workers" in state["after_run"]
+    assert not {"irdrift.change", "irdrift.significance"} & set(state["after_run"])
 
 
 # report names diff's ChangeSummary in an annotation only

@@ -6,20 +6,28 @@ an environment unchanged) and checks that ``build_matrix`` responds as
 the model of temporal change says it must. The inputs are small
 in-memory runs and qrels; unanswered topics may occur except in the
 identity relation, where a topic missing from both runs would score an
-overlap of 0.0.
+overlap of 0.0. One relation runs the ``change`` command on files:
+creating or deleting documents that no qrels judges and no run retrieves
+changes neither its stdout nor its warnings and stderr.
 """
 
+import contextlib
+import io
+import json
 import warnings
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irdrift import _workers
 from irdrift.change import RboConfig, build_matrix
+from irdrift.cli import main
+from irdrift.ingest import load_config, load_qrels, load_run
 from irdrift.model import MeasureSpec, Qrels, Ranking, RunFile, Scenario
 
-from conftest import make_environment, make_ranking
+from conftest import change_argv, make_environment, make_ranking, pivot_argv, write_cli_fixture
 
 DOCS = [f"d{i}" for i in range(8)]
 TOPICS = ["q0", "q1", "q2"]
@@ -179,3 +187,72 @@ def test_an_unchanged_environment_changes_nothing(inputs, same_object, phi, dept
                 assert row.delta_ri[measure] == (0.0 if pivot_arp[row.ee_label][measure] else None)
             else:
                 assert row.delta_ri[measure] is None
+
+
+# --- the change command over manifests with documents nothing reads ---------
+
+
+def run_cli(argv):
+    """(exit code, stdout bytes, stderr text, warnings as (category, text,
+    file, line)) of one CLI call, with warnings shown as by default."""
+    stdout, stderr = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main(argv)
+    shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    return code, stdout.buffer.getvalue(), stderr.getvalue(), shown
+
+
+@pytest.fixture(scope="module")
+def change_inputs(tmp_path_factory):
+    """The CLI fixture with a pivot, each scenario's argv and outcome, and
+    per environment the manifest lines of the documents that no qrels
+    judges and no run retrieves."""
+    config, runs = write_cli_fixture(
+        tmp_path_factory.mktemp("change"), n_docs=400, systems=("alpha", "beta", "zpivot")
+    )
+    argvs = {"dtq": change_argv(config, runs, "dtq"), "dtq-prime": pivot_argv(config, runs)}
+    configs = load_config(config)
+    read = set()
+    for path in runs.values():
+        for ranking in load_run(path).rankings.values():
+            read.update(ranking.docs)
+    for cfg in configs:
+        read.update(*load_qrels(cfg.qrels_path).by_topic.values())
+    unread = []
+    for cfg in configs:
+        lines = cfg.manifest_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        unread.append([line for line in lines if json.loads(line)["doc_id"] not in read])
+        assert unread[-1], "no document to delete"
+    outcomes = {scenario: run_cli(argv) for scenario, argv in argvs.items()}
+    assert all(code == 0 and out for code, out, *_ in outcomes.values())
+    return config, configs, argvs, outcomes, unread
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_documents_that_nothing_reads_change_no_byte_of_change(
+    change_inputs, data, tmp_path_factory
+):
+    config, configs, argvs, outcomes, unread = change_inputs
+    directory = tmp_path_factory.mktemp("crud")
+    entries = []
+    for cfg, deletable in zip(configs, unread):
+        deleted = set(data.draw(st.lists(st.sampled_from(deletable), unique=True)))
+        created = [
+            json.dumps({"doc_id": f"new-{cfg.label}-{k}", "length": 7})
+            for k in range(data.draw(st.integers(0, 3)))
+        ]
+        lines = cfg.manifest_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest = directory / cfg.manifest_path.name
+        kept = "".join(line for line in lines if line not in deleted)
+        manifest.write_text(kept + "".join(line + "\n" for line in created), encoding="utf-8")
+        entries.append(
+            {"label": cfg.label, "manifest": str(manifest), "qrels": str(cfg.qrels_path)}
+        )
+    changed = directory / config.name
+    changed.write_text(json.dumps(entries), encoding="utf-8")
+    for scenario, argv in argvs.items():
+        moved = [str(changed) if arg == str(config) else arg for arg in argv]
+        assert run_cli(moved) == outcomes[scenario]

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irdrift.change import ChangeScores, RboConfig
@@ -324,6 +324,42 @@ def test_measure_parse_leaves_the_cutoff_rules_to_the_record(text, message):
     with pytest.raises(ValueError) as exc:
         MeasureSpec.parse(text)
     assert str(exc.value) == message
+
+
+# the spellings int() took as a cutoff, which name never gives back
+NON_CANONICAL_CUTOFFS = ["p@1_0", "p@+5", "p@ 5", "p@\uff10\uff15", "ndcg@", "p@05"]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_CUTOFFS)
+def test_measure_parse_takes_a_cutoff_only_as_ascii_digits_without_a_leading_zero(text):
+    with pytest.raises(ValueError) as exc:
+        MeasureSpec.parse(text)
+    assert str(exc.value) == f"bad measure cutoff in {text!r}"
+
+
+MEASURE_TEXT = st.builds(
+    "".join,
+    st.lists(
+        st.sampled_from(["p", "P", "ndcg", "NDCG", "bpref", "@", "0", "1", "5", "9", " ", "+",
+                         "-", "_", "\uff15", "\u0665", "\u00b2", "\t"]),
+        max_size=6,
+    ),
+)
+
+
+@given(MEASURE_TEXT)
+@example("p@1_0")
+@example("p@+5")
+@example("p@ 5")
+@example("p@\uff10\uff15")
+@example("ndcg@")
+@example("p@05")
+def test_every_accepted_measure_name_is_its_canonical_name(text):
+    try:
+        spec = MeasureSpec.parse(text)
+    except ValueError:
+        return
+    assert text.strip().lower() == spec.name
 
 
 def test_per_topic_scores_range():
