@@ -312,7 +312,9 @@ def build_matrix(
     Everything that needs no run is settled before any run is read: a
     system missing a run, environments without a common topic and a
     recall base that judges no common topic's document relevant (naming
-    its environment) are ``ValueError``s, and an incomplete pivot warns.
+    its environment), and an ``alpha`` or ``family_size`` that
+    :func:`irdrift.significance.bonferroni` rejects, are ``ValueError``s,
+    and an incomplete pivot warns.
     Each system, and the pivot, is then one task of ``_score_system``,
     against judgment facts computed once per recall base. Run errors and
     warnings come in task order: the systems in the order of ``runs``,
@@ -339,6 +341,9 @@ def build_matrix(
             raise ValueError(
                 f"no common topic has a relevant document in the qrels of environment {label!r}"
             )
+    if family_size is None:
+        family_size = max(1, len(runs) * (len(labels) - 1))
+    sig.bonferroni(alpha, family_size)  # a bad alpha or family size fails here, once
     pivot_complete = bool(pivot) and all(label in pivot for label in labels)
     if pivot and not pivot_complete:
         missing = [label for label in labels if label not in pivot]
@@ -348,8 +353,6 @@ def build_matrix(
             ChangeWarning,
             stacklevel=2,
         )
-    if family_size is None:
-        family_size = max(1, len(runs) * (len(labels) - 1))
 
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
     rbo_cfg = rbo if scenario is Scenario.DTQ else None

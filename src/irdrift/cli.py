@@ -20,9 +20,12 @@ rejects a label given twice. Every label is checked before any
 environment is read. ``diff``, ``evaluate`` and ``change`` then load the
 environments they chose with one call of ingest's private sequence
 loader, which lets consecutive snapshots share their unchanged manifest
-lines. ``simulate`` reads the
-corpus and qrels, warns of judged documents the corpus lacks and writes
-the files that :mod:`irdrift.simulate` cuts and formats.
+lines. ``simulate`` loads its manifest and qrels as one environment,
+``base``, through the same loader, which warns of judged documents the
+corpus lacks as it does for the others, and writes the files that
+:mod:`irdrift.simulate` cuts and formats; like ``diff`` it keeps the
+corpus, so it forks nothing. Every real is written by
+:mod:`irdrift.report`: ``evaluate`` hands it its scores as numbers.
 ``load_environment``, ``format_manifest``, ``format_qrels`` and
 ``format_topics`` stay module globals for code that replaces them by
 name (``bench/spans.py``), though no subcommand calls them any more.
@@ -45,30 +48,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 from .ingest import (
     EEConfig,
-    IngestWarning,
     _load_sequence,
     format_manifest,  # not called here; see the module docstring
     format_qrels,  # likewise
     format_topics,  # likewise
     load_config,
     load_environment,  # not called here; see the module docstring
-    load_manifest,
-    load_qrels,
     load_run,
 )
 from .model import (
-    EvaluationEnvironment,
     MeasureSpec,
     PerTopicScores,
     Scenario,
     TopicId,
     _check_id,
-    validate_environment,
 )
 
 
@@ -205,7 +202,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         scored[run.system_tag] = path, by_measure
     header = ["system", "ee", "measure", "topic", "score"]
-    rows: list[list[str]] = []
+    rows: list[list[str | float]] = []
     for tag in sorted(scored):
         path, by_measure = scored[tag]
         for measure in measures:
@@ -219,8 +216,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise CliError(f"--run {path!r}: {exc} for {where}") from None
             per_topic = sorted(scores.scores.items()) if args.per_topic else []
             for topic, score in [*per_topic, ("all", mean)]:
-                rows.append([tag, args.ee, measure.name, topic, rep._fmt_real(score, args.places)])
-    _write_output(rep.render_table(header, rows, args.format), args.out)
+                rows.append([tag, args.ee, measure.name, topic, score])
+    _write_output(rep.render_table(header, rows, args.format, places=args.places), args.out)
     return 0
 
 
@@ -318,12 +315,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # before any file is read
     plan = _flag_value("--slices", sim.SimulationPlan, num_slices=args.slices)
-    corpus = load_manifest(args.manifest)
-    qrels = load_qrels(args.qrels)
-    topics = dict.fromkeys(sorted(qrels.topics()))
-    base = EvaluationEnvironment(label="base", corpus=corpus, topics=topics, qrels=qrels)
-    for finding in validate_environment(base):
-        warnings.warn(f"{args.qrels}: {finding}", IngestWarning, stacklevel=2)
+    config = EEConfig("base", Path(args.manifest), Path(args.qrels))
+    (base,) = _load_sequence([config], corpus=True)
     files = sim._slice_files(base, plan)  # a bad cut raises here, before any write
     out_dir = Path(args.out_dir)
     try:

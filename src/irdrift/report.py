@@ -216,11 +216,19 @@ def render(matrix: LongitudinalMatrix, format: str, places: int = 4) -> bytes:
     return _write(format, lambda: _matrix_cells(matrix, places), document)
 
 
-def render_table(header: list[str], rows: list[list[str]], format: str) -> bytes:
-    """Render a plain header-plus-rows table as csv, markdown, or json records."""
-    return _write(
-        format, lambda: (header, rows), lambda: [dict(zip(header, cells)) for cells in rows]
-    )
+def render_table(header: list[str], rows: list[list], format: str, places: int = 4) -> bytes:
+    """Render a plain header-plus-rows table as csv, markdown, or json records.
+
+    Each cell is a string or a real: csv and markdown print a float cell
+    with `places` decimal places, and json keeps its every digit, as
+    :func:`render` does.
+    """
+
+    def table() -> tuple[list[str], list[list[str]]]:
+        text = [[_fmt_real(c, places) if isinstance(c, float) else c for c in r] for r in rows]
+        return header, text
+
+    return _write(format, table, lambda: [dict(zip(header, cells)) for cells in rows])
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string"}

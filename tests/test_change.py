@@ -458,6 +458,28 @@ def test_build_matrix_settles_what_needs_no_run_before_any_task(monkeypatch):
             _build(envs, runs, pivot)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"alpha": 1.5}, "alpha must lie in (0, 1], got 1.5"),
+        ({"alpha": 0.0}, "alpha must lie in (0, 1], got 0.0"),
+        ({"family_size": 0}, "family size must be >= 1, got 0"),
+        ({"alpha": 0.05, "family_size": -3}, "family size must be >= 1, got -3"),
+    ],
+    ids=["alpha 1.5", "alpha 0", "family size 0", "family size -3"],
+)
+def test_build_matrix_rejects_a_bad_alpha_or_family_size_before_any_run_is_read(
+    monkeypatch, tmp_path, kwargs, message
+):
+    monkeypatch.setattr(_workers, "run_tasks", _no_task)
+    envs, _, _ = _matrix_inputs()
+    # paths that do not exist: reading any of them would raise OSError
+    runs = {"alpha": {label: tmp_path / f"alpha.{label}" for label in ("t0", "t1")}}
+    pivot = {label: tmp_path / f"zpivot.{label}" for label in ("t0", "t1")}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _build(envs, runs, pivot, **kwargs)
+
+
 def test_build_matrix_warns_when_a_run_file_names_another_system():
     envs, runs, pivot = _matrix_inputs()
     runs = {"gamma": runs["alpha"]}

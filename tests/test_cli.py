@@ -20,7 +20,7 @@ from irdrift.ingest import (
     load_manifest,
     load_qrels,
 )
-from irdrift.model import DocMeta
+from irdrift.model import DocMeta, MeasureSpec
 
 from conftest import (
     CLI_TOPICS,
@@ -384,6 +384,31 @@ def test_evaluate_stdout_matches_its_pin(tmp_path, capsysbinary, fmt, ext):
     assert capsysbinary.readouterr().out == (EVALUATE_PINNED / f"per-topic.{ext}").read_bytes()
 
 
+def test_evaluate_json_writes_each_score_as_the_number_it_computed(tmp_path, capsysbinary):
+    config, runs = write_cli_fixture(tmp_path)
+    argv = ["evaluate", "--config", str(config), "--ee", "t1", "--per-topic", "--format", "json"]
+    argv += ["--run", runs[("beta", "t1")], "--run", runs[("alpha", "t1")]]
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    judged = effectiveness._judge(load_qrels(tmp_path / "t1.qrels.txt"), None)
+    measures = sorted(map(MeasureSpec.parse, ["p@10", "bpref", "ndcg"]), key=lambda m: m.name)
+    expected = []
+    for tag in ("alpha", "beta"):
+        scored = effectiveness._score_judged(ingest.load_run(runs[(tag, "t1")]), judged, measures)
+        for measure in measures:
+            scores = scored[measure]
+            rows = [*sorted(scores.scores.items()), ("all", effectiveness.arp(scores))]
+            for topic, score in rows:
+                expected.append([tag, "t1", measure.name, topic, score.hex()])
+    records = json.loads(out)
+    assert all(type(record["score"]) is float for record in records)
+    got = [[*list(record.values())[:4], record["score"].hex()] for record in records]
+    assert got == expected  # every bit of every score
+    for places in ("0", "6"):
+        assert main(argv + ["--places", places]) == 0
+        assert capsysbinary.readouterr().out == out
+
+
 DIFF_PINNED = Path(__file__).resolve().parent / "diff_stdout"
 
 
@@ -573,10 +598,9 @@ def test_places_sets_the_digits_of_each_real(tmp_path, capsys, command):
         for places in (0, 6):
             assert main(argv + ["--format", fmt, "--places", str(places)]) == 0
             out = capsys.readouterr().out
-            if fmt == "json" and command != "evaluate":
+            if fmt == "json":
                 assert out == default  # its numbers keep every digit
             else:
-                # evaluate's json records hold the score cells as written
                 _assert_reals_at(places, out, default)
 
 
@@ -1062,7 +1086,7 @@ def test_an_empty_path_is_a_usage_error_before_any_file_is_read(
     tmp_path, capsys, monkeypatch, argv, named
 ):
     config, runs = write_cli_fixture(tmp_path)
-    for reader in ("_load_sequence", "load_manifest", "load_qrels", "load_run"):
+    for reader in ("_load_sequence", "load_run"):
         monkeypatch.setattr(cli, reader, _unread)
     cwd = tmp_path / "cwd"
     cwd.mkdir()

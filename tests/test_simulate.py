@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irdrift import cli, ingest
 from irdrift.cli import main
 from irdrift.diff import diff_documents, summarize
 from irdrift.ingest import (
@@ -361,14 +362,41 @@ def test_simulate_writes_the_slices_of_split_append_only(inputs):
         base = EvaluationEnvironment("base", load_manifest(manifest_path), {},
                                      load_qrels(qrels_path))
         absent = [f for f in validate_environment(base) if f.startswith("judged")]
-        assert [str(w.message) for w in caught] == [f"{qrels_path}: {f}" for f in absent]
+        assert [str(w.message) for w in caught] == [f"environment base: {f}" for f in absent]
+
+
+def _line_of(path: str, text: str) -> int:
+    return Path(path).read_text(encoding="utf-8").splitlines().index(text) + 1
+
+
+# parse_qrels warns at the line of ingest._parse_file that called it, and
+# a finding is reported at the line of cli.main that called the subcommand
+QRELS_WARNING_AT = (ingest.__file__, _line_of(ingest.__file__, "            return parser(handle)"))
+FINDING_AT = (cli.__file__, _line_of(cli.__file__, "        return args.func(args)"))
 
 
 def test_simulate_warns_of_judged_documents_absent_from_the_manifest(tmp_path, capsysbinary):
     (tmp_path / "m.jsonl").write_text(format_manifest(synth_corpus(4)), encoding="utf-8")
     judged = "q1 0 d00000 1\nq1 0 d00003 2\n"
+    absent = "judged document {} is absent from the corpus snapshot"
+    # each input's extra judgments, and the warnings they give, in order
+    cases = {
+        "clean": ("", []),
+        "dangling": (
+            "q1 0 zz 1\nq1 0 d99 0\n",
+            [(f"environment base: {absent.format(doc)}", FINDING_AT) for doc in ("d99", "zz")],
+        ),
+        # the qrels' own warning comes first, then the finding
+        "negative": (
+            "q1 0 d00001 -1\nq1 0 zz 1\n",
+            [
+                ("line 3: negative grade -1 for (q1, d00001) clamped to 0", QRELS_WARNING_AT),
+                (f"environment base: {absent.format('zz')}", FINDING_AT),
+            ],
+        ),
+    }
     runs = {}
-    for name, extra in (("clean", ""), ("dangling", "q1 0 zz 1\nq1 0 d99 0\n")):
+    for name, (extra, expected) in cases.items():
         qrels_path = tmp_path / f"{name}.txt"
         qrels_path.write_text(judged + extra, encoding="utf-8")
         out_dir = tmp_path / name
@@ -379,10 +407,18 @@ def test_simulate_warns_of_judged_documents_absent_from_the_manifest(tmp_path, c
             assert main(argv) == 0
         stdout = capsysbinary.readouterr().out.replace(str(out_dir).encode(), b"OUT")
         runs[name] = stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (IngestWarning, f"{qrels_path}: judged document {doc} is absent from the "
-                            f"corpus snapshot")
-            for doc in (["d99", "zz"] if extra else [])
+        assert [(w.category, str(w.message), (w.filename, w.lineno)) for w in caught] == [
+            (IngestWarning, message, at) for message, at in expected
         ]
     # the judgments on absent documents are in no slice, as before
     assert runs["dangling"] == runs["clean"]
+
+
+def test_simulate_reports_a_bad_manifest_before_a_missing_qrels_file(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text('{"doc_id": "d1", "length": 1}\n{"doc_id": "d1", "length": 2}\n')
+    argv = ["simulate", "--manifest", str(manifest), "--qrels", str(tmp_path / "absent.txt"),
+            "--slices", "2", "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: line 2: duplicate doc_id d1\n"
+    assert not (tmp_path / "out").exists()
