@@ -21,11 +21,13 @@ environment sequence, pairing scores by their (system, environment,
 measure) key, and returns the longitudinal change matrix of one
 scenario. It works in two parts. One task per system, and one for the
 pivot, reads that system's runs (a run may be given as a path), scores
-them and computes their mean RBO against t0; the tasks run on one
-process per allowed CPU (:mod:`irdrift._workers`) and return no run.
-Row builders then read each task's scores and RBO means, and one helper
-owns the rule for a cell that is undefined: it stays empty, and a
-warning says why.
+them and computes their per-topic RBO against t0; the tasks run on one
+process per allowed CPU (:mod:`irdrift._workers`) and return no run,
+only a per-topic table. The tasks' tables merge into one table of the
+whole matrix, keyed by (system, environment, measure or ``"rbo"``), and
+every mean the rows read is taken from it once. The row builders then
+project the table and the means, and one helper owns the rule for a
+cell that is undefined: it stays empty, and a warning says why.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache, partial
+from functools import partial
 from itertools import zip_longest
 from os import PathLike
 from typing import NamedTuple
@@ -234,14 +236,20 @@ def delta_ri(ri_initial: float, ri_evolved: float) -> float:
     return ri_initial - ri_evolved
 
 
+# the key of a rank overlap in a per-topic table, where a measure keys a score
+_RBO = "rbo"
+# a key of a change matrix's table: (system, environment, measure or "rbo")
+_Key = tuple[str, str, MeasureSpec | str]
+
+
 class _SystemScores(NamedTuple):
     """What one system's task returns: the tag in each run file by
-    environment label, the per-topic scores by (label, measure), and the
-    mean rank overlap against t0 by label (dtq only)."""
+    environment label, and its per-topic table: the scores by (label,
+    measure) and, in dtq, the rank overlap with its t0 run by (label,
+    ``"rbo"``)."""
 
     tags: dict[str, str]
-    scores: dict[tuple[str, MeasureSpec], PerTopicScores]
-    overlap: dict[str, float]
+    table: dict[tuple[str, MeasureSpec | str], PerTopicScores | ChangeScores]
 
 
 def _score_system(
@@ -256,10 +264,10 @@ def _score_system(
     disk if given as a path, in environment order, scored against the
     judgment facts of its environment's recall base (``judged``, by label),
     and with ``rbo`` compared with its t0 run over ``common``. Only the
-    t0 run and the run at hand are held."""
+    t0 run and the run at hand are held, and only per-topic values are
+    returned; no mean is taken here."""
     tags: dict[str, str] = {}
-    scores: dict[tuple[str, MeasureSpec], PerTopicScores] = {}
-    overlap: dict[str, float] = {}
+    table: dict[tuple[str, MeasureSpec | str], PerTopicScores | ChangeScores] = {}
     first = None
     for label in labels:
         if label not in by_label:
@@ -269,12 +277,12 @@ def _score_system(
             run = load_run(run)
         tags[label] = run.system_tag
         for measure, per_topic in eff._score_judged(run, judged[label], measures).items():
-            scores[label, measure] = per_topic
+            table[label, measure] = per_topic
         if rbo is not None:
             if first is None:
                 first = run
-            overlap[label] = mean_rbo(first, run, rbo, common).mean
-    return _SystemScores(tags, scores, overlap)
+            table[label, _RBO] = mean_rbo(first, run, rbo, common)
+    return _SystemScores(tags, table)
 
 
 def build_matrix(
@@ -319,7 +327,10 @@ def build_matrix(
     against judgment facts computed once per recall base. Run errors and
     warnings come in task order: the systems in the order of ``runs``,
     then the pivot. Only the checks of the tags in the run files follow
-    the tasks.
+    the tasks. The tasks' per-topic tables then merge into one, keyed by
+    (system, environment, measure or ``"rbo"``), and each mean that the
+    scenario's rows read is taken once: the ARPs under dtq-prime, the
+    rank overlap means under dtq.
     """
     labels = [env.label for env in envs]
     measures = sorted(measures, key=lambda m: m.name)
@@ -328,9 +339,10 @@ def build_matrix(
         if missing:
             raise ValueError(f"system {tag!r} is missing runs for: " + ", ".join(missing))
     common = sim.common_topics(envs)
+    dtq = scenario is Scenario.DTQ
     # dtq scores every environment against t0's qrels, dtq-prime each
     # against its own
-    if scenario is Scenario.DTQ:
+    if dtq:
         judged = dict.fromkeys(labels, eff._judge(envs[0].qrels, common))
     else:
         judged = {env.label: eff._judge(env.qrels, common) for env in envs}
@@ -355,7 +367,7 @@ def build_matrix(
         )
 
     # rank overlap is a dtq cell, and an incomplete pivot gets no rows
-    rbo_cfg = rbo if scenario is Scenario.DTQ else None
+    rbo_cfg = rbo if dtq else None
     tasks = [
         partial(_score_system, by_label, labels, judged, measures, rbo_cfg, common)
         for by_label in runs.values()
@@ -393,13 +405,16 @@ def build_matrix(
             )
         by_tag[pivot_tag] = scored[-1]
 
+    table = {(t, *k): v for t, system in by_tag.items() for k, v in system.table.items()}
+    # each mean the rows read, taken once: rank overlap under dtq, ARP under dtq-prime
+    means = {k: v.mean if dtq else eff.arp(v) for k, v in table.items() if (k[2] == _RBO) == dtq}
     # an incomplete pivot gets no rows of its own
     row_tags = sorted(by_tag if pivot_complete else runs)
-    if scenario is Scenario.DTQ:
-        rows = _dtq_rows(by_tag, row_tags, labels, measures)
+    if dtq:
+        rows = _dtq_rows(table, means, row_tags, labels, measures)
     else:
         rows = _dtq_prime_rows(
-            by_tag, row_tags, labels, measures, pivot_tag, pivot, alpha, family_size
+            table, means, row_tags, labels, measures, pivot_tag, alpha, family_size
         )
     return LongitudinalMatrix(collection_label=collection, rows=tuple(rows))
 
@@ -418,7 +433,8 @@ def _cell(
 
 
 def _dtq_rows(
-    systems: dict[str, _SystemScores],
+    table: dict[_Key, PerTopicScores | ChangeScores],
+    means: dict[_Key, float],
     tags: list[str],
     labels: list[str],
     measures: list[MeasureSpec],
@@ -431,11 +447,9 @@ def _dtq_rows(
             system_tag=tag,
             ee_label=label,
             scenario=Scenario.DTQ,
-            rbo_mean=systems[tag].overlap[label],
+            rbo_mean=means[tag, label, _RBO],
             rmse={
-                measure: rmse(
-                    systems[tag].scores[initial, measure], systems[tag].scores[label, measure]
-                )
+                measure: rmse(table[tag, initial, measure], table[tag, label, measure])
                 for measure in measures
             },
         )
@@ -445,56 +459,51 @@ def _dtq_rows(
 
 
 def _dtq_prime_rows(
-    systems: dict[str, _SystemScores],
+    table: dict[_Key, PerTopicScores | ChangeScores],
+    arps: dict[_Key, float],
     tags: list[str],
     labels: list[str],
     measures: list[MeasureSpec],
     pivot_tag: str | None,
-    pivot: Mapping[str, object],
     alpha: float,
     family_size: int,
 ) -> list[ChangeReport]:
     """ARP, its delta against t0 and, where the pivot covers t0 and the
     environment, the margin shift over the pivot and a paired t-test
-    against it, per system and environment. Each ARP is computed once,
-    when a row first reads it."""
+    against it, per system and environment."""
     initial = labels[0]
-
-    @cache
-    def arp_of(tag: str, label: str, measure: MeasureSpec) -> float:
-        return eff.arp(systems[tag].scores[label, measure])
-
+    covered = {key[1] for key in table if key[0] == pivot_tag}
     rows: list[ChangeReport] = []
     for tag in tags:
         for label in labels:
             # the pivot has no margin over itself
-            paired = tag != pivot_tag and label in pivot and initial in pivot
+            paired = tag != pivot_tag and {initial, label} <= covered
             arp_map: dict[MeasureSpec, float] = {}
             re_delta_map: dict[MeasureSpec, float] = {}
-            delta_ri_map: dict[MeasureSpec, float | None] = {}
-            significant_map: dict[MeasureSpec, bool | None] = {}
+            # a margin shift or test left undone is an empty cell
+            delta_ri_map: dict[MeasureSpec, float | None] = dict.fromkeys(measures)
+            significant_map: dict[MeasureSpec, bool | None] = dict.fromkeys(measures)
             for measure in measures:
                 where = f"{tag} {label} {measure.name}"
-                arp = arp_map[measure] = arp_of(tag, label, measure)
-                initial_arp = arp_of(tag, initial, measure)
+                arp = arp_map[measure] = arps[tag, label, measure]
+                initial_arp = arps[tag, initial, measure]
                 delta = _cell(where, lambda: result_delta(initial_arp, arp))
                 if delta is not None:
                     re_delta_map[measure] = delta
                 if not paired:
-                    delta_ri_map[measure] = significant_map[measure] = None
                     continue
                 delta_ri_map[measure] = _cell(
                     where,
                     lambda: delta_ri(
-                        relative_improvement(initial_arp, arp_of(pivot_tag, initial, measure)),
-                        relative_improvement(arp, arp_of(pivot_tag, label, measure)),
+                        relative_improvement(initial_arp, arps[pivot_tag, initial, measure]),
+                        relative_improvement(arp, arps[pivot_tag, label, measure]),
                     ),
                 )
                 significant_map[measure] = _cell(
                     where,
                     lambda: sig.compare(
-                        systems[tag].scores[label, measure],
-                        systems[pivot_tag].scores[label, measure],
+                        table[tag, label, measure],
+                        table[pivot_tag, label, measure],
                         alpha=alpha,
                         family_size=family_size,
                     ).significant,

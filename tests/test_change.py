@@ -34,6 +34,7 @@ from conftest import (
     CLI_TOPICS,
     NO_SHRINK,
     UnderflowingScores,
+    count_forks,
     cpu_masks,
     exact_sum,
     make_environment,
@@ -522,6 +523,33 @@ def test_build_matrix_computes_each_arp_once(monkeypatch):
     assert _build(envs, runs, pivot) == expected
     # alpha, beta and the pivot, at each environment, under each measure
     assert len(averaged) == len({id(scores) for scores in averaged}) == 3 * 3 * len(MEASURES)
+    # no dtq row reads an ARP, and the per-topic rank overlaps that the
+    # tasks return keep their bits when one of them crosses a worker's pipe
+    averaged.clear()
+    overlaps = []
+    run_tasks = _workers.run_tasks
+
+    def recording_tasks(tasks):
+        results = run_tasks(tasks)
+        overlaps.append(
+            {
+                (task, label): {topic: value.hex() for topic, value in values.per_topic.items()}
+                for task, result in enumerate(results)
+                for (label, key), values in result.table.items()
+                if key == "rbo"
+            }
+        )
+        return results
+
+    monkeypatch.setattr(_workers, "run_tasks", recording_tasks)
+    forks = count_forks(monkeypatch)
+    for cpus in cpu_masks():
+        monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
+        build_matrix("c", envs, runs, pivot, Scenario.DTQ, MEASURES, RboConfig())
+    assert averaged == []
+    assert forks == [1]  # beta's task ran in a worker on two CPUs
+    one, two = overlaps
+    assert len(one) == 3 * 3 and one == two
 
 
 def test_build_matrix_tests_significance_when_the_squared_deviations_underflow(monkeypatch):

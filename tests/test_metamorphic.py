@@ -1,14 +1,21 @@
-"""Metamorphic relations over a whole change matrix.
+"""Metamorphic relations over a whole change matrix, and an oracle for it.
 
-Each test builds a second input from the first by one known operation
-(renaming systems, regrading qrels, relabelling documents, or repeating
-an environment unchanged) and checks that ``build_matrix`` responds as
-the model of temporal change says it must. The inputs are small
-in-memory runs and qrels; unanswered topics may occur except in the
-identity relation, where a topic missing from both runs would score an
-overlap of 0.0. One relation runs the ``change`` command on files:
-creating or deleting documents that no qrels judges and no run retrieves
-changes neither its stdout nor its warnings and stderr.
+The oracle builds every cell of both scenarios from the public per-cell
+calls alone, and ``build_matrix`` must equal it bit for bit, whether its
+tasks run in this process or in a forked worker.
+
+Each other test builds a second input from the first by one known
+operation (renaming systems, regrading qrels, relabelling documents, or
+repeating an environment unchanged) and checks that ``build_matrix``
+responds as the model of temporal change says it must. The inputs are
+small in-memory runs and qrels; unanswered topics may occur except in
+the identity relation, where a topic missing from both runs would score
+an overlap of 0.0. A regrade under dtq-prime is checked on the per-topic
+table that the scoring tasks return. Two relations run the ``change``
+command on files: creating or deleting documents that no qrels judges
+and no run retrieves, and relabelling every document id in order, with
+tied run scores that ingest orders by doc id, change no byte of its
+stdout; the first changes neither its warnings nor stderr.
 """
 
 import contextlib
@@ -18,16 +25,34 @@ import warnings
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irdrift import _workers
-from irdrift.change import RboConfig, build_matrix
+from irdrift import _workers, change
+from irdrift.change import (
+    RboConfig,
+    build_matrix,
+    delta_ri,
+    mean_rbo,
+    relative_improvement,
+    result_delta,
+    rmse,
+)
 from irdrift.cli import main
+from irdrift.effectiveness import arp, evaluate_run
 from irdrift.ingest import load_config, load_qrels, load_run
-from irdrift.model import MeasureSpec, Qrels, Ranking, RunFile, Scenario
+from irdrift.model import MeasureSpec, PerTopicScores, Qrels, Ranking, RunFile, Scenario
+from irdrift.report import ChangeReport
+from irdrift.significance import compare
 
-from conftest import change_argv, make_environment, make_ranking, pivot_argv, write_cli_fixture
+from conftest import (
+    change_argv,
+    cpu_masks,
+    make_environment,
+    make_ranking,
+    pivot_argv,
+    write_cli_fixture,
+)
 
 DOCS = [f"d{i}" for i in range(8)]
 TOPICS = ["q0", "q1", "q2"]
@@ -38,6 +63,7 @@ PIVOT = "zpivot"
 TAGS = st.text("abcxy", min_size=1, max_size=3)
 GRADES = st.dictionaries(st.sampled_from(DOCS), st.integers(0, 2), min_size=1)
 RELATIONS = settings(max_examples=40, deadline=None)
+RBO = RboConfig(depth=5)
 
 
 @st.composite
@@ -71,11 +97,86 @@ def matrix_inputs(draw, scenarios=tuple(Scenario), every_topic=False):
     return envs, {tag: run_set(tag) for tag in tags}, pivot, draw(st.sampled_from(scenarios))
 
 
-def matrix(envs, runs, pivot, scenario, rbo=RboConfig(depth=5)):
+def matrix(envs, runs, pivot, scenario, rbo=RBO):
     # every task runs in this process; the workers have their own tests
     with patch.object(_workers, "_cpus", list), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_matrix("c", envs, runs, pivot, scenario, MEASURES, rbo)
+
+
+def _defined(compute):
+    """``compute()``, or ``None`` where it raises ``ValueError``."""
+    try:
+        return compute()
+    except ValueError:
+        return None
+
+
+def oracle_rows(envs, runs, pivot, scenario, rbo=RBO):
+    """Every row of the matrix, each cell from one public per-cell call."""
+    labels = [env.label for env in envs]
+    common = set.intersection(*(set(env.topics) for env in envs))
+    measures = sorted(MEASURES, key=lambda m: m.name)
+    systems = dict(runs)
+    if pivot and all(label in pivot for label in labels):
+        systems[PIVOT] = pivot
+    dtq = scenario is Scenario.DTQ
+    family = max(1, len(runs) * (len(labels) - 1))  # the default: systems x later environments
+
+    def scores(by_label, i, measure):
+        qrels = envs[0 if dtq else i].qrels
+        return evaluate_run(by_label[labels[i]], qrels, measure, topic_filter=common)
+
+    rows = []
+    for tag in sorted(systems):
+        by_label = systems[tag]
+        for i, label in enumerate(labels):
+            if dtq:
+                overlap = mean_rbo(by_label[labels[0]], by_label[label], rbo, common).mean
+                rmses = {m: rmse(scores(by_label, 0, m), scores(by_label, i, m)) for m in measures}
+                rows.append(ChangeReport(tag, label, scenario, rbo_mean=overlap, rmse=rmses))
+                continue
+            paired = tag != PIVOT and labels[0] in pivot and label in pivot
+            arps, deltas, shifts, significant = {}, {}, {}, {}
+            for m in measures:
+                before, now = arp(scores(by_label, 0, m)), arp(scores(by_label, i, m))
+                arps[m] = now
+                if (delta := _defined(lambda: result_delta(before, now))) is not None:
+                    deltas[m] = delta
+                shifts[m] = significant[m] = None
+                if paired:
+                    pivot_before, pivot_now = arp(scores(pivot, 0, m)), arp(scores(pivot, i, m))
+                    shifts[m] = _defined(
+                        lambda: delta_ri(
+                            relative_improvement(before, pivot_before),
+                            relative_improvement(now, pivot_now),
+                        )
+                    )
+                    significant[m] = _defined(
+                        lambda: compare(
+                            scores(by_label, i, m), scores(pivot, i, m), family_size=family
+                        ).significant
+                    )
+            rows.append(
+                ChangeReport(tag, label, scenario, None, {}, arps, deltas, shifts, significant)
+            )
+    return rows
+
+
+@RELATIONS
+@given(inputs=matrix_inputs())
+def test_the_matrix_is_its_cells_from_the_public_calls(inputs):
+    envs, runs, pivot, scenario = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = oracle_rows(envs, runs, pivot, scenario)
+        for cpus in cpu_masks():
+            with patch.object(_workers, "_cpus", lambda: cpus):
+                built = build_matrix("c", envs, runs, pivot, scenario, MEASURES, RBO)
+            rows = list(built.rows)
+            # repr tells every float's bits apart, and keeps each map's order
+            assert rows == expected
+            assert repr(rows) == repr(expected)
 
 
 @RELATIONS
@@ -109,6 +210,53 @@ def test_regrading_a_topic_in_a_later_environment_moves_no_dtq_cell(inputs, data
     regraded = list(envs)
     regraded[i] = envs[i]._replace(qrels=Qrels({**by_topic, topic: data.draw(GRADES)}))
     assert matrix(regraded, runs, pivot, scenario) == matrix(envs, runs, pivot, scenario)
+
+
+def per_topic_entries(envs, runs, pivot, scenario):
+    """Each value of the per-topic tables that the scoring tasks return,
+    by (task index, label, measure or "rbo", topic), as its float's hex."""
+    tables = []
+    score_system = change._score_system
+
+    def recording(*args):
+        scored = score_system(*args)
+        tables.append(scored.table)
+        return scored
+
+    with patch.object(change, "_score_system", recording):
+        matrix(envs, runs, pivot, scenario)
+    entries = {}
+    for task, table in enumerate(tables):
+        for (label, key), values in table.items():
+            by_topic = values.scores if isinstance(values, PerTopicScores) else values.per_topic
+            for topic, value in by_topic.items():
+                entries[task, label, getattr(key, "name", key), topic] = value.hex()
+    return entries
+
+
+@RELATIONS
+@given(inputs=matrix_inputs(scenarios=(Scenario.DTQ_PRIME,)), data=st.data())
+def test_regrading_one_judgment_later_moves_only_its_topic_there(inputs, data):
+    envs, runs, pivot, scenario = inputs
+    i = data.draw(st.integers(1, len(envs) - 1))
+    by_topic = envs[i].qrels.by_topic
+    topic = data.draw(st.sampled_from(sorted(by_topic)))
+    doc = data.draw(st.sampled_from(sorted(by_topic[topic])))
+    grade = data.draw(st.integers(0, 2).filter(lambda g: g != by_topic[topic][doc]))
+    regraded_qrels = Qrels({**by_topic, topic: {**by_topic[topic], doc: grade}})
+    # the environment keeps a topic with a relevant document to score
+    assume(any(max(grades.values()) >= 1 for grades in regraded_qrels.by_topic.values()))
+    regraded = list(envs)
+    regraded[i] = envs[i]._replace(qrels=regraded_qrels)
+    before = per_topic_entries(envs, runs, pivot, scenario)
+    after = per_topic_entries(regraded, runs, pivot, scenario)
+    # every system's entry of that topic there may move, appear or go
+    moved = {
+        key for key in before.keys() | after.keys() if key[1] == LABELS[i] and key[3] == topic
+    }
+    assert {k: v for k, v in before.items() if k not in moved} == {
+        k: v for k, v in after.items() if k not in moved
+    }
 
 
 @RELATIONS
@@ -256,3 +404,61 @@ def test_documents_that_nothing_reads_change_no_byte_of_change(
     for scenario, argv in argvs.items():
         moved = [str(changed) if arg == str(config) else arg for arg in argv]
         assert run_cli(moved) == outcomes[scenario]
+
+
+# --- the change command over files whose document ids are relabelled -------
+
+
+@pytest.fixture(scope="module")
+def tied_inputs(tmp_path_factory):
+    """The CLI fixture with a pivot, its run scores cut to one decimal, so
+    that ingest orders many ties by doc id; its directory, each scenario's
+    argv and stdout, and its document ids."""
+    directory = tmp_path_factory.mktemp("tied")
+    config, runs = write_cli_fixture(directory, systems=("alpha", "beta", "zpivot"))
+    for path in runs.values():
+        with open(path) as handle:
+            cols = [line.split() for line in handle]
+        with open(path, "w") as handle:
+            handle.writelines(" ".join(c[:4] + [f"{float(c[4]):.1f}", c[5]]) + "\n" for c in cols)
+    argvs = {"dtq": change_argv(config, runs, "dtq"), "dtq-prime": pivot_argv(config, runs)}
+    outcomes = {scenario: run_cli(argv)[:2] for scenario, argv in argvs.items()}
+    assert all(code == 0 and out for code, out in outcomes.values())
+    manifest = (directory / "t1.manifest.jsonl").read_text(encoding="utf-8")
+    ids = sorted(json.loads(line)["doc_id"] for line in manifest.splitlines())
+    return directory, argvs, outcomes, ids
+
+
+def _relabelled(directory, into, relabel):
+    """Every file of ``directory`` written to ``into`` with each document
+    id relabelled, line for line."""
+    for path in directory.iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.name.endswith(".manifest.jsonl"):
+            docs = [json.loads(line) for line in text.splitlines()]
+            text = "".join(json.dumps({**d, "doc_id": relabel[d["doc_id"]]}) + "\n" for d in docs)
+        elif path.name.endswith(".txt"):  # run and qrels lines name the doc third
+            lines = [line.split() for line in text.splitlines()]
+            text = "".join(" ".join(c[:2] + [relabel[c[2]]] + c[3:]) + "\n" for c in lines)
+        (into / path.name).write_text(text, encoding="utf-8")
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_relabelling_doc_ids_in_order_in_the_files_changes_no_byte_of_change(
+    tied_inputs, data, tmp_path_factory
+):
+    directory, argvs, outcomes, ids = tied_inputs
+    new_ids = data.draw(
+        st.lists(
+            st.text("0123456789abcdefé-_", min_size=1, max_size=5),
+            unique=True,
+            min_size=len(ids),
+            max_size=len(ids),
+        ).map(sorted)
+    )
+    into = tmp_path_factory.mktemp("relabelled")
+    _relabelled(directory, into, dict(zip(ids, new_ids)))
+    for scenario, argv in argvs.items():
+        moved = [arg.replace(str(directory), str(into)) for arg in argv]
+        assert run_cli(moved)[:2] == outcomes[scenario]
