@@ -4,10 +4,7 @@
 order. Seen from outside, it behaves as a plain loop that calls the
 tasks one after another. Each task's warnings are shown in task order,
 and the loop stops at the first task that raises, with its exception.
-Its tasks are the scoring tasks of :func:`irdrift.change.build_matrix`
-and the two passes of the sequence loader in :mod:`irdrift.ingest`,
-which reads the manifests in a worker while this process reads the qrels
-and topics.
+Its tasks are the scoring tasks of :func:`irdrift.change.build_matrix`.
 
 The tasks run on min(tasks, allowed CPUs) processes: this one and forked
 workers. Task i goes to process i mod n, and each process is pinned to
@@ -20,16 +17,15 @@ mask before it shows any warning or raises any error. A worker that ends
 without sending a result is an internal fault (:class:`RuntimeError`).
 
 Every task records its warnings under ``simplefilter("always")``, in a
-worker or not, and the parent re-issues them with
+worker or not (``_recorded``), and the parent re-issues them with
 ``warnings.warn_explicit`` at the place each was raised, under its own
-filters and in that module's registry. So ``-W error`` raises the first
-warning in task order, and the default filter shows a repeated warning
-once, as a plain loop would. The sequence loader records its qrels
-warnings and shows them again the same way, so both use one pair of
-helpers, ``ingest._recorded`` and ``ingest._warn_again``. The same code
-runs in this process alone when there is one CPU or one task, when the
-platform has no ``os.fork`` or ``os.sched_getaffinity``, or when another
-thread is running, as a forked child would hold only a copy of this one.
+filters and in that module's registry (``_warn_again``). So ``-W error``
+raises the first warning in task order, and the default filter shows a
+repeated warning once, as a plain loop would. The same code runs in this
+process alone when there is one CPU or one task, when the platform has
+no ``os.fork`` or ``os.sched_getaffinity``, or when another thread is
+running, as a forked child would hold only a copy of this one. This
+module imports no other module of the package.
 """
 
 from __future__ import annotations
@@ -37,11 +33,13 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from collections.abc import Callable, Sequence
+import warnings
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
-from .ingest import _Recorded, _recorded, _warn_again
-
+# a call's result (None if it raised), the warnings it raised as (message,
+# category, filename, lineno), and the exception it raised or None
+_Recorded = tuple[Any, list[tuple[Warning, type, str, int]], Exception | None]
 # a task's index and what it gave
 _Outcome = tuple[int, _Recorded]
 
@@ -161,3 +159,44 @@ def _replay(count: int, outcomes: list[_Outcome], lost: dict[int, str]) -> list[
             raise error
         results.append(result)
     return results
+
+
+def _recorded(calls: Iterable[Callable[[], Any]]) -> list[_Recorded]:
+    """Call each of `calls` in turn, up to and including the first that
+    raises, and record what each gave. Warnings are recorded under
+    ``simplefilter("always")``, so none is lost to a filter before
+    :func:`_warn_again` shows it under the caller's filters."""
+    outcomes: list[_Recorded] = []
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result, error = call(), None
+            except Exception as exc:  # raised again by _replay, in task order
+                result, error = None, exc
+        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        outcomes.append((result, shown, error))
+        if error is not None:
+            break
+    return outcomes
+
+
+def _warn_again(shown: list[tuple[Warning, type, str, int]]) -> None:
+    """Warn recorded warnings again with ``warnings.warn_explicit``, each
+    at the place it was raised, under the current filters and in that
+    module's registry, so the default filter shows a repeat once, as it
+    would have shown the warnings raised directly."""
+    if not shown:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in shown:
+        namespace = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(
+            message,
+            category,
+            filename,
+            lineno,
+            module=namespace.get("__name__"),
+            registry=namespace.setdefault("__warningregistry__", {}),
+            module_globals=namespace or None,
+        )

@@ -23,20 +23,20 @@ loader, which lets consecutive snapshots share their unchanged manifest
 lines. ``simulate`` loads its manifest and qrels as one environment,
 ``base``, through the same loader, which warns of judged documents the
 corpus lacks as it does for the others, and writes the files that
-:mod:`irdrift.simulate` cuts and formats; like ``diff`` it keeps the
-corpus, so it forks nothing. Every real is written by
+:mod:`irdrift.simulate` cuts and formats; like ``diff`` it keeps each
+document's metadata. Every real is written by
 :mod:`irdrift.report`: ``evaluate`` hands it its scores as numbers.
 ``load_environment``, ``format_manifest``, ``format_qrels`` and
 ``format_topics`` stay module globals for code that replaces them by
 name (``bench/spans.py``), though no subcommand calls them any more.
 
-``change`` and ``evaluate`` read their manifests in a worker while this
-process reads the qrels and topics; ``change`` then gives its run paths to
-:func:`irdrift.change.build_matrix`, which reads each system's runs in its
-scoring task, on one process per CPU in this process's affinity mask, up
-to systems + pivot (:mod:`irdrift._workers`); with one allowed CPU all
-runs here. ``import irdrift.cli`` loads neither that helper nor
-:mod:`pickle`. ``evaluate`` judges the qrels once and scores each
+Every subcommand loads its environments in this process. ``change``
+then gives its run paths to :func:`irdrift.change.build_matrix`, which
+reads each system's runs in its scoring task, on one process per CPU in
+this process's affinity mask, up to systems + pivot
+(:mod:`irdrift._workers`); with one allowed CPU all runs here. No other
+subcommand forks, and ``import irdrift.cli`` loads neither that helper
+nor :mod:`pickle`. ``evaluate`` judges the qrels once and scores each
 ``--run`` as it reads it, so it holds one parsed run at a time.
 
 Exit codes are stable: 0 success, 1 internal error, 2 usage or

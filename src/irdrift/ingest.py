@@ -61,24 +61,18 @@ manifests the second way, for callers that score runs and need no
 document metadata.
 
 A sequence of environments (:func:`load_environments` and the CLI) is
-loaded by one private loader, ``_load_sequence``, in two passes: one
-reads the manifests, the other the qrels and topics. The manifest pass
-keeps a memo of the previous manifest's lines: a raw line, newline
-included, that the manifest loaded just before also held reuses that
-line's checked doc id and :class:`DocMeta` (None in ids-only mode) and
-skips its decode and checks. A line's checks depend on its text alone,
-and only lines that passed them are kept; the duplicate id check still
-runs on every line. Unchanged documents thus share one :class:`DocMeta`
-across snapshots. A reused line leaves the previous memo as it enters
-the next, so the pass holds about one manifest's lines, for one call.
-Without a corpus (``change``, ``evaluate``, ``load_environment(config,
-corpus=False)``) a forked worker runs the manifest pass while this
-process reads the qrels and topics; with one (``diff``,
-:func:`load_environments`) both passes run here. Each pass returns its
-first error, and the qrels pass its recorded warnings, to one loop that
-raises and warns them environment by environment, so every result,
-message and warning, and their order, is the one of loading each
-environment alone, one after another.
+loaded by one private loader, ``_load_sequence``, one environment after
+another: its manifest, then its qrels and topics, then its validation
+findings, so every result, message and warning, and their order, is the
+one of loading each environment alone. The loader keeps a memo of the
+previous manifest's lines: a raw line, newline included, that the
+manifest loaded just before also held reuses that line's checked doc id
+and :class:`DocMeta` (None in ids-only mode) and skips its decode and
+checks. A line's checks depend on its text alone, and only lines that
+passed them are kept; the duplicate id check still runs on every line.
+Unchanged documents thus share one :class:`DocMeta` across snapshots. A
+reused line leaves the previous memo as it enters the next, so loading
+holds about one manifest's lines, for one call.
 
 The JSON writers emit exactly the bytes ``json.dumps`` gives for each
 record, with its default separators and ASCII escaping. Each manifest
@@ -93,14 +87,12 @@ from __future__ import annotations
 import json
 import sys
 import warnings
-from collections.abc import Callable
 from datetime import date, datetime, timezone
-from functools import partial
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import eq
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import (
     Corpus,
@@ -545,9 +537,7 @@ def load_environment(config: EEConfig, *, corpus: bool = True) -> EvaluationEnvi
     ids with empty text. Validation findings are emitted as warnings; they
     never block assembly. With ``corpus=False`` the manifest is checked
     line by line as :func:`parse_manifest` checks it, but only its doc ids
-    are kept, for the findings; the environment's ``corpus`` is None. The
-    manifest is then read in a forked worker where a second CPU is
-    allowed (see ``_load_sequence``).
+    are kept, for the findings; the environment's ``corpus`` is None.
     """
     return _load_sequence([config], corpus=corpus)[0]
 
@@ -559,49 +549,25 @@ def load_environments(config_path: Path | str) -> list[EvaluationEnvironment]:
 
 def _load_sequence(configs: list[EEConfig], *, corpus: bool) -> list[EvaluationEnvironment]:
     """Load environments in the given order, each as :func:`load_environment`
-    loads it, in two passes and one assembly loop.
-
-    The manifest pass reads the manifests in config order with the memo
-    the module docstring describes: each is read against the checked
-    lines of the one before it, and the last one's lines are not kept.
-    The other pass reads each environment's qrels and topics and records
-    the warnings they raise. Each pass stops after its first error and
-    returns it as a value. With ``corpus=False`` the two passes are the
-    two tasks of :func:`irdrift._workers.run_tasks`: this process reads
-    the qrels and topics while a pinned worker reads the manifests and
-    sends back each one's doc ids as one space-joined string, which is
-    exact, since no id holds whitespace; with one allowed CPU both run
-    here. With ``corpus=True`` both always run here, one after the other: sending every :class:`DocMeta` back, to
-    be checked again as it is rebuilt, would cost more than the overlap
-    saves.
-
-    The assembly loop then walks the environments in order and gives
-    each what loading it alone gives, in the same order: its manifest
-    error; else its recorded qrels warnings, warned again; then its qrels
-    or topics error; else its validation findings.
+    loads it: its manifest, read with the memo the module docstring
+    describes against the checked lines of the one before it, then its
+    qrels and topics, then its validation findings. The last manifest's
+    lines are not kept, as nothing reads them.
     """
-    passes = [
-        partial(_recorded, [partial(_read_judgments, config) for config in configs]),
-        partial(_manifest_pass, configs, corpus),
-    ]
-    if corpus:
-        judged, read = [run() for run in passes]
-    else:
-        from . import _workers
-
-        judged, read = _workers.run_tasks(passes)
     envs: list[EvaluationEnvironment] = []
-    for config, (docs, _, bad_manifest), (loaded, shown, bad_judgments) in zip(
-        configs, read, judged
-    ):
-        if bad_manifest is not None:
-            raise bad_manifest
-        _warn_again(shown)
-        if bad_judgments is not None:
-            raise bad_judgments
-        qrels, topics = loaded
-        if not corpus:
-            docs = docs.split()
+    previous: dict[str, tuple[DocId, DocMeta | None]] | None = None
+    for i, config in enumerate(configs):
+        checked = {} if i + 1 < len(configs) else None
+        docs = _parse_file(
+            lambda lines: _read_manifest(lines, corpus, previous, checked),
+            config.manifest_path,
+        )
+        previous = checked
+        qrels = _parse_file(parse_qrels, config.qrels_path)
+        if config.topics_path is not None:
+            topics = _parse_file(parse_topics, config.topics_path)
+        else:
+            topics = dict.fromkeys(sorted(qrels.topics()))
         ee = EvaluationEnvironment(
             label=config.label, corpus=docs if corpus else None, topics=topics, qrels=qrels
         )
@@ -615,80 +581,6 @@ def _load_sequence(configs: list[EEConfig], *, corpus: bool) -> list[EvaluationE
             )
         envs.append(ee)
     return envs
-
-
-def _manifest_pass(configs: list[EEConfig], corpus: bool) -> list[_Recorded]:
-    """Each environment's manifest, read in config order against the
-    checked lines of the one before it: its corpus, or with ``corpus=False``
-    its doc ids joined by spaces."""
-    previous: dict[str, tuple[DocId, DocMeta | None]] | None = None
-
-    def read(i: int) -> Corpus | str:
-        nonlocal previous
-        checked = {} if i + 1 < len(configs) else None
-        docs = _parse_file(
-            lambda lines: _read_manifest(lines, corpus, previous, checked),
-            configs[i].manifest_path,
-        )
-        previous = checked
-        return docs if corpus else " ".join(docs)
-
-    return _recorded(partial(read, i) for i in range(len(configs)))
-
-
-def _read_judgments(config: EEConfig) -> tuple[Qrels, dict[TopicId, str | None]]:
-    """An environment's qrels and topics; without a topics file, the
-    qrels' topic ids with no text."""
-    qrels = _parse_file(parse_qrels, config.qrels_path)
-    if config.topics_path is None:
-        return qrels, dict.fromkeys(sorted(qrels.topics()))
-    return qrels, _parse_file(parse_topics, config.topics_path)
-
-
-# a call's result (None if it raised), the warnings it raised as (message,
-# category, filename, lineno), and the exception it raised or None
-_Recorded = tuple[Any, list[tuple[Warning, type, str, int]], Exception | None]
-
-
-def _recorded(calls: Iterable[Callable[[], Any]]) -> list[_Recorded]:
-    """Call each of `calls` in turn, up to and including the first that
-    raises, and record what each gave. Warnings are recorded under
-    ``simplefilter("always")``, so none is lost to a filter before
-    :func:`_warn_again` shows it under the caller's filters."""
-    outcomes: list[_Recorded] = []
-    for call in calls:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result, error = call(), None
-            except Exception as exc:  # raised again by the caller, in order
-                result, error = None, exc
-        shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        outcomes.append((result, shown, error))
-        if error is not None:
-            break
-    return outcomes
-
-
-def _warn_again(shown: list[tuple[Warning, type, str, int]]) -> None:
-    """Warn recorded warnings again with ``warnings.warn_explicit``, each
-    at the place it was raised, under the current filters and in that
-    module's registry, so the default filter shows a repeat once, as it
-    would have shown the warnings raised directly."""
-    if not shown:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in shown:
-        namespace = vars(modules[filename]) if filename in modules else {}
-        warnings.warn_explicit(
-            message,
-            category,
-            filename,
-            lineno,
-            module=namespace.get("__name__"),
-            registry=namespace.setdefault("__warningregistry__", {}),
-            module_globals=namespace or None,
-        )
 
 
 def _parse_file(parser, path: Path):

@@ -81,7 +81,8 @@ class _LongitudinalMatrixFields(NamedTuple):
 
 
 class LongitudinalMatrix(_Checked, _LongitudinalMatrixFields):
-    """Ordered report rows: system tags ascending, then environment order."""
+    """Ordered report rows of one scenario: system tags ascending, then
+    environment order."""
 
     __slots__ = ()
 
@@ -102,6 +103,8 @@ class LongitudinalMatrix(_Checked, _LongitudinalMatrixFields):
         sequences = {tuple(labels) for labels in blocks.values()}
         if len(sequences) > 1:
             raise ValueError("every system must report the same environment sequence")
+        if len({row.scenario for row in self.rows}) > 1:
+            raise ValueError("every row must report the same scenario")
 
     def measures(self) -> list[MeasureSpec]:
         """All measures any row mentions, ordered by canonical name."""

@@ -5,9 +5,8 @@ Each test runs the CLI under both answers of ``conftest.cpu_masks`` for
 the CPU query of :mod:`irdrift._workers`: one CPU, where every task runs
 in this process, and two, where the tasks of the dtq fixture (alpha,
 beta and the pivot zpivot) split into alpha and zpivot here and beta in
-one forked worker, after another worker has read the manifests. Both
-paths must give the same error line and exit code, the same warnings in
-the same order, and leave no child process.
+one forked worker. Both paths must give the same error line and exit
+code, the same warnings in the same order, and leave no child process.
 """
 
 import os
@@ -169,12 +168,10 @@ def test_one_cpu_one_task_or_another_thread_forks_nothing(tmp_path, capsys, monk
     assert main(argv) == 0
     assert forks == []
     monkeypatch.setattr(_workers, "_cpus", lambda: two)
-    # one system and no pivot is one scoring task; only the manifests are
-    # read in a worker
+    # one system and no pivot is one task
     config = argv[argv.index("--config") + 1]
     assert main(change_argv(config, runs, "dtq", systems=("alpha",))) == 0
-    assert forks == [1]
-    forks.clear()
+    assert forks == []
     # a forked child would hold a copy of this thread only
     release = threading.Event()
     waiting = threading.Thread(target=release.wait)
@@ -186,9 +183,9 @@ def test_one_cpu_one_task_or_another_thread_forks_nothing(tmp_path, capsys, monk
         waiting.join(timeout=10)
     assert not waiting.is_alive()
     assert forks == []
-    # the manifests, then beta's scoring task
+    # beta's scoring task
     assert main(argv) == 0
-    assert forks == [1, 1]
+    assert forks == [1]
     _no_child_left()
     capsys.readouterr()
 

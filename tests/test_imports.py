@@ -1,9 +1,9 @@
 """Import guards: no CLI call imports numpy or scipy, no subcommand
 imports ``dataclasses`` or ``inspect``, ``diff`` and ``simulate`` import
 only the irdrift modules they use, ``change`` and ``evaluate`` never
-import ``diff``, only ``change`` and ``evaluate`` import the worker
-helper, and the package's export map names each public object where it
-is defined.
+import ``diff``, only ``change`` imports the worker helper, which
+imports no other module of the package, and the package's export map
+names each public object where it is defined.
 
 Every CLI call imports ``irdrift.cli``, and importing numpy and scipy
 costs more than the rest of a small call. ``change.rmse`` and
@@ -110,7 +110,8 @@ import irdrift.cli
 after_cli = loaded()
 code = irdrift.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"after_package": after_package, "after_cli": after_cli,
-                  "code": code, "after_run": loaded()}), file=sys.stderr)
+                  "code": code, "after_run": loaded(),
+                  "pickle": "pickle" in sys.modules}), file=sys.stderr)
 """
 
 # what diff and simulate need besides the package, the CLI and ingest
@@ -290,16 +291,25 @@ def test_importing_the_cli_loads_neither_pickle_nor_the_worker_helper():
     assert json.loads(done.stdout) == []
 
 
-# diff and simulate load an exact module set, checked above; evaluate
-# reads its manifests with the worker helper, but scores no change task
-def test_evaluate_imports_the_worker_helper_but_not_change(tmp_path):
+# diff and simulate load an exact module set, checked above
+def test_evaluate_loads_neither_the_worker_helper_nor_pickle(tmp_path):
     config, runs = write_cli_fixture(tmp_path)
     state = _loaded_modules(["evaluate", "--config", str(config), "--ee", "t1", "--topics",
                              "common", "--run", runs[("alpha", "t1")]])
     assert state["code"] == 0
     assert "irdrift.effectiveness" in state["after_run"]
-    assert "irdrift._workers" in state["after_run"]
-    assert not {"irdrift.change", "irdrift.significance"} & set(state["after_run"])
+    assert "irdrift._workers" not in state["after_run"]
+    assert not state["pickle"]
+
+
+def test_the_worker_helper_imports_no_other_irdrift_module():
+    script = "import json, sys, irdrift._workers\n" + (
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'irdrift')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=_env(), capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout) == ["irdrift", "irdrift._workers"]
 
 
 # report names diff's ChangeSummary in an annotation only

@@ -1,17 +1,15 @@
 """The sequence loader gives the same environments, warnings and errors
-whether its manifest pass runs in the calling process or in a forked
-worker.
+under one allowed CPU and under two, and forks nothing under either.
 
-``ingest._load_sequence(configs, corpus=False)`` reads the manifests in
-one pass and the qrels and topics in another, as the two tasks of
-:func:`irdrift._workers.run_tasks`. Each test loads hostile inputs under
-both answers of ``conftest.cpu_masks``: one CPU, where both passes run
-here, and two, where a forked worker reads the manifests. Both must give
-the same environments, or the same error type and text, and the same
-warnings by category, message, file and line, in the same order; each
-test also pins that outcome, which follows the order of loading the
-environments one by one: an environment's manifest error, then its qrels
-warnings, then its qrels or topics error, then its validation findings.
+``ingest._load_sequence(configs, corpus=False)`` loads the environments
+one after another in the calling process. Each test loads hostile inputs
+under both answers of ``conftest.cpu_masks``, the CPUs that
+:mod:`irdrift._workers` would use. Both must give the same environments,
+or the same error type and text, and the same warnings by category,
+message, file and line, in the same order; each test also pins that
+outcome, which follows the order of loading the environments one by one:
+an environment's manifest error, then its qrels warnings, then its qrels
+or topics error, then its validation findings.
 """
 
 import os
@@ -56,7 +54,7 @@ def _load(configs):
 def load_both_ways(monkeypatch, configs, action="always"):
     """The one outcome of loading `configs` without a corpus under both CPU
     masks: (environments, or (error type, error text)), and the warnings
-    as (category, message, file, line). The two-CPU load must fork once."""
+    as (category, message, file, line). Neither load may fork."""
     forks = count_forks(monkeypatch)
     outcomes = []
     for cpus in cpu_masks():
@@ -70,7 +68,7 @@ def load_both_ways(monkeypatch, configs, action="always"):
                 result = (type(exc), str(exc))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == len(cpus) - 1
+        assert forks == []
         shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         outcomes.append((result, shown))
     one, two = outcomes

@@ -11,11 +11,13 @@ responds as the model of temporal change says it must. The inputs are
 small in-memory runs and qrels; unanswered topics may occur except in
 the identity relation, where a topic missing from both runs would score
 an overlap of 0.0. A regrade under dtq-prime is checked on the per-topic
-table that the scoring tasks return. Two relations run the ``change``
+table that the scoring tasks return. Three relations run the ``change``
 command on files: creating or deleting documents that no qrels judges
-and no run retrieves, and relabelling every document id in order, with
-tied run scores that ingest orders by doc id, change no byte of its
-stdout; the first changes neither its warnings nor stderr.
+and no run retrieves, creating a topic that only the last environment
+judges and retrieves, under one CPU and two, and relabelling every
+document id in order, with tied run scores that ingest orders by doc id,
+change no byte of its stdout; the first two change neither its warnings
+nor stderr.
 """
 
 import contextlib
@@ -404,6 +406,44 @@ def test_documents_that_nothing_reads_change_no_byte_of_change(
     for scenario, argv in argvs.items():
         moved = [str(changed) if arg == str(config) else arg for arg in argv]
         assert run_cli(moved) == outcomes[scenario]
+
+
+def test_a_topic_outside_the_common_set_changes_no_byte_of_change(change_inputs, tmp_path):
+    # qNEW is judged and retrieved at t1 only, so no scenario's common
+    # topic set holds it
+    config, configs, argvs, outcomes, _ = change_inputs
+    last = configs[-1]
+    lines = last.manifest_path.read_text(encoding="utf-8").splitlines()
+    docs = [json.loads(line)["doc_id"] for line in lines[:5]]
+    qrels = tmp_path / last.qrels_path.name
+    judged = "".join(f"qNEW 0 {doc} {grade}\n" for doc, grade in zip(docs, (2, 1, 0, 1, 0)))
+    qrels.write_text(last.qrels_path.read_text(encoding="utf-8") + judged, encoding="utf-8")
+    entries = [
+        {"label": cfg.label, "manifest": str(cfg.manifest_path),
+         "qrels": str(qrels if cfg is last else cfg.qrels_path)}
+        for cfg in configs
+    ]
+    moved = {str(config): tmp_path / config.name}
+    moved[str(config)].write_text(json.dumps(entries), encoding="utf-8")
+    for path in config.parent.glob(f"*.{last.label}.run.txt"):
+        text = path.read_text(encoding="utf-8")
+        tag = text.split(maxsplit=6)[5]
+        ranked = docs[len(tag) % 5 :] + docs[: len(tag) % 5]
+        moved[str(path)] = tmp_path / path.name
+        moved[str(path)].write_text(
+            text + "".join(f"qNEW Q0 {doc} {k} {1 / k} {tag}\n" for k, doc in enumerate(ranked, 1)),
+            encoding="utf-8",
+        )
+    for scenario, argv in argvs.items():
+        changed = []
+        for arg in argv:
+            for old, new in moved.items():
+                arg = arg.replace(old, str(new))
+            changed.append(arg)
+        assert changed != argv
+        for cpus in cpu_masks():
+            with patch.object(_workers, "_cpus", lambda: cpus):
+                assert run_cli(changed) == outcomes[scenario]
 
 
 # --- the change command over files whose document ids are relabelled -------

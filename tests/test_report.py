@@ -105,6 +105,8 @@ def test_matrix_ordering_invariants():
                 _dtq_row("b", "t0"),
             ),
         )
+    with pytest.raises(ValueError, match="same scenario"):
+        LongitudinalMatrix("c", rows=(_dtq_row("a", "t0"), _prime_row("a", "t1")))
 
 
 def test_prime_scenario_rejects_rank_cells():
