@@ -291,13 +291,15 @@ def test_importing_the_cli_loads_neither_pickle_nor_the_worker_helper():
     assert json.loads(done.stdout) == []
 
 
-# diff and simulate load an exact module set, checked above
+# diff and simulate load an exact module set, checked above; evaluate
+# scores no change task and forks no worker
 def test_evaluate_loads_neither_the_worker_helper_nor_pickle(tmp_path):
     config, runs = write_cli_fixture(tmp_path)
     state = _loaded_modules(["evaluate", "--config", str(config), "--ee", "t1", "--topics",
                              "common", "--run", runs[("alpha", "t1")]])
     assert state["code"] == 0
     assert "irdrift.effectiveness" in state["after_run"]
+    assert not {"irdrift.change", "irdrift.significance"} & set(state["after_run"])
     assert "irdrift._workers" not in state["after_run"]
     assert not state["pickle"]
 

@@ -1,15 +1,14 @@
-"""The sequence loader gives the same environments, warnings and errors
-under one allowed CPU and under two, and forks nothing under either.
+"""The sequence loader forks nothing, and its environments, warnings and
+errors follow the order of loading the environments one by one.
 
 ``ingest._load_sequence(configs, corpus=False)`` loads the environments
 one after another in the calling process. Each test loads hostile inputs
-under both answers of ``conftest.cpu_masks``, the CPUs that
-:mod:`irdrift._workers` would use. Both must give the same environments,
-or the same error type and text, and the same warnings by category,
-message, file and line, in the same order; each test also pins that
-outcome, which follows the order of loading the environments one by one:
-an environment's manifest error, then its qrels warnings, then its qrels
-or topics error, then its validation findings.
+once, with :mod:`irdrift._workers` told that two CPUs are allowed, so a
+loader that handed work to a worker process would fork. The load must
+not fork, and each test pins its outcome: the environments, or the error
+type and text, and the warnings by category, message, file and line, in
+order: an environment's manifest error, then its qrels warnings, then
+its qrels or topics error, then its validation findings.
 """
 
 import os
@@ -51,29 +50,22 @@ def _load(configs):
     return _load_sequence(configs, corpus=False)
 
 
-def load_both_ways(monkeypatch, configs, action="always"):
-    """The one outcome of loading `configs` without a corpus under both CPU
-    masks: (environments, or (error type, error text)), and the warnings
-    as (category, message, file, line). Neither load may fork."""
+def load(monkeypatch, configs, action="always"):
+    """The outcome of loading `configs` without a corpus while two CPUs are
+    allowed: (environments, or (error type, error text)), and the warnings
+    as (category, message, file, line). The load may not fork."""
     forks = count_forks(monkeypatch)
-    outcomes = []
-    for cpus in cpu_masks():
-        monkeypatch.setattr(_workers, "_cpus", lambda: cpus)
-        forks.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action)
-            try:
-                result = _load(configs)
-            except Exception as exc:
-                result = (type(exc), str(exc))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert forks == []
-        shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        outcomes.append((result, shown))
-    one, two = outcomes
-    assert one == two
-    return one
+    monkeypatch.setattr(_workers, "_cpus", lambda: cpu_masks()[1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            result = _load(configs)
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert forks == []
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def _line_of(path: str, text: str) -> int:
@@ -83,7 +75,7 @@ def _line_of(path: str, text: str) -> int:
 # parse_qrels warns at the line of ingest._parse_file that called it, and
 # the loader reports a finding at the line that called its caller, _load
 PARSE_LINE = _line_of(INGEST, "            return parser(handle)")
-LOAD_LINE = _line_of(HERE, "                result = _load(configs)")
+LOAD_LINE = _line_of(HERE, "            result = _load(configs)")
 
 
 def qrels_warning(text: str) -> tuple:
@@ -99,7 +91,7 @@ def test_a_qrels_error_before_a_bad_manifest_wins(tmp_path, monkeypatch):
         tmp_path,
         [{"qrels": ["q1 0 d1 -1\n", "q1 0 d2\n"]}, {"manifest": BAD_MANIFEST}],
     )
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert result == (ParseError, f"{configs[0].qrels_path}: line 2: expected 4 columns "
                                   f"(topic iteration doc grade), got 3")
     assert shown == [qrels_warning("line 1: negative grade -1 for (q1, d1) clamped to 0")]
@@ -109,7 +101,7 @@ def test_a_bad_manifest_wins_over_bad_qrels_of_its_own_environment(tmp_path, mon
     configs = write_envs(
         tmp_path, [{"manifest": BAD_MANIFEST, "qrels": ["q1 0 d1 -1\n", "q1 0 d2\n"]}]
     )
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert result == (ParseError, f"{configs[0].manifest_path}: line 2: duplicate doc_id d1")
     assert shown == []
 
@@ -119,14 +111,14 @@ def test_a_bad_manifest_wins_over_a_later_missing_topics_file(tmp_path, monkeypa
         tmp_path,
         [{"qrels": ["q1 0 d9 1\n"]}, {"manifest": BAD_MANIFEST}, {"topics": None}],
     )
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert result == (ParseError, f"{configs[1].manifest_path}: line 2: duplicate doc_id d1")
     assert shown == [finding("t0", "judged document d9 is absent from the corpus snapshot")]
 
 
 def test_a_missing_topics_file_is_named_after_the_earlier_findings(tmp_path, monkeypatch):
     configs = write_envs(tmp_path, [{"qrels": ["q1 0 d9 1\n"]}, {}, {"topics": None}])
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert result == (
         OSError,
         f"cannot read {configs[2].topics_path}: No such file or directory",
@@ -143,7 +135,7 @@ def test_qrels_warnings_and_findings_interleave_by_environment(tmp_path, monkeyp
         tmp_path,
         [{"qrels": qrels, "topics": ['{"topic_id": "q1"}\n']}, {}, {"qrels": qrels}],
     )
-    result, shown = load_both_ways(monkeypatch, configs, action)
+    result, shown = load(monkeypatch, configs, action)
     assert [ee.label for ee in result] == ["t0", "t1", "t2"]
     assert [ee.corpus for ee in result] == [None] * 3
     assert result[0].topics == {"q1": None} and result[2].topics == {"q1": None, "q2": None}
@@ -168,7 +160,7 @@ def test_qrels_warnings_and_findings_interleave_by_environment(tmp_path, monkeyp
 
 def test_an_empty_manifest_leaves_every_judged_document_absent(tmp_path, monkeypatch):
     configs = write_envs(tmp_path, [{}, {"manifest": []}])
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert [ee.label for ee in result] == ["t0", "t1"]
     assert shown == [
         finding("t1", f"judged document {doc} is absent from the corpus snapshot")
@@ -179,6 +171,6 @@ def test_an_empty_manifest_leaves_every_judged_document_absent(tmp_path, monkeyp
 def test_an_unreadable_manifest_path_is_named(tmp_path, monkeypatch):
     configs = write_envs(tmp_path, [{}, {"manifest": None}])
     configs[1].manifest_path.mkdir()
-    result, shown = load_both_ways(monkeypatch, configs)
+    result, shown = load(monkeypatch, configs)
     assert result == (OSError, f"cannot read {configs[1].manifest_path}: Is a directory")
     assert shown == []
