@@ -162,6 +162,11 @@ def _matrix_cells(
     return header, rows
 
 
+# a bare | or a line break in a markdown cell would split its row: GFM
+# escapes a | as \|, and each line break (\r\n, \r or \n) is written as <br>
+_GFM_CELL = str.maketrans({"|": "\\|", "\r": "<br>", "\n": "<br>"})
+
+
 def _write(
     format: str,
     table: Callable[[], tuple[list[str], list[list[str]]]],
@@ -182,9 +187,8 @@ def _write(
     if format == "markdown":
         header, rows = table()
         lines = [header, ["---"] * len(header), *rows]
-        # a bare | in a cell would split its row (GFM escapes it as \|)
         return "".join(
-            "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |\n"
+            "| " + " | ".join(c.replace("\r\n", "\n").translate(_GFM_CELL) for c in cells) + " |\n"
             for cells in lines
         ).encode("utf-8")
     raise ValueError(f"unknown format {format!r} (expected csv, markdown, or json)")

@@ -1,19 +1,24 @@
 """``change`` behaves the same whether its scoring tasks run in the calling
 process or in forked workers.
 
-Each test runs the CLI under both answers of ``conftest.cpu_masks`` for
-the CPU query of :mod:`irdrift._workers`: one CPU, where every task runs
-in this process, and two, where the tasks of the dtq fixture (alpha,
+Each CLI test runs the CLI under both answers of ``conftest.cpu_masks``
+for the CPU query of :mod:`irdrift._workers`: one CPU, where every task
+runs in this process, and two, where the tasks of the dtq fixture (alpha,
 beta and the pivot zpivot) split into alpha and zpivot here and beta in
 one forked worker. Both paths must give the same error line and exit
 code, the same warnings in the same order, and leave no child process.
+The last tests call ``run_tasks`` itself: against a plain loop over
+synthetic tasks on up to three processes, and with a calling process
+that fails while a worker is still in its task.
 """
 
 import os
 import threading
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irdrift import _workers, change
 from irdrift.cli import main
@@ -203,3 +208,114 @@ def test_a_failed_fork_leaves_its_share_to_the_calling_process(tmp_path, capsysb
     monkeypatch.setattr(os, "fork", failing)
     assert main(argv) == 0
     assert capsysbinary.readouterr() == (expected, b"")
+
+
+def test_the_calling_process_keeps_its_cpu_mask(tmp_path, capsys, monkeypatch):
+    argv, runs = _dtq_argv(tmp_path)
+    monkeypatch.setattr(_workers, "_cpus", lambda: cpu_masks()[1])
+    forks = count_forks(monkeypatch)
+    before = os.sched_getaffinity(0)
+    calls = []
+    setaffinity = os.sched_setaffinity
+
+    def recorded(*args):
+        calls.append(args)  # a forked worker appends to its own copy
+        setaffinity(*args)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    assert main(argv) == 0
+    with open(runs[("beta", "t1")], "a") as handle:
+        handle.write("q1 Q0 extra 1\n")
+    assert main(argv) == 2
+    assert forks == [1, 1]
+    assert calls == []
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
+    capsys.readouterr()
+
+
+class _Stop(BaseException):
+    """Not an ``Exception``, so no task records it: it leaves ``run_tasks``."""
+
+
+def test_a_calling_process_that_fails_stops_and_reaps_its_workers(monkeypatch):
+    monkeypatch.setattr(_workers, "_cpus", lambda: cpu_masks()[1])
+    read, write = os.pipe()
+
+    def sleeping():  # the worker's task
+        os.write(write, b".")
+        time.sleep(60)
+
+    def stopping():  # this process's task
+        os.read(read, 1)  # the worker is in its task
+        raise _Stop
+
+    try:
+        with pytest.raises(_Stop):
+            _workers.run_tasks([stopping, sleeping])
+    finally:
+        os.close(read)
+        os.close(write)
+    _no_child_left()
+
+
+# the places a synthetic task warns from, one line each
+_WARN_AT = (
+    lambda text: warnings.warn(text, UserWarning),
+    lambda text: warnings.warn(text, DeprecationWarning),
+)
+
+
+def _task(i, warns, raises):
+    def task():
+        for place, text in warns:
+            _WARN_AT[place](text)
+        if raises:
+            raise ValueError(f"task {i}")
+        return i * i
+
+    return task
+
+
+def _outcome(call, action):
+    """What ``call()`` gives under the filter ``action``: its result, or its
+    error's type and arguments, and its warnings as (text, category, file,
+    line) in the order shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            got = ("returned", call())
+        except Exception as exc:
+            got = ("raised", type(exc), exc.args)
+    return got, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+
+# a task: the (place, text) of each warning it raises, and whether it then raises
+_TASKS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 1), st.sampled_from(["drift", "churn"])), max_size=2),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+# up to two forks per example
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=_TASKS,
+    copies=st.integers(1, 3),
+    action=st.sampled_from(["default", "always", "error"]),
+)
+def test_run_tasks_behaves_as_a_plain_loop(specs, copies, action):
+    tasks = [_task(i, warns, raises) for i, (warns, raises) in enumerate(specs)]
+    expected = _outcome(lambda: [task() for task in tasks], action)
+    cpu = sorted(os.sched_getaffinity(0))[0]
+    with pytest.MonkeyPatch.context() as patch:
+        # the allowed CPU named once, twice or three times, as cpu_masks does
+        patch.setattr(_workers, "_cpus", lambda: [cpu] * copies)
+        forks = count_forks(patch)
+        assert _outcome(lambda: _workers.run_tasks(tasks), action) == expected
+    assert len(forks) == max(min(len(tasks), copies) - 1, 0)
+    _no_child_left()

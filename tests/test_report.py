@@ -196,3 +196,15 @@ def test_markdown_escapes_a_pipe_in_a_cell():
     assert row.replace(r"\|", "").count("|") == header.count("|")
     # csv writes the tag as it is
     assert b"bm25|rm3,0.5" in render_table(["system", "score"], [["bm25|rm3", "0.5"]], "csv")
+    # a collection name or config label is free text: each line break in a
+    # cell, \r\n, \r or \n, is written as <br> and so splits no row
+    cells = [["a\r\nb\rc\nd|e", "0.5"]]
+    assert render_table(["system", "score"], cells, "markdown").splitlines()[2] == (
+        rb"| a<br>b<br>c<br>d\|e | 0.5 |"
+    )
+    matrix = LongitudinalMatrix("two\nlines", rows=(_dtq_row(),))
+    header, _, row = render(matrix, "markdown").decode().splitlines()
+    assert row.startswith("| two<br>lines | sysA | t0 |")
+    # csv and json keep the text as it is
+    assert b'"a\r\nb\rc\nd|e",0.5\n' in render_table(["system", "score"], cells, "csv")
+    assert json.loads(render(matrix, "json"))["collection"] == "two\nlines"
